@@ -4,6 +4,10 @@ Subcommands: synth, track, evaluate, forward, selfcheck. Exit codes are part
 of the contract: 0 success, 1 selfcheck failure, 2 input or IO error, 3
 sequence pairing error. All randomness flows from --seed; --workers changes
 wall time only.
+
+evaluate over several sequences scores each once and adds an aggregate row,
+defined as one evaluation of the sequences' concatenation and computed by
+merging their per-sequence statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import dataio, kernels, oracles, report, synth
 from .dataio import AnnotationError, DetectionRecord, TrackedBox, dump_json
-from .geometry import BoxXYXY, ImageSize
+from .geometry import BoxXYXY, ImageSize, rel_to_abs
 from .rng import Xoshiro256
 from .tracker import TrackerConfig, run as run_tracker
 
@@ -199,11 +203,14 @@ def _cmd_evaluate(args) -> int:
         print(f"predictions without ground truth: {', '.join(sorted(extra))}", file=sys.stderr)
         return 3
 
+    if len({gt[sid].image_size for sid in gt_ids}) > 1:
+        raise ValueError("cannot aggregate sequences with different image sizes")
+
     ordered = [items[sid] for sid in gt_ids]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         futures = [pool.submit(report.evaluate_sequence, *item, motp_mode=args.motp_mode) for item in ordered]
         per_seq = [f.result() for f in futures]
-    aggregate = per_seq[0] if len(per_seq) == 1 else report.evaluate_sequences(ordered, motp_mode=args.motp_mode)
+    aggregate = per_seq[0] if len(per_seq) == 1 else report.evaluate_sequences(per_seq, motp_mode=args.motp_mode)
 
     sidecar = {
         "task": args.task,
@@ -243,6 +250,7 @@ def _cmd_forward(args) -> int:
             f"video is {video.shape[1]}x{video.shape[2]}, dims expect {dims.height}x{dims.width}"
         )
 
+    size = ImageSize(dims.width, dims.height)
     detections: dict[int, list[DetectionRecord]] = {}
     for start in range(0, n - dims.frames + 1):
         window = video[start : start + dims.frames]
@@ -250,28 +258,13 @@ def _cmd_forward(args) -> int:
         dets = kernels.emit_detections(result, args.cls_thresh, args.beh_thresh)
         # each window scores its final frame
         detections[start + dims.frames - 1] = [
-            DetectionRecord(
-                _rel_to_abs_box(d.box, dims),
-                d.score,
-                d.behavior_scores,
-            )
-            for d in dets
+            DetectionRecord(rel_to_abs(d.box, size), d.score, d.behavior_scores) for d in dets
         ]
     out = Path(args.out) if args.out else Path(args.video).with_suffix(".detections.json")
-    size = ImageSize(dims.width, dims.height)
     out.write_text(dump_json(dataio.write_detections(args.seq_id, size, detections)))
     total = sum(len(v) for v in detections.values())
     print(f"{args.seq_id}: {total} detections over {len(detections)} frames -> {out}")
     return 0
-
-
-def _rel_to_abs_box(box, dims: kernels.ModelDims) -> BoxXYXY:
-    cx, cy, h, w = box
-    x1 = (cx - w / 2.0) * dims.width
-    x2 = (cx + w / 2.0) * dims.width
-    y1 = (cy - h / 2.0) * dims.height
-    y2 = (cy + h / 2.0) * dims.height
-    return BoxXYXY(x1, y1, x2, y2)
 
 
 # --- selfcheck ---

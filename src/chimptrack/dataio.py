@@ -14,6 +14,7 @@ visibility uses 0 = outside the frame, 1 = present but obscured,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -178,7 +179,22 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise AnnotationError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise AnnotationError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _as_image_size(value) -> ImageSize:
+    _check_keys(value, "$.image_size", required=("width", "height"))
+    width = _as_int(value["width"], "$.image_size.width")
+    height = _as_int(value["height"], "$.image_size.height")
+    if width <= 0 or height <= 0:
+        raise AnnotationError("$.image_size", f"image size must be positive, got {width}x{height}")
+    return ImageSize(width, height)
 
 
 def _as_box(value, path: str) -> BoxXYXY:
@@ -265,12 +281,7 @@ def parse_annotations(data: dict | str | Path) -> SequenceAnnotation:
         raise AnnotationError("$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
     if not isinstance(data["sequence_id"], str) or not data["sequence_id"]:
         raise AnnotationError("$.sequence_id", "expected a non-empty string")
-    _check_keys(data["image_size"], "$.image_size", required=("width", "height"))
-    width = _as_int(data["image_size"]["width"], "$.image_size.width")
-    height = _as_int(data["image_size"]["height"], "$.image_size.height")
-    if width <= 0 or height <= 0:
-        raise AnnotationError("$.image_size", f"image size must be positive, got {width}x{height}")
-    size = ImageSize(width, height)
+    size = _as_image_size(data["image_size"])
     frame_count = _as_int(data["frame_count"], "$.frame_count")
     if frame_count <= 0:
         raise AnnotationError("$.frame_count", f"must be positive, got {frame_count}")
@@ -349,11 +360,7 @@ def parse_detections(data: dict | str | Path) -> tuple[str, ImageSize, dict[int,
         raise AnnotationError("$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
     if not isinstance(data["sequence_id"], str) or not data["sequence_id"]:
         raise AnnotationError("$.sequence_id", "expected a non-empty string")
-    _check_keys(data["image_size"], "$.image_size", required=("width", "height"))
-    size = ImageSize(
-        _as_int(data["image_size"]["width"], "$.image_size.width"),
-        _as_int(data["image_size"]["height"], "$.image_size.height"),
-    )
+    size = _as_image_size(data["image_size"])
     if not isinstance(data["frames"], list):
         raise AnnotationError("$.frames", "expected a list")
     frames: dict[int, list[DetectionRecord]] = {}
@@ -453,6 +460,8 @@ def parse_mot_csv(text: str) -> list[TrackedBox]:
             x, y, w, h, conf = (float(p) for p in parts[2:7])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+            raise ValueError(f"line {lineno}: non-finite value in {line!r}")
         if frame < 1:
             raise ValueError(f"line {lineno}: frames are 1-based, got {frame}")
         if track_id < 1:

@@ -11,12 +11,18 @@ assignment problem is solved with the deterministic lexicographic tie-break
 of assign.hungarian, and invalid pairs are discarded afterwards. This
 maximizes the number of valid pairs first and the summed benefit second; the
 tie-break makes the result, and therefore every downstream number, unique.
+
+Every result also carries, in fields excluded from comparison, the statistics
+needed to merge it with the results of other sequences (the merge_* functions).
+The merge equals one evaluation of the sequences' concatenation with frames and
+ids shifted apart: counts add up, the IDF1 bijection and the HOTA association
+are block-diagonal, and the greedy AP matching is per frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +50,7 @@ class ClearMetrics:
     idsw: int
     gt_count: int
     matched: int
+    iou_sum: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,26 @@ class HotaMetrics:
     hota_alpha: tuple[float, ...]
     deta_alpha: tuple[float, ...]
     assa_alpha: tuple[float, ...]
+    # per alpha: true positives and the AssA numerator sum(match_counts * ass_ratio)
+    tp: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    assa_numerator: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    gt_total: int = field(default=0, compare=False, repr=False)
+    pred_total: int = field(default=0, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class RankedMatches:
+    """Outcome of the greedy AP matching of one prediction set against one gt set.
+
+    Predictions are in rank order: score descending, ties by frame, then input
+    index. tp[t, r] is True when the prediction of rank r matched at threshold
+    t. Stable-sorting several sequences' concatenated scores therefore ranks
+    them by (-score, sequence, frame, index), as in their concatenation.
+    """
+
+    score: np.ndarray  # (n,)
+    tp: np.ndarray  # (thresholds, n) bool
+    n_gt: int
 
 
 @dataclass(frozen=True)
@@ -75,6 +102,8 @@ class DetectionAP:
     ar: float
     gt_count: int
     pred_count: int
+    # matches over all instances, then the medium and large area splits
+    splits: tuple[RankedMatches, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -83,6 +112,7 @@ class PckResult:
     per_joint: tuple[float, ...]
     counted: tuple[int, ...]
     delta: float
+    correct: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,6 +124,7 @@ class BehaviorMAP:
     map_others: float
     per_class: tuple[float, ...]
     gt_counts: tuple[int, ...]
+    classes: tuple[RankedMatches, ...] = field(default=(), compare=False, repr=False)
 
 
 def _by_frame(tracks: list[TrackedBox], label: str) -> dict[int, tuple[list[int], np.ndarray]]:
@@ -145,8 +176,7 @@ def clear_metrics(
     motp_mode "iou" reports 100 * mean matched IoU; "distance" reports
     100 * mean (1 - IoU).
     """
-    if motp_mode not in ("iou", "distance"):
-        raise ValueError(f"motp_mode must be 'iou' or 'distance', got {motp_mode}")
+    _check_motp_mode(motp_mode)
     gt_frames = _by_frame(gt, "ground-truth")
     pred_frames = _by_frame(pred, "prediction")
     gt_total = sum(len(ids) for ids, _ in gt_frames.values())
@@ -193,12 +223,44 @@ def clear_metrics(
             last_match[g] = p
         carry = pairs
 
+    return _clear_scores(fp, fn, idsw, gt_total, matched, iou_sum, motp_mode)
+
+
+def _check_motp_mode(motp_mode: str) -> None:
+    if motp_mode not in ("iou", "distance"):
+        raise ValueError(f"motp_mode must be 'iou' or 'distance', got {motp_mode}")
+
+
+def _clear_scores(
+    fp: int, fn: int, idsw: int, gt_total: int, matched: int, iou_sum: float, motp_mode: str
+) -> ClearMetrics:
     n_fp = 100.0 * fp / gt_total
     n_fn = 100.0 * fn / gt_total
     n_ids = 100.0 * idsw / gt_total
     mean_iou = iou_sum / matched if matched else 0.0
     motp = 100.0 * mean_iou if motp_mode == "iou" else 100.0 * (1.0 - mean_iou)
-    return ClearMetrics(100.0 - n_fp - n_fn - n_ids, motp, n_fp, n_fn, n_ids, fp, fn, idsw, gt_total, matched)
+    return ClearMetrics(
+        100.0 - n_fp - n_fn - n_ids, motp, n_fp, n_fn, n_ids, fp, fn, idsw, gt_total, matched, iou_sum
+    )
+
+
+def merge_clear(parts: list[ClearMetrics], motp_mode: str = "iou") -> ClearMetrics:
+    """CLEAR over the concatenation of the sequences that produced parts.
+
+    Ground-truth ids are disjoint across sequences, so no pairing carries over
+    and no identity switch spans two of them; every count adds up. MOTP differs
+    from the concatenation only by the summation order of the matched IoUs.
+    """
+    _check_motp_mode(motp_mode)
+    return _clear_scores(
+        sum(p.fp for p in parts),
+        sum(p.fn for p in parts),
+        sum(p.idsw for p in parts),
+        sum(p.gt_count for p in parts),
+        sum(p.matched for p in parts),
+        sum(p.iou_sum for p in parts),
+        motp_mode,
+    )
 
 
 def idf1(gt: list[TrackedBox], pred: list[TrackedBox], iou_thresh: float = 0.5) -> Idf1Metrics:
@@ -233,10 +295,18 @@ def idf1(gt: list[TrackedBox], pred: list[TrackedBox], iou_thresh: float = 0.5) 
     if overlap.size:
         result = assign.hungarian(-overlap)
         idtp = int(round(-result.total_cost))
-    idfp = pred_total - idtp
-    idfn = gt_total - idtp
-    score = 100.0 * 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-    return Idf1Metrics(score, idtp, idfp, idfn)
+    return _idf1_scores(idtp, pred_total - idtp, gt_total - idtp)
+
+
+def _idf1_scores(idtp: int, idfp: int, idfn: int) -> Idf1Metrics:
+    return Idf1Metrics(100.0 * 2.0 * idtp / (2.0 * idtp + idfp + idfn), idtp, idfp, idfn)
+
+
+def merge_idf1(parts: list[Idf1Metrics]) -> Idf1Metrics:
+    """IDF1 over the concatenation: its identity overlaps are block-diagonal
+    by sequence, so the optimal bijection's IDTP is the sum of the per-sequence
+    optima."""
+    return _idf1_scores(sum(p.idtp for p in parts), sum(p.idfp for p in parts), sum(p.idfn for p in parts))
 
 
 def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
@@ -279,9 +349,8 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
         pi = np.array([p_index[p] for p in pred_ids], dtype=int)
         frame_data.append((gi, pi, iou_matrix(gt_boxes, pred_boxes)))
 
-    deta_alpha = []
-    assa_alpha = []
-    hota_alpha = []
+    tps = []
+    numerators = []
     for alpha in ALPHA_GRID:
         potential = np.zeros((len(gt_id_list), len(pred_id_list)))
         for gi, pi, ious in frame_data:
@@ -301,15 +370,26 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
                 tp += 1
                 match_counts[gi[r], pi[c]] += 1.0
 
-        fn = gt_total - tp
-        fp = pred_total - tp
-        deta = tp / (tp + fn + fp) if tp + fn + fp else 0.0
+        numerator = 0.0
         if tp:
             pair_denom = n_g[:, None] + n_p[None, :] - match_counts
             ass_ratio = np.divide(match_counts, pair_denom, out=np.zeros_like(match_counts), where=pair_denom > 0)
-            assa = float((match_counts * ass_ratio).sum() / tp)
-        else:
-            assa = 0.0
+            numerator = float((match_counts * ass_ratio).sum())
+        tps.append(tp)
+        numerators.append(numerator)
+
+    return _hota_scores(tuple(tps), tuple(numerators), gt_total, pred_total)
+
+
+def _hota_scores(tps: tuple[int, ...], numerators: tuple[float, ...], gt_total: int, pred_total: int) -> HotaMetrics:
+    deta_alpha = []
+    assa_alpha = []
+    hota_alpha = []
+    for tp, numerator in zip(tps, numerators):
+        fn = gt_total - tp
+        fp = pred_total - tp
+        deta = tp / (tp + fn + fp) if tp + fn + fp else 0.0
+        assa = numerator / tp if tp else 0.0
         deta_alpha.append(deta)
         assa_alpha.append(assa)
         hota_alpha.append(float(np.sqrt(deta * assa)))
@@ -322,6 +402,23 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
         tuple(hota_alpha),
         tuple(deta_alpha),
         tuple(assa_alpha),
+        tps,
+        numerators,
+        gt_total,
+        pred_total,
+    )
+
+
+def merge_hota(parts: list[HotaMetrics]) -> HotaMetrics:
+    """HOTA over the concatenation: pair potentials, affinities and matches are
+    block-diagonal by sequence, so per alpha TP, the gt and prediction totals
+    and the AssA numerator add up. AssA and HOTA differ from the concatenation
+    only by the summation order of the numerators."""
+    return _hota_scores(
+        tuple(sum(tp) for tp in zip(*(p.tp for p in parts))),
+        tuple(sum(num) for num in zip(*(p.assa_numerator for p in parts))),
+        sum(p.gt_total for p in parts),
+        sum(p.pred_total for p in parts),
     )
 
 
@@ -402,6 +499,72 @@ def _box_iou_similarity(pred, gt) -> float:
     return iou(pred[1], gt[1])
 
 
+def _rank_and_match(preds: list, gts: list, thresholds, similarity) -> RankedMatches:
+    """Rank predictions (entries (frame, ..., score)) and match them greedily per threshold."""
+    order = _sorted_pred_order(preds)
+    tp = np.zeros((len(thresholds), len(preds)), dtype=bool)
+    if gts:
+        for t, thresh in enumerate(thresholds):
+            tp[t] = _greedy_tp_flags(preds, gts, order, float(thresh), similarity)
+    return RankedMatches(np.array([preds[i][2] for i in order], dtype=float), tp, len(gts))
+
+
+def _merge_matches(parts: tuple[RankedMatches, ...]) -> RankedMatches:
+    """Matches of the concatenated prediction and gt sets; parts in sequence order."""
+    score = np.concatenate([p.score for p in parts])
+    order = np.argsort(-score, kind="stable")
+    tp = np.concatenate([p.tp for p in parts], axis=1)[:, order]
+    return RankedMatches(score[order], tp, sum(p.n_gt for p in parts))
+
+
+def _curve(matches: RankedMatches, interpolate) -> tuple[list[float], list[float]]:
+    """Per-threshold AP and final recall; needs ground truth."""
+    n_gt = matches.n_gt
+    return [interpolate(flags, n_gt) for flags in matches.tp], [flags.sum() / n_gt for flags in matches.tp]
+
+
+def _ap_scores(splits: tuple[RankedMatches, ...]) -> DetectionAP:
+    """COCO AP summary from the matches over all instances and the two area splits.
+
+    With zero ground truth the overall AP is 0 when there are predictions
+    (every one is a false positive) and NaN otherwise; AR is then NaN. An area
+    split without ground truth is NaN.
+    """
+    overall, medium, large = splits
+    pred_count = overall.score.size
+    if overall.n_gt:
+        per_thresh, recalls = _curve(overall, _ap_101)
+        ap = float(np.mean(per_thresh))
+        ar = float(np.mean(recalls))
+    else:
+        ap = 0.0 if pred_count else float("nan")
+        per_thresh = [ap] * len(IOU_THRESHOLDS)
+        ar = float("nan")
+    ap_medium, ap_large = (
+        float(np.mean(_curve(m, _ap_101)[0])) if m.n_gt else float("nan") for m in (medium, large)
+    )
+    return DetectionAP(
+        _scale(ap),
+        _scale(per_thresh[0]),
+        _scale(per_thresh[5]),
+        _scale(ap_medium),
+        _scale(ap_large),
+        _scale(ar),
+        overall.n_gt,
+        pred_count,
+        splits,
+    )
+
+
+def merge_ap(parts: list[DetectionAP]) -> DetectionAP:
+    """Detection or keypoint AP over the concatenation of the parts' sequences.
+
+    The greedy matching is per frame and merging keeps each frame's ranking,
+    so every prediction's match flags are those of its own sequence.
+    """
+    return _ap_scores(tuple(_merge_matches(split) for split in zip(*(p.splits for p in parts))))
+
+
 def detection_ap(preds: list, gts: list) -> DetectionAP:
     """COCO-style detection AP.
 
@@ -417,44 +580,13 @@ def detection_ap(preds: list, gts: list) -> DetectionAP:
     0; area-split APs without ground truth are NaN.
     """
 
-    def _evaluate(p_subset, g_subset) -> tuple[float, float, list[float]]:
-        order = _sorted_pred_order(p_subset)
-        n_gt = len(g_subset)
-        aps = []
-        recalls = []
-        for thresh in IOU_THRESHOLDS:
-            flags = _greedy_tp_flags(p_subset, g_subset, order, float(thresh), _box_iou_similarity)
-            aps.append(_ap_101(flags, n_gt) if n_gt else (float("nan") if not p_subset else 0.0))
-            recalls.append(flags.sum() / n_gt if n_gt else float("nan"))
-        mean_ap = float(np.mean(aps)) if n_gt else (float("nan") if not p_subset else 0.0)
-        mean_rec = float(np.mean(recalls)) if n_gt else float("nan")
-        return mean_ap, mean_rec, aps
-
-    ap, ar, per_thresh = _evaluate(preds, gts)
-    if len(gts) == 0:
-        ap = 0.0 if preds else float("nan")  # flagged: every prediction is a false positive
-        per_thresh = [ap] * len(IOU_THRESHOLDS)
-
     def _in_range(box, lo, hi):
         return lo <= _box_area(box) < hi
 
-    med_p = [p for p in preds if _in_range(p[1], MEDIUM_AREA, LARGE_AREA)]
-    med_g = [g for g in gts if _in_range(g[1], MEDIUM_AREA, LARGE_AREA)]
-    lrg_p = [p for p in preds if _in_range(p[1], LARGE_AREA, float("inf"))]
-    lrg_g = [g for g in gts if _in_range(g[1], LARGE_AREA, float("inf"))]
-    ap_medium = _evaluate(med_p, med_g)[0] if med_g else float("nan")
-    ap_large = _evaluate(lrg_p, lrg_g)[0] if lrg_g else float("nan")
-
-    return DetectionAP(
-        _scale(ap),
-        _scale(per_thresh[0]),
-        _scale(per_thresh[5]),
-        _scale(ap_medium),
-        _scale(ap_large),
-        _scale(ar),
-        len(gts),
-        len(preds),
-    )
+    splits = [(preds, gts)]
+    for lo, hi in ((MEDIUM_AREA, LARGE_AREA), (LARGE_AREA, float("inf"))):
+        splits.append(([p for p in preds if _in_range(p[1], lo, hi)], [g for g in gts if _in_range(g[1], lo, hi)]))
+    return _ap_scores(tuple(_rank_and_match(p, g, IOU_THRESHOLDS, _box_iou_similarity) for p, g in splits))
 
 
 def _scale(v: float) -> float:
@@ -499,40 +631,12 @@ def keypoint_ap(preds: list, gts: list, kappas=None) -> DetectionAP:
     def _sim(pred, gt) -> float:
         return oks(pred[1], gt[1], gt[2], kappas)
 
-    def _evaluate(p_subset, g_subset):
-        order = _sorted_pred_order(p_subset)
-        n_gt = len(g_subset)
-        aps = []
-        recalls = []
-        for thresh in IOU_THRESHOLDS:
-            flags = _greedy_tp_flags(p_subset, g_subset, order, float(thresh), _sim)
-            aps.append(_ap_101(flags, n_gt) if n_gt else float("nan"))
-            recalls.append(flags.sum() / n_gt if n_gt else float("nan"))
-        mean_ap = float(np.mean(aps)) if n_gt else float("nan")
-        mean_rec = float(np.mean(recalls)) if n_gt else float("nan")
-        return mean_ap, mean_rec, aps
-
-    ap, ar, per_thresh = _evaluate(preds, gts)
-    if not gts:
-        ap = 0.0 if preds else float("nan")
-        per_thresh = [ap] * len(IOU_THRESHOLDS)
-        ar = float("nan")
-
-    med_g = [g for g in gts if MEDIUM_AREA <= _box_area(g[2]) < LARGE_AREA]
-    lrg_g = [g for g in gts if _box_area(g[2]) >= LARGE_AREA]
-    ap_medium = _evaluate(preds, med_g)[0] if med_g else float("nan")
-    ap_large = _evaluate(preds, lrg_g)[0] if lrg_g else float("nan")
-
-    return DetectionAP(
-        _scale(ap),
-        _scale(per_thresh[0]),
-        _scale(per_thresh[5]),
-        _scale(ap_medium),
-        _scale(ap_large),
-        _scale(ar),
-        len(gts),
-        len(preds),
+    split_gts = (
+        gts,
+        [g for g in gts if MEDIUM_AREA <= _box_area(g[2]) < LARGE_AREA],
+        [g for g in gts if _box_area(g[2]) >= LARGE_AREA],
     )
+    return _ap_scores(tuple(_rank_and_match(preds, g, IOU_THRESHOLDS, _sim) for g in split_gts))
 
 
 def pck(pred_poses, gt_poses, gt_boxes, delta: float = 0.05) -> PckResult:
@@ -563,12 +667,23 @@ def pck(pred_poses, gt_poses, gt_boxes, delta: float = 0.05) -> PckResult:
         visible = gt_poses[i, :, 2] > 0
         counted += visible
         correct += visible & (dists <= thresh)
+    return _pck_scores(correct, counted, delta)
+
+
+def _pck_scores(correct: np.ndarray, counted: np.ndarray, delta: float) -> PckResult:
     per_joint = tuple(
         100.0 * correct[j] / counted[j] if counted[j] else float("nan") for j in range(KEYPOINT_COUNT)
     )
     total = counted.sum()
     mean = 100.0 * correct.sum() / total if total else float("nan")
-    return PckResult(mean, per_joint, tuple(int(c) for c in counted), delta)
+    return PckResult(mean, per_joint, tuple(int(c) for c in counted), delta, tuple(int(c) for c in correct))
+
+
+def merge_pck(parts: list[PckResult]) -> PckResult:
+    """PCK over the pooled instances of the parts, which share one delta."""
+    correct = np.sum([p.correct for p in parts], axis=0)
+    counted = np.sum([p.counted for p in parts], axis=0)
+    return _pck_scores(correct, counted, parts[0].delta)
 
 
 def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP:
@@ -584,18 +699,23 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
     interpolated. Classes without ground truth are excluded from the mean and
     from category means; an empty category is NaN.
     """
-    per_class = []
-    gt_counts = []
-    for k in range(BEHAVIOR_COUNT):
-        k_gts = [(g[0], g[1]) for g in gts if g[2][k]]
-        gt_counts.append(len(k_gts))
-        if not k_gts:
-            per_class.append(float("nan"))
-            continue
-        k_preds = [(p[0], p[1], float(p[2][k])) for p in preds]
-        order = _sorted_pred_order(k_preds)
-        flags = _greedy_tp_flags(k_preds, k_gts, order, iou_thresh, _box_iou_similarity)
-        per_class.append(100.0 * _ap_all_points(flags, len(k_gts)))
+    return _behavior_scores(
+        tuple(
+            _rank_and_match(
+                [(p[0], p[1], float(p[2][k])) for p in preds],
+                [(g[0], g[1]) for g in gts if g[2][k]],
+                (iou_thresh,),
+                _box_iou_similarity,
+            )
+            for k in range(BEHAVIOR_COUNT)
+        )
+    )
+
+
+def _behavior_scores(classes: tuple[RankedMatches, ...]) -> BehaviorMAP:
+    per_class = tuple(
+        100.0 * _curve(m, _ap_all_points)[0][0] if m.n_gt else float("nan") for m in classes
+    )
 
     def _mean_over(indices) -> float:
         vals = [per_class[i] for i in indices if not np.isnan(per_class[i])]
@@ -607,6 +727,12 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
         _mean_over(BEHAVIOR_CATEGORIES["object"]),
         _mean_over(BEHAVIOR_CATEGORIES["social"]),
         _mean_over(BEHAVIOR_CATEGORIES["others"]),
-        tuple(per_class),
-        tuple(gt_counts),
+        per_class,
+        tuple(m.n_gt for m in classes),
+        classes,
     )
+
+
+def merge_behavior_map(parts: list[BehaviorMAP]) -> BehaviorMAP:
+    """Behavior mAP over the concatenation; per class as in merge_ap."""
+    return _behavior_scores(tuple(_merge_matches(c) for c in zip(*(p.classes for p in parts))))

@@ -12,13 +12,14 @@ instances, not to be fast.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .assign import Assignment
-from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, TrackedBox
+from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .loss import LossWeights
 from .metrics import ALPHA_GRID, IOU_THRESHOLDS, RECALL_POINTS, BehaviorMAP, DetectionAP
 
@@ -370,6 +371,57 @@ def brute_behavior_map(preds, gts, iou_thresh: float = 0.5) -> BehaviorMAP:
         tuple(per_class),
         tuple(counts),
     )
+
+
+def combine_sequences(
+    items: list[tuple[SequenceAnnotation, dict[int, list[DetectionRecord]], list[TrackedBox]]],
+) -> tuple[SequenceAnnotation, dict[int, list[DetectionRecord]], list[TrackedBox]]:
+    """Concatenate sequences with disjoint frame and id ranges.
+
+    This is the reference aggregate: the aggregate over several sequences is
+    defined as one evaluation of the concatenation (report.evaluate_sequence
+    on its result), which report.evaluate_sequences reproduces by merging
+    per-sequence statistics. Frames are shifted by the running frame count
+    and track ids by the running maximum so nothing collides across
+    sequences.
+    """
+    if not items:
+        raise ValueError("nothing to combine")
+    frames: dict[int, tuple] = {}
+    detections: dict[int, list[DetectionRecord]] = {}
+    tracks: list[TrackedBox] = []
+    frame_base = 0
+    gt_base = 0
+    pred_base = 0
+    stride = items[0][0].stride
+    size = items[0][0].image_size
+    for annotation, dets, seq_tracks in items:
+        if annotation.image_size != size:
+            raise ValueError("cannot aggregate sequences with different image sizes")
+        for frame, insts in annotation.frames.items():
+            frames[frame + frame_base] = tuple(
+                replace(inst, track_id=inst.track_id + gt_base) for inst in insts
+            )
+        for frame, recs in dets.items():
+            if 0 <= frame < annotation.frame_count:  # keep shifted ranges disjoint
+                detections[frame + frame_base] = list(recs)
+        tracks.extend(
+            TrackedBox(t.frame + frame_base, t.track_id + pred_base, t.box, t.score, t.behavior_scores)
+            for t in seq_tracks
+            if 0 <= t.frame < annotation.frame_count
+        )
+        gt_ids = [i.track_id for insts in annotation.frames.values() for i in insts]
+        gt_base += max(gt_ids, default=0)
+        pred_base += max((t.track_id for t in seq_tracks), default=0)
+        frame_base += annotation.frame_count
+    combined = SequenceAnnotation(
+        sequence_id="aggregate",
+        image_size=size,
+        frame_count=frame_base,
+        stride=stride,
+        frames=frames,
+    )
+    return combined, detections, tracks
 
 
 def _corners(b):

@@ -1,5 +1,11 @@
 """Sequence evaluation drivers and report rendering.
 
+The aggregate row over several sequences is defined as one evaluation of
+their concatenation, with frames and ids shifted apart
+(oracles.combine_sequences builds it). It is computed by merging the
+per-sequence statistics that every metric result carries, so no sequence is
+scored twice.
+
 Rendering is byte-stable: fixed one-decimal formatting, two-space column
 gutters, ASCII "-" for undefined (NaN) cells. JSON output maps NaN to null.
 """
@@ -7,7 +13,7 @@ gutters, ASCII "-" for undefined (NaN) cells. JSON output maps NaN to null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +32,12 @@ from .metrics import (
     hota,
     idf1,
     keypoint_ap,
+    merge_ap,
+    merge_behavior_map,
+    merge_clear,
+    merge_hota,
+    merge_idf1,
+    merge_pck,
     pck,
 )
 from .geometry import iou_matrix
@@ -42,6 +54,9 @@ class MetricsReport:
     pose_ap: DetectionAP | None = None
     pck05: PckResult | None = None
     pck10: PckResult | None = None
+    # keypoint AP of a sequence with pose predictions but no pose ground truth:
+    # not reported, but its predictions are false positives in an aggregate
+    unreported_pose_ap: DetectionAP | None = field(default=None, compare=False, repr=False)
 
 
 def _gt_records(annotation: SequenceAnnotation):
@@ -123,77 +138,43 @@ def evaluate_sequence(
         if paired_pred:
             pck05 = pck(paired_pred, paired_gt, paired_boxes, delta=0.05)
             pck10 = pck(paired_pred, paired_gt, paired_boxes, delta=0.10)
-        report = MetricsReport(
-            sequence_id=report.sequence_id,
-            clear=report.clear,
-            idf1=report.idf1,
-            hota=report.hota,
-            detection=report.detection,
-            behavior=report.behavior,
-            pose_ap=keypoint_ap(pose_pred, pose_gt),
-            pck05=pck05,
-            pck10=pck10,
-        )
+        report = replace(report, pose_ap=keypoint_ap(pose_pred, pose_gt), pck05=pck05, pck10=pck10)
+    elif pose_pred:
+        report = replace(report, unreported_pose_ap=keypoint_ap(pose_pred, pose_gt))
     return report
 
 
-def combine_sequences(
-    items: list[tuple[SequenceAnnotation, dict[int, list[DetectionRecord]], list[TrackedBox]]],
-) -> tuple[SequenceAnnotation, dict[int, list[DetectionRecord]], list[TrackedBox]]:
-    """Concatenate sequences with disjoint frame and id ranges.
+def evaluate_sequences(reports: list[MetricsReport], motp_mode: str = "iou") -> MetricsReport:
+    """Aggregate the reports of several sequences, given in sequence order.
 
-    The aggregate over several sequences is defined as one evaluation of the
-    concatenation; frames are shifted by the running frame count and track
-    ids by the running maximum so nothing collides across sequences.
+    The result equals evaluate_sequence on oracles.combine_sequences of the
+    same inputs: exactly in every count, MOTA, IDF1, DetA, AP, AR, mAP and
+    PCK, and up to float summation order in MOTP, AssA and HOTA. motp_mode
+    must be the one the reports were computed with. A single report keeps its
+    sequence id; several are labeled "aggregate".
     """
-    if not items:
-        raise ValueError("nothing to combine")
-    frames: dict[int, tuple] = {}
-    detections: dict[int, list[DetectionRecord]] = {}
-    tracks: list[TrackedBox] = []
-    frame_base = 0
-    gt_base = 0
-    pred_base = 0
-    stride = items[0][0].stride
-    size = items[0][0].image_size
-    for annotation, dets, seq_tracks in items:
-        if annotation.image_size != size:
-            raise ValueError("cannot aggregate sequences with different image sizes")
-        for frame, insts in annotation.frames.items():
-            frames[frame + frame_base] = tuple(
-                replace(inst, track_id=inst.track_id + gt_base) for inst in insts
-            )
-        for frame, recs in dets.items():
-            if 0 <= frame < annotation.frame_count:  # keep shifted ranges disjoint
-                detections[frame + frame_base] = list(recs)
-        tracks.extend(
-            TrackedBox(t.frame + frame_base, t.track_id + pred_base, t.box, t.score, t.behavior_scores)
-            for t in seq_tracks
-            if 0 <= t.frame < annotation.frame_count
-        )
-        gt_ids = [i.track_id for insts in annotation.frames.values() for i in insts]
-        gt_base += max(gt_ids, default=0)
-        pred_base += max((t.track_id for t in seq_tracks), default=0)
-        frame_base += annotation.frame_count
-    combined = SequenceAnnotation(
-        sequence_id="aggregate",
-        image_size=size,
-        frame_count=frame_base,
-        stride=stride,
-        frames=frames,
+    if not reports:
+        raise ValueError("nothing to aggregate")
+    pose_parts = [r.pose_ap if r.pose_ap is not None else r.unreported_pose_ap for r in reports]
+    pose_ap = None
+    if any(r.pose_ap is not None for r in reports):
+        pose_ap = merge_ap([p for p in pose_parts if p is not None])
+
+    def _pck(results):
+        results = [p for p in results if p is not None]
+        return merge_pck(results) if results else None
+
+    return MetricsReport(
+        sequence_id=reports[0].sequence_id if len(reports) == 1 else "aggregate",
+        clear=merge_clear([r.clear for r in reports], motp_mode),
+        idf1=merge_idf1([r.idf1 for r in reports]),
+        hota=merge_hota([r.hota for r in reports]),
+        detection=merge_ap([r.detection for r in reports]),
+        behavior=merge_behavior_map([r.behavior for r in reports]),
+        pose_ap=pose_ap,
+        pck05=_pck(r.pck05 for r in reports),
+        pck10=_pck(r.pck10 for r in reports),
     )
-    return combined, detections, tracks
-
-
-def evaluate_sequences(
-    items: list[tuple[SequenceAnnotation, dict[int, list[DetectionRecord]], list[TrackedBox]]],
-    motp_mode: str = "iou",
-) -> MetricsReport:
-    """Score one or many sequences; many become one concatenated evaluation."""
-    if len(items) == 1:
-        return evaluate_sequence(*items[0], motp_mode=motp_mode)
-    combined, detections, tracks = combine_sequences(items)
-    return evaluate_sequence(combined, detections, tracks, motp_mode=motp_mode)
 
 
 # --- rendering ---

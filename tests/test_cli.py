@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 from chimptrack import dataio
 from chimptrack.cli import main
-from chimptrack.geometry import ImageSize
+from chimptrack.dataio import DetectionRecord
+from chimptrack.geometry import BoxXYXY, ImageSize
 from chimptrack.kernels import ModelDims, init_params, save_params
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--agents", "3", "--frames", "30", "--stride", "10"]
@@ -76,6 +78,48 @@ def test_track_empty_detections_gives_empty_csv(tmp_path):
     dst = tmp_path / "tracks.csv"
     assert main(["track", str(src), "--out", str(dst)]) == 0
     assert dst.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "keys, value, where",
+    [
+        (("frames", 0, "detections", 0, "box", 0), math.nan, "$.frames[0].detections[0].box[0]"),
+        (("frames", 0, "detections", 0, "box", 2), math.inf, "$.frames[0].detections[0].box[2]"),
+        (("frames", 0, "detections", 0, "box", 3), 10**400, "$.frames[0].detections[0].box[3]"),
+        (("frames", 0, "detections", 0, "pose", 3, 1), math.nan, "$.frames[0].detections[0].pose[3][1]"),
+        (("image_size", "width"), 0, "$.image_size"),
+        (("image_size", "height"), -5, "$.image_size"),
+    ],
+    ids=["nan-box", "inf-box", "huge-int-box", "nan-pose-joint", "zero-width", "negative-height"],
+)
+def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, value, where):
+    pose = tuple((float(k), float(k)) for k in range(16))
+    record = DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9, None, pose)
+    doc = dataio.write_detections("s", ImageSize(64, 64), {0: [record]})
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    src = tmp_path / "dets.json"
+    src.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    assert main(["track", str(src), "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"input error: {where}:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row, lineno",
+    [("1,1,nan,0.0,5.0,5.0,1.0,-1,-1,-1", 1), ("1,1,0.0,0.0,inf,5.0,1.0,-1,-1,-1", 1), ("2,1,0,0,5,5,-inf,-1,-1,-1", 2)],
+    ids=["nan-x", "inf-width", "inf-conf"],
+)
+def test_evaluate_rejects_non_finite_mot_csv_with_line(tmp_path, capsys, row, lineno):
+    out = make_scene(tmp_path)
+    csv = tmp_path / "pred.csv"
+    good = "1,1,0.0,0.0,5.0,5.0,1.0,-1,-1,-1"
+    csv.write_text("\n".join([row] if lineno == 1 else [good, row]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", str(out / "annotations.json"), "--pred", str(csv)]) == 2
+    assert f"error: line {lineno}: non-finite value" in capsys.readouterr().err
 
 
 def evaluate_pair(tmp_path):
@@ -163,6 +207,23 @@ def test_evaluate_workers_do_not_change_results(tmp_path):
     doc = json.loads(out1.read_text())
     assert set(doc["sequences"]) == {"synth-1", "synth-2", "synth-3"}
     assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--workers", "0"]) == 2
+
+
+def test_evaluate_mixed_image_sizes_exits_2(tmp_path, capsys):
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    for seed, width in ((1, "640"), (2, "320")):
+        scene = tmp_path / f"s{seed}"
+        argv = ["synth", "--seed", str(seed), "--agents", "2", "--frames", "20", "--width", width, "--out", str(scene)]
+        assert main(argv) == 0
+        (gt_dir / f"synth-{seed}.json").write_bytes((scene / "annotations.json").read_bytes())
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for seed in (1, 2):
+        (pred_dir / f"synth-{seed}.json").write_bytes((tmp_path / f"s{seed}" / "detections_clean.json").read_bytes())
+    capsys.readouterr()
+    assert main(["evaluate", "--task", "detection", "--gt", str(gt_dir), "--pred", str(pred_dir)]) == 2
+    assert "different image sizes" in capsys.readouterr().err
 
 
 def test_evaluate_detection_behavior_and_pose_tasks(tmp_path, capsys):

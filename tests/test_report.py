@@ -7,11 +7,11 @@ from conftest import nan_equal
 
 from chimptrack.dataio import DetectionRecord, SequenceAnnotation, TrackedBox
 from chimptrack.geometry import BoxXYXY
+from chimptrack.oracles import combine_sequences
 from chimptrack.report import (
     BehaviorRow,
     TrackingRow,
     behavior_row,
-    combine_sequences,
     evaluate_sequence,
     evaluate_sequences,
     pose_row,
@@ -21,7 +21,7 @@ from chimptrack.report import (
     report_to_json,
     tracking_row,
 )
-from chimptrack.synth import NoiseConfig, SceneConfig, generate, perturb_tracks
+from chimptrack.synth import NoiseConfig, SceneConfig, generate, perturb_detections, perturb_tracks
 
 CFG = SceneConfig(agents=3, frames=30, stride=10)
 
@@ -101,9 +101,7 @@ def test_combine_sequences_offsets_and_additivity():
 
     solo_a = evaluate_sequence(scene_a.annotation, dets_a, tracks_a)
     solo_b = evaluate_sequence(scene_b.annotation, dets_b, noisy_b)
-    agg = evaluate_sequences(
-        [(scene_a.annotation, dets_a, tracks_a), (scene_b.annotation, dets_b, noisy_b)]
-    )
+    agg = evaluate_sequences([solo_a, solo_b])
     assert agg.sequence_id == "aggregate"
     assert agg.clear.gt_count == solo_a.clear.gt_count + solo_b.clear.gt_count
     assert agg.clear.fp == solo_a.clear.fp + solo_b.clear.fp
@@ -127,14 +125,125 @@ def test_combine_sequences_validation():
 
 def test_evaluate_sequences_single_item_matches_direct_call():
     scene, dets, tracks = identity_inputs(seed=4)
-    a = evaluate_sequences([(scene.annotation, dets, tracks)])
-    b = evaluate_sequence(scene.annotation, dets, tracks)
+    noisy = perturb_tracks(tracks, scene.annotation.image_size, NoiseConfig(box_jitter=2.0, fn_rate=0.2), 5)
+    b = evaluate_sequence(scene.annotation, dets, noisy)
+    a = evaluate_sequences([b])
     assert a.sequence_id == b.sequence_id
     assert a.clear == b.clear and a.idf1 == b.idf1 and a.hota == b.hota
     assert same_ap(a.detection, b.detection)
-    assert nan_equal(a.behavior.map, b.behavior.map)
-    assert all(nan_equal(x, y) for x, y in zip(a.behavior.per_class, b.behavior.per_class))
+    assert nan_equal(a.behavior.map, b.behavior.map, tol=0.0)
+    assert all(nan_equal(x, y, tol=0.0) for x, y in zip(a.behavior.per_class, b.behavior.per_class))
     assert same_ap(a.pose_ap, b.pose_ap)
+    assert a.pck05 == b.pck05 and a.pck10 == b.pck10
+    with pytest.raises(ValueError, match="nothing to aggregate"):
+        evaluate_sequences([])
+
+
+AGG_CFG = SceneConfig(agents=4, frames=60, stride=10)
+DET_NOISE = NoiseConfig(box_jitter=2.0, kp_jitter=1.0, fn_rate=0.1, fp_rate=0.5)
+TRACK_NOISE = NoiseConfig(box_jitter=2.0, fn_rate=0.1, id_swap_rate=0.1)
+
+
+def task_items(task: str, seeds=(11, 12, 13)):
+    """Noisy sequences as the CLI feeds them to evaluate_sequence for a task.
+
+    Tracking scores tracks (their boxes double as detections); the other tasks
+    score detections with no tracks. Detection and behavior scores are rounded
+    to one decimal, so equal scores span sequences and the merge has to keep
+    the concatenation's tie order. The second sequence has no predictions on
+    two of its annotated frames.
+    """
+    items = []
+    for i, seed in enumerate(seeds):
+        scene = generate(AGG_CFG, seed)
+        size = scene.annotation.image_size
+        if task == "tracking":
+            tracks = perturb_tracks(scene.gt_tracks, size, TRACK_NOISE, seed + 100)
+            dets = {}
+            for t in tracks:
+                dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score, t.behavior_scores))
+        else:
+            tracks = []
+            dets = {
+                f: [
+                    dataclasses.replace(
+                        d,
+                        score=round(d.score, 1),
+                        behavior_scores=tuple(round(b, 1) for b in d.behavior_scores),
+                    )
+                    for d in v
+                ]
+                for f, v in perturb_detections(scene.detections, size, DET_NOISE, seed + 100).items()
+            }
+        if i == 1:
+            tracks = [t for t in tracks if t.frame not in (10, 30)]
+            dets = {f: v for f, v in dets.items() if f not in (10, 30)}
+        items.append((scene.annotation, dets, tracks))
+    return items
+
+
+def exact(a, b) -> bool:
+    return nan_equal(a, b, tol=0.0)
+
+
+def assert_same_ap(merged, ref):
+    assert merged.gt_count == ref.gt_count and merged.pred_count == ref.pred_count
+    for k in ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar"):
+        assert exact(getattr(merged, k), getattr(ref, k)), k
+
+
+def assert_same_pck(merged, ref):
+    assert (merged is None) == (ref is None)
+    if ref is not None:
+        assert merged.counted == ref.counted and merged.correct == ref.correct
+        assert exact(merged.mean, ref.mean)
+        assert all(exact(x, y) for x, y in zip(merged.per_joint, ref.per_joint))
+
+
+@pytest.mark.parametrize("task", ["tracking", "detection", "behavior", "pose"])
+def test_merged_aggregate_equals_concatenated_evaluation(task):
+    items = task_items(task)
+    merged = evaluate_sequences([evaluate_sequence(*item) for item in items])
+    ref = evaluate_sequence(*combine_sequences(items))
+    assert merged.sequence_id == ref.sequence_id == "aggregate"
+    if task == "tracking":
+        m, r = merged.clear, ref.clear
+        assert (m.fp, m.fn, m.idsw, m.gt_count, m.matched) == (r.fp, r.fn, r.idsw, r.gt_count, r.matched)
+        assert m.idsw > 0 and m.fn > 0
+        assert (m.mota, m.n_fp, m.n_fn, m.n_ids) == (r.mota, r.n_fp, r.n_fn, r.n_ids)
+        assert abs(m.motp - r.motp) <= 1e-9
+        assert merged.idf1 == ref.idf1
+        m, r = merged.hota, ref.hota
+        assert (m.tp, m.gt_total, m.pred_total) == (r.tp, r.gt_total, r.pred_total)
+        assert m.deta == r.deta and m.deta_alpha == r.deta_alpha
+        for x, y in zip((m.hota, m.assa, *m.hota_alpha, *m.assa_alpha), (r.hota, r.assa, *r.hota_alpha, *r.assa_alpha)):
+            assert abs(x - y) <= 1e-9
+    if task in ("tracking", "detection"):
+        assert_same_ap(merged.detection, ref.detection)
+    if task == "behavior":
+        assert merged.behavior.gt_counts == ref.behavior.gt_counts
+        for k in ("map", "map_locomotion", "map_object", "map_social", "map_others"):
+            assert exact(getattr(merged.behavior, k), getattr(ref.behavior, k)), k
+        assert all(exact(x, y) for x, y in zip(merged.behavior.per_class, ref.behavior.per_class))
+    if task == "pose":
+        assert_same_ap(merged.pose_ap, ref.pose_ap)
+        assert_same_pck(merged.pck05, ref.pck05)
+        assert_same_pck(merged.pck10, ref.pck10)
+
+
+def test_merged_aggregate_counts_pose_predictions_without_pose_ground_truth():
+    items = task_items("pose")
+    items[0] = (strip_poses(items[0][0]), *items[0][1:])
+    reports = [evaluate_sequence(*item) for item in items]
+    assert reports[0].pose_ap is None
+    merged = evaluate_sequences(reports)
+    ref = evaluate_sequence(*combine_sequences(items))
+    # the first sequence's pose predictions are false positives in the aggregate
+    own = [sum(d.pose is not None for f in ann.frames for d in dets.get(f, ())) for ann, dets, _ in items]
+    assert own[0] > 0
+    assert merged.pose_ap.pred_count == ref.pose_ap.pred_count == sum(own)
+    assert_same_ap(merged.pose_ap, ref.pose_ap)
+    assert_same_pck(merged.pck05, ref.pck05)
 
 
 def test_tracking_table_layout_and_nan_dash():
