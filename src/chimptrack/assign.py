@@ -1,36 +1,32 @@
-"""Bipartite assignment: optimal matching, greedy gated matching, matching costs.
+"""Bipartite assignment: optimal matching, gated optimal matching, greedy matching.
 
 All matchers operate on dense float cost matrices. Rectangular inputs yield
 min(rows, cols) pairs; there is no padding. Ties between equally cheap optima
 resolve deterministically to the lexicographically smallest pair list ordered
 by (row, col).
+
+Gated matchings (the tracker's association stages, CLEAR's per-frame step,
+HOTA's per-alpha step and the pose pairing of the report) share one
+documented construction, gated_match: benefit values in [0, 1], pairs below
+the validity gate get cost B = min(rows, cols) + 2 while valid pairs cost
+1 - benefit, the assignment problem is solved with the deterministic
+lexicographic tie-break of hungarian, and invalid pairs are discarded
+afterwards. This maximizes the number of valid pairs first and the summed
+benefit second; the tie-break makes the result, and therefore every
+downstream number, unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import giou, rel_to_corners
-
 
 class Assignment(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
-
-
-@dataclass(frozen=True)
-class MatchWeights:
-    """Weights and focal constants for the detection matching cost."""
-
-    cls: float = 2.0
-    l1: float = 5.0
-    giou: float = 2.0
-    alpha: float = 0.25
-    gamma: float = 2.0
 
 
 def _as_cost(cost) -> np.ndarray:
@@ -50,6 +46,11 @@ def hungarian(cost) -> Assignment:
     order to the smallest column whose completion still attains the optimal
     total (tolerance 1e-9 relative to the optimum, to absorb summation-order
     drift when re-solving subproblems).
+
+    Because the tolerance is relative, a huge sentinel cost for forbidden
+    pairs would inflate it until clearly worse completions pass as ties; pass
+    forbidden pairs through gated_match instead, whose invalid-pair cost is
+    bounded by min(rows, cols) + 2.
     """
     cost = _as_cost(cost)
     n_rows, n_cols = cost.shape
@@ -93,6 +94,20 @@ def hungarian(cost) -> Assignment:
     return Assignment(tuple(pairs), total)
 
 
+def gated_match(benefit: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]:
+    """Maximize valid pair count, then summed benefit, then lex order.
+
+    Implemented by solving the assignment problem on cost = 1 - benefit for
+    valid pairs and B = min(rows, cols) + 2 for invalid ones, then dropping
+    invalid pairs from the solution.
+    """
+    if benefit.size == 0:
+        return []
+    big = min(benefit.shape) + 2.0
+    cost = np.where(valid, 1.0 - benefit, big)
+    return [(r, c) for r, c in hungarian(cost).pairs if valid[r, c]]
+
+
 def greedy_match(cost, gate: float) -> Assignment:
     """Greedy matching: repeatedly take the globally smallest entry <= gate.
 
@@ -116,46 +131,3 @@ def greedy_match(cost, gate: float) -> Assignment:
         work[r, :] = np.inf
         work[:, c] = np.inf
     return Assignment(tuple(pairs), total)
-
-
-def focal_positive_cost(p: float, alpha: float = 0.25, gamma: float = 2.0) -> float:
-    """Focal-style cost of declaring probability p a positive: alpha*(1-p)^gamma*(-log p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
-    return alpha * (1.0 - p) ** gamma * -np.log(p)
-
-
-def detr_cost(class_probs, pred_boxes, gt_boxes, weights: MatchWeights = MatchWeights()) -> np.ndarray:
-    """Matching cost between predicted detections and ground-truth boxes.
-
-    entry(q, g) = w.cls * focal_positive_cost(p_q)
-                + w.l1 * ||b_q - t_g||_1
-                + w.giou * (1 - GIoU(b_q, t_g))
-
-    Boxes are normalized center-form (cx, cy, h, w). Behavior scores do not
-    enter the matching cost.
-
-    Args:
-        class_probs: (Q,) class probabilities, each strictly inside (0, 1).
-        pred_boxes: (Q, 4) predicted boxes.
-        gt_boxes: (G, 4) ground-truth boxes.
-
-    Returns:
-        (Q, G) cost matrix.
-    """
-    p = np.asarray(class_probs, dtype=float).reshape(-1)
-    pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
-    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-    if pred.shape[0] != p.shape[0]:
-        raise ValueError("class_probs and pred_boxes disagree on the number of queries")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("class probabilities must lie strictly inside (0, 1)")
-
-    cls_cost = weights.alpha * (1.0 - p) ** weights.gamma * -np.log(p)
-    l1 = np.abs(pred[:, None, :] - gt[None, :, :]).sum(axis=2)
-    out = np.empty((pred.shape[0], gt.shape[0]), dtype=float)
-    for q in range(pred.shape[0]):
-        bq = rel_to_corners(pred[q])
-        for g in range(gt.shape[0]):
-            out[q, g] = 1.0 - giou(bq, rel_to_corners(gt[g]))
-    return weights.cls * cls_cost[:, None] + weights.l1 * l1 + weights.giou * out

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dataio, kernels, oracles, report, synth
 from .dataio import AnnotationError, DetectionRecord, TrackedBox, dump_json
-from .geometry import BoxXYXY, ImageSize, rel_to_abs
+from .geometry import ImageSize, rel_to_abs
 from .rng import Xoshiro256
 from .tracker import TrackerConfig, run as run_tracker
 
@@ -313,32 +313,6 @@ def _check_gradients(rng: Xoshiro256) -> tuple[bool, str]:
     return ok, f"max rel err {worst:.2e}"
 
 
-def _tiny_tracks(rng: Xoshiro256) -> tuple[list[TrackedBox], list[TrackedBox]]:
-    gt, pred = [], []
-    n_frames = 2 + rng.randint(5)
-    for frame in range(n_frames):
-        for tid in range(1, 4):
-            if rng.random() < 0.7:
-                x = rng.uniform(0.0, 60.0)
-                y = rng.uniform(0.0, 60.0)
-                w = rng.uniform(10.0, 30.0)
-                h = rng.uniform(10.0, 30.0)
-                gt.append(TrackedBox(frame, tid, BoxXYXY(x, y, x + w, y + h)))
-                if rng.random() < 0.8:
-                    dx = rng.uniform(-4.0, 4.0)
-                    dy = rng.uniform(-4.0, 4.0)
-                    pid = tid if rng.random() < 0.8 else 1 + rng.randint(3)
-                    pred.append(TrackedBox(frame, pid, BoxXYXY(x + dx, y + dy, x + w + dx, y + h + dy)))
-        if rng.random() < 0.3:
-            x = rng.uniform(0.0, 60.0)
-            y = rng.uniform(0.0, 60.0)
-            pred.append(TrackedBox(frame, 9, BoxXYXY(x, y, x + 20.0, y + 20.0)))
-    dedup: dict[tuple[int, int], TrackedBox] = {}
-    for t in pred:
-        dedup[(t.frame, t.track_id)] = t
-    return gt, list(dedup.values())
-
-
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
     if math.isnan(a) and math.isnan(b):
         return True
@@ -349,7 +323,7 @@ def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
     from . import metrics
 
     for trial in range(25):
-        gt, pred = _tiny_tracks(rng)
+        gt, pred = oracles.tiny_tracks(rng, max_ids=3, max_frames=6)
         if not gt:
             continue
         fast = metrics.clear_metrics(gt, pred)

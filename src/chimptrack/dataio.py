@@ -206,7 +206,53 @@ def _as_box(value, path: str) -> BoxXYXY:
     return BoxXYXY(x1, y1, x2, y2)
 
 
-def _parse_instance(obj, path: str, size: ImageSize) -> InstanceAnnotation:
+def _parse_header(data: dict | str | Path, extra: tuple[str, ...] = ()) -> tuple[dict, ImageSize]:
+    """Load a document and check the header both formats share.
+
+    Accepts a parsed dict, a JSON string, or a path to a JSON file. The
+    required top-level fields are schema_version, sequence_id, image_size,
+    the format's extra fields, and frames. Returns the document and its
+    image size.
+    """
+    if isinstance(data, Path):
+        data = json.loads(data.read_text())
+    elif isinstance(data, str):
+        data = json.loads(data)
+    _check_keys(data, "$", required=("schema_version", "sequence_id", "image_size", *extra, "frames"))
+    version = _as_int(data["schema_version"], "$.schema_version")
+    if version != SCHEMA_VERSION:
+        raise AnnotationError("$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    if not isinstance(data["sequence_id"], str) or not data["sequence_id"]:
+        raise AnnotationError("$.sequence_id", "expected a non-empty string")
+    return data, _as_image_size(data["image_size"])
+
+
+def _frame_entries(data: dict, items: str, stride: int = 1, frame_count: int | None = None):
+    """Yield (path, frame, item list) for each entry of $.frames.
+
+    Frames must be strictly increasing, multiples of the stride, and inside
+    [0, frame_count) when a frame count is given.
+    """
+    if not isinstance(data["frames"], list):
+        raise AnnotationError("$.frames", "expected a list of frame entries")
+    prev = -1
+    for i, entry in enumerate(data["frames"]):
+        fpath = f"$.frames[{i}]"
+        _check_keys(entry, fpath, required=("frame", items))
+        frame = _as_int(entry["frame"], f"{fpath}.frame")
+        if frame % stride != 0:
+            raise AnnotationError(f"{fpath}.frame", f"{frame} is not a multiple of the stride {stride}")
+        if frame_count is not None and not 0 <= frame < frame_count:
+            raise AnnotationError(f"{fpath}.frame", f"{frame} outside [0, {frame_count})")
+        if frame <= prev:
+            raise AnnotationError(f"{fpath}.frame", f"frames must be strictly increasing, got {frame} after {prev}")
+        prev = frame
+        if not isinstance(entry[items], list):
+            raise AnnotationError(f"{fpath}.{items}", "expected a list")
+        yield fpath, frame, entry[items]
+
+
+def _parse_instance(obj, path: str) -> InstanceAnnotation:
     _check_keys(
         obj,
         path,
@@ -260,28 +306,7 @@ def parse_annotations(data: dict | str | Path) -> SequenceAnnotation:
     Accepts a parsed dict, a JSON string, or a path to a JSON file. Raises
     AnnotationError with a precise path on the first violation.
     """
-    if isinstance(data, Path):
-        data = json.loads(data.read_text())
-    elif isinstance(data, str):
-        data = json.loads(data)
-    _check_keys(
-        data,
-        "$",
-        required=(
-            "schema_version",
-            "sequence_id",
-            "image_size",
-            "frame_count",
-            "annotation_stride",
-            "frames",
-        ),
-    )
-    version = _as_int(data["schema_version"], "$.schema_version")
-    if version != SCHEMA_VERSION:
-        raise AnnotationError("$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    if not isinstance(data["sequence_id"], str) or not data["sequence_id"]:
-        raise AnnotationError("$.sequence_id", "expected a non-empty string")
-    size = _as_image_size(data["image_size"])
+    data, size = _parse_header(data, extra=("frame_count", "annotation_stride"))
     frame_count = _as_int(data["frame_count"], "$.frame_count")
     if frame_count <= 0:
         raise AnnotationError("$.frame_count", f"must be positive, got {frame_count}")
@@ -289,27 +314,12 @@ def parse_annotations(data: dict | str | Path) -> SequenceAnnotation:
     if stride <= 0:
         raise AnnotationError("$.annotation_stride", f"must be positive, got {stride}")
 
-    if not isinstance(data["frames"], list):
-        raise AnnotationError("$.frames", "expected a list of frame entries")
     frames: dict[int, tuple[InstanceAnnotation, ...]] = {}
-    prev = -1
-    for i, entry in enumerate(data["frames"]):
-        fpath = f"$.frames[{i}]"
-        _check_keys(entry, fpath, required=("frame", "instances"))
-        frame = _as_int(entry["frame"], f"{fpath}.frame")
-        if frame % stride != 0:
-            raise AnnotationError(f"{fpath}.frame", f"{frame} is not a multiple of the stride {stride}")
-        if not 0 <= frame < frame_count:
-            raise AnnotationError(f"{fpath}.frame", f"{frame} outside [0, {frame_count})")
-        if frame <= prev:
-            raise AnnotationError(f"{fpath}.frame", f"frames must be strictly increasing, got {frame} after {prev}")
-        prev = frame
-        if not isinstance(entry["instances"], list):
-            raise AnnotationError(f"{fpath}.instances", "expected a list")
+    for fpath, frame, raw in _frame_entries(data, "instances", stride, frame_count):
         instances = []
         seen_ids = set()
-        for j, inst in enumerate(entry["instances"]):
-            parsed = _parse_instance(inst, f"{fpath}.instances[{j}]", size)
+        for j, inst in enumerate(raw):
+            parsed = _parse_instance(inst, f"{fpath}.instances[{j}]")
             if parsed.track_id in seen_ids:
                 raise AnnotationError(
                     f"{fpath}.instances[{j}].track_id", f"duplicate track id {parsed.track_id} in frame {frame}"
@@ -350,32 +360,11 @@ def write_annotations(seq: SequenceAnnotation) -> dict:
 
 def parse_detections(data: dict | str | Path) -> tuple[str, ImageSize, dict[int, list[DetectionRecord]]]:
     """Parse a detections document: sequence id, image size, frame -> detections."""
-    if isinstance(data, Path):
-        data = json.loads(data.read_text())
-    elif isinstance(data, str):
-        data = json.loads(data)
-    _check_keys(data, "$", required=("schema_version", "sequence_id", "image_size", "frames"))
-    version = _as_int(data["schema_version"], "$.schema_version")
-    if version != SCHEMA_VERSION:
-        raise AnnotationError("$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    if not isinstance(data["sequence_id"], str) or not data["sequence_id"]:
-        raise AnnotationError("$.sequence_id", "expected a non-empty string")
-    size = _as_image_size(data["image_size"])
-    if not isinstance(data["frames"], list):
-        raise AnnotationError("$.frames", "expected a list")
+    data, size = _parse_header(data)
     frames: dict[int, list[DetectionRecord]] = {}
-    prev = -1
-    for i, entry in enumerate(data["frames"]):
-        fpath = f"$.frames[{i}]"
-        _check_keys(entry, fpath, required=("frame", "detections"))
-        frame = _as_int(entry["frame"], f"{fpath}.frame")
-        if frame <= prev:
-            raise AnnotationError(f"{fpath}.frame", f"frames must be strictly increasing, got {frame} after {prev}")
-        prev = frame
-        if not isinstance(entry["detections"], list):
-            raise AnnotationError(f"{fpath}.detections", "expected a list")
+    for fpath, frame, raw in _frame_entries(data, "detections"):
         records = []
-        for j, det in enumerate(entry["detections"]):
+        for j, det in enumerate(raw):
             dpath = f"{fpath}.detections[{j}]"
             _check_keys(det, dpath, required=("box", "score", "behavior_scores"), optional=("pose",))
             box = _as_box(det["box"], f"{dpath}.box")

@@ -3,7 +3,9 @@
 Scalar kernels return (value, gradient) pairs. Classification gradients are
 taken with respect to the pre-sigmoid logit of the given probability; box
 gradients with respect to the normalized center-form parameters (cx, cy, h, w).
-Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs.
+Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs. The
+matching cost that pairs queries with ground truth (detr_cost) uses the same
+LossWeights as the loss terms.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assign
-from .geometry import rel_to_corners
+from .geometry import giou, rel_to_corners
 
 CLAMP_EPS = 1e-7
 
@@ -154,6 +156,49 @@ def multilabel_focal(probs, targets, alpha: float = 0.25, gamma: float = 2.0) ->
     return total, grads
 
 
+def focal_positive_cost(p: float, alpha: float = 0.25, gamma: float = 2.0) -> float:
+    """Focal-style cost of declaring probability p a positive: alpha*(1-p)^gamma*(-log p)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
+    return alpha * (1.0 - p) ** gamma * -np.log(p)
+
+
+def detr_cost(class_probs, pred_boxes, gt_boxes, weights: LossWeights = LossWeights()) -> np.ndarray:
+    """Matching cost between predicted detections and ground-truth boxes.
+
+    entry(q, g) = w.cls * focal_positive_cost(p_q)
+                + w.l1 * ||b_q - t_g||_1
+                + w.giou * (1 - GIoU(b_q, t_g))
+
+    Boxes are normalized center-form (cx, cy, h, w). Behavior scores do not
+    enter the matching cost.
+
+    Args:
+        class_probs: (Q,) class probabilities, each strictly inside (0, 1).
+        pred_boxes: (Q, 4) predicted boxes.
+        gt_boxes: (G, 4) ground-truth boxes.
+
+    Returns:
+        (Q, G) cost matrix.
+    """
+    p = np.asarray(class_probs, dtype=float).reshape(-1)
+    pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
+    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
+    if pred.shape[0] != p.shape[0]:
+        raise ValueError("class_probs and pred_boxes disagree on the number of queries")
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("class probabilities must lie strictly inside (0, 1)")
+
+    cls_cost = weights.alpha * (1.0 - p) ** weights.gamma * -np.log(p)
+    l1 = np.abs(pred[:, None, :] - gt[None, :, :]).sum(axis=2)
+    out = np.empty((pred.shape[0], gt.shape[0]), dtype=float)
+    for q in range(pred.shape[0]):
+        bq = rel_to_corners(pred[q])
+        for g in range(gt.shape[0]):
+            out[q, g] = 1.0 - giou(bq, rel_to_corners(gt[g]))
+    return weights.cls * cls_cost[:, None] + weights.l1 * l1 + weights.giou * out
+
+
 def set_prediction_loss(
     class_probs,
     pred_boxes,
@@ -182,9 +227,7 @@ def set_prediction_loss(
         raise ValueError(f"more ground-truth boxes ({n_g}) than queries ({n_q})")
 
     if n_g:
-        match_w = assign.MatchWeights(weights.cls, weights.l1, weights.giou, weights.alpha, weights.gamma)
-        cost = assign.detr_cost(p, pred, gt, match_w)
-        pairs = assign.hungarian(cost).pairs
+        pairs = assign.hungarian(detr_cost(p, pred, gt, weights)).pairs
     else:
         pairs = ()
 

@@ -4,13 +4,8 @@ Tracking inputs are flat lists of TrackedBox (0-based frame, 1-based id).
 Metrics evaluate exactly the frames present in the inputs; callers decide
 which frames to feed (the CLI restricts predictions to annotated frames).
 
-Gated matchings (CLEAR's per-frame step and HOTA's per-alpha step) share one
-documented construction: benefit values in [0, 1], pairs below the validity
-gate get cost B = min(rows, cols) + 2 while valid pairs cost 1 - benefit, the
-assignment problem is solved with the deterministic lexicographic tie-break
-of assign.hungarian, and invalid pairs are discarded afterwards. This
-maximizes the number of valid pairs first and the summed benefit second; the
-tie-break makes the result, and therefore every downstream number, unique.
+CLEAR's per-frame step and HOTA's per-alpha step use assign.gated_match, the
+one gated-matching construction (documented in the assign module).
 
 Every result also carries, in fields excluded from comparison, the statistics
 needed to merge it with the results of other sequences (the merge_* functions).
@@ -144,20 +139,6 @@ def _by_frame(tracks: list[TrackedBox], label: str) -> dict[int, tuple[list[int]
     return out
 
 
-def gated_match(benefit: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]:
-    """Maximize valid pair count, then summed benefit, then lex order.
-
-    Implemented by solving the assignment problem on cost = 1 - benefit for
-    valid pairs and B = min(rows, cols) + 2 for invalid ones, then dropping
-    invalid pairs from the solution.
-    """
-    if benefit.size == 0:
-        return []
-    big = min(benefit.shape) + 2.0
-    cost = np.where(valid, 1.0 - benefit, big)
-    return [(r, c) for r, c in assign.hungarian(cost).pairs if valid[r, c]]
-
-
 def clear_metrics(
     gt: list[TrackedBox],
     pred: list[TrackedBox],
@@ -210,7 +191,7 @@ def clear_metrics(
         rest_p = [i for i in range(len(pred_ids)) if i not in used_p]
         if rest_g and rest_p:
             sub = ious[np.ix_(rest_g, rest_p)]
-            for r, c in gated_match(sub, sub >= iou_thresh):
+            for r, c in assign.gated_match(sub, sub >= iou_thresh):
                 pairs[gt_ids[rest_g[r]]] = pred_ids[rest_p[c]]
                 iou_sum += float(sub[r, c])
 
@@ -366,7 +347,7 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
             if gi.size == 0 or pi.size == 0:
                 continue
             benefit = affinity[np.ix_(gi, pi)]
-            for r, c in gated_match(benefit, ious >= alpha):
+            for r, c in assign.gated_match(benefit, ious >= alpha):
                 tp += 1
                 match_counts[gi[r], pi[c]] += 1.0
 

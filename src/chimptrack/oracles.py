@@ -6,7 +6,8 @@ instead of envelope tricks, and local re-derivations of IoU and the loss
 formulas instead of calls into the production code paths. The only shared
 pieces are plain data containers. These oracles are exponential and guarded
 against large inputs; they exist to check the fast implementations on small
-instances, not to be fast.
+instances, not to be fast. tiny_tracks draws such instances for the tests and
+the selfcheck.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 
 from .assign import Assignment
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
+from .geometry import BoxXYXY
 from .loss import LossWeights
 from .metrics import ALPHA_GRID, IOU_THRESHOLDS, RECALL_POINTS, BehaviorMAP, DetectionAP
+from .rng import Xoshiro256
 
 _ENUM_LIMIT = 5_000_000
 
@@ -487,3 +490,32 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
         else:
             total += weights.cls * ((1.0 - a) * pq**gmm * -math.log(1.0 - pq))
     return total
+
+
+def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):
+    """A small gt/pred track pair with jitter, id noise, and clutter."""
+    gt, pred = [], []
+    n_frames = 2 + rng.randint(max_frames - 1)
+    for frame in range(n_frames):
+        for tid in range(1, max_ids + 1):
+            if rng.random() < 0.7:
+                x = rng.uniform(0.0, 60.0)
+                y = rng.uniform(0.0, 60.0)
+                w = rng.uniform(10.0, 30.0)
+                h = rng.uniform(10.0, 30.0)
+                gt.append(TrackedBox(frame, tid, BoxXYXY(x, y, x + w, y + h)))
+                if rng.random() < 0.8:
+                    dx = rng.uniform(-4.0, 4.0)
+                    dy = rng.uniform(-4.0, 4.0)
+                    pid = tid if rng.random() < 0.8 else 1 + rng.randint(max_ids)
+                    pred.append(
+                        TrackedBox(frame, pid, BoxXYXY(x + dx, y + dy, x + w + dx, y + h + dy))
+                    )
+        if rng.random() < 0.3:
+            x = rng.uniform(0.0, 60.0)
+            y = rng.uniform(0.0, 60.0)
+            pred.append(TrackedBox(frame, max_ids + 6, BoxXYXY(x, y, x + 20.0, y + 20.0)))
+    dedup: dict[tuple[int, int], TrackedBox] = {}
+    for t in pred:
+        dedup[(t.frame, t.track_id)] = t
+    return gt, list(dedup.values())

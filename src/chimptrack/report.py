@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import assign
 from .dataio import BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .metrics import (
     BehaviorMAP,
@@ -28,7 +29,6 @@ from .metrics import (
     behavior_map,
     clear_metrics,
     detection_ap,
-    gated_match,
     hota,
     idf1,
     keypoint_ap,
@@ -91,7 +91,7 @@ def _paired_poses(annotation: SequenceAnnotation, detections: dict[int, list[Det
             np.array([i.box for i in insts], dtype=float),
             np.array([d.box for d in dets], dtype=float),
         )
-        for r, c in gated_match(ious, ious >= 0.5):
+        for r, c in assign.gated_match(ious, ious >= 0.5):
             pred_poses.append(np.array(dets[c].pose, dtype=float))
             gt_poses.append(np.array(insts[r].pose, dtype=float))
             gt_boxes.append(insts[r].box)

@@ -2,10 +2,12 @@
 
 State per track is (cx, cy, area, aspect) plus velocities on the first three
 components (aspect ratio is assumed constant), a 7-dim mean with full
-covariance. Association runs the Hungarian algorithm on 1 - IoU between
-predicted track boxes and detections, gated so no accepted pair falls below
-the IoU gate. An optional second stage re-associates low-confidence
-detections to still-unmatched tracks before they coast.
+covariance. Each association stage is assign.gated_match on the IoU between
+predicted track boxes and detections, with pairs below the IoU gate invalid:
+it maximizes the number of pairs at or above the gate, then their summed
+IoU, and no accepted pair falls below the gate. An optional second stage
+(ByteTrack-style) re-associates low-confidence detections to still-unmatched
+tracks before they coast.
 
 Track ids start at 1 and are never reused. Tentative tracks (hits below
 min_hits) do not emit, except during the warm-up window at the start of a
@@ -31,8 +33,6 @@ _H = np.eye(4, 7)
 _Q = np.diag([1.0, 1.0, 1.0, 1e-2, 1e-2, 1e-2, 1e-4])
 _R = np.diag([1.0, 1.0, 10.0, 10.0])
 _P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
-
-_GATE_COST = 1e9  # sentinel cost for pairs outside the IoU gate
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class Track:
     cov: np.ndarray
     hits: int = 1
     misses: int = 0
-    last_iou: float = 1.0  # IoU of the most recent accepted association
 
     @property
     def box(self) -> BoxXYXY:
@@ -119,24 +118,18 @@ class Tracker:
     frame_count: int = 0
     _next_id: int = 1
 
-    def _associate(self, tracks: list[Track], detections: list[DetectionRecord]) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
-        """Hungarian on 1 - IoU with gating.
+    def _associate(self, tracks: list[Track], detections: list[DetectionRecord]) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+        """Gated matching on IoU.
 
-        Returns ((track_idx, det_idx, iou) triples, unmatched track indices,
+        Returns ((track_idx, det_idx) pairs, unmatched track indices,
         unmatched detection indices). No returned pair has IoU below the gate.
         """
         if not tracks or not detections:
             return [], list(range(len(tracks))), list(range(len(detections)))
         ious = iou_matrix(np.array([t.box for t in tracks]), np.array([d.box for d in detections]))
-        cost = 1.0 - ious
-        cost[ious < self.config.iou_gate] = _GATE_COST
-        pairs = [
-            (r, c, float(ious[r, c]))
-            for r, c in assign.hungarian(cost).pairs
-            if ious[r, c] >= self.config.iou_gate
-        ]
-        matched_t = {r for r, _, _ in pairs}
-        matched_d = {c for _, c, _ in pairs}
+        pairs = assign.gated_match(ious, ious >= self.config.iou_gate)
+        matched_t = {r for r, _ in pairs}
+        matched_d = {c for _, c in pairs}
         unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
         unmatched_d = [i for i in range(len(detections)) if i not in matched_d]
         return pairs, unmatched_t, unmatched_d
@@ -155,23 +148,19 @@ class Tracker:
             high, low = list(detections), []
 
         pairs, unmatched_t, unmatched_d = self._associate(self.tracks, high)
-        updates: list[tuple[Track, DetectionRecord, float]] = []
-        for r, c, pair_iou in pairs:
-            updates.append((self.tracks[r], high[c], pair_iou))
+        updates = [(self.tracks[r], high[c]) for r, c in pairs]
 
         if low and unmatched_t:
             rest = [self.tracks[i] for i in unmatched_t]
             pairs2, still_t, _ = self._associate(rest, low)
-            for r, c, pair_iou in pairs2:
-                updates.append((rest[r], low[c], pair_iou))
+            updates += [(rest[r], low[c]) for r, c in pairs2]
             unmatched_t = [unmatched_t[i] for i in still_t]
 
         emitted: list[TrackedBox] = []
-        for track, det, pair_iou in updates:
+        for track, det in updates:
             track.mean, track.cov = kalman_update(track.mean, track.cov, det.box)
             track.hits += 1
             track.misses = 0
-            track.last_iou = pair_iou
             if track.hits >= self.config.min_hits or self.frame_count <= self.config.min_hits:
                 emitted.append(TrackedBox(frame, track.track_id, track.box, det.score, det.behavior_scores))
 

@@ -8,38 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from chimptrack.dataio import TrackedBox
-from chimptrack.geometry import BoxXYXY
+from chimptrack.oracles import tiny_tracks  # noqa: F401  re-exported for the test modules
 from chimptrack.rng import Xoshiro256
-
-
-def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):
-    """A small gt/pred track pair with jitter, id noise, and clutter."""
-    gt, pred = [], []
-    n_frames = 2 + rng.randint(max_frames - 1)
-    for frame in range(n_frames):
-        for tid in range(1, max_ids + 1):
-            if rng.random() < 0.7:
-                x = rng.uniform(0.0, 60.0)
-                y = rng.uniform(0.0, 60.0)
-                w = rng.uniform(10.0, 30.0)
-                h = rng.uniform(10.0, 30.0)
-                gt.append(TrackedBox(frame, tid, BoxXYXY(x, y, x + w, y + h)))
-                if rng.random() < 0.8:
-                    dx = rng.uniform(-4.0, 4.0)
-                    dy = rng.uniform(-4.0, 4.0)
-                    pid = tid if rng.random() < 0.8 else 1 + rng.randint(max_ids)
-                    pred.append(
-                        TrackedBox(frame, pid, BoxXYXY(x + dx, y + dy, x + w + dx, y + h + dy))
-                    )
-        if rng.random() < 0.3:
-            x = rng.uniform(0.0, 60.0)
-            y = rng.uniform(0.0, 60.0)
-            pred.append(TrackedBox(frame, max_ids + 6, BoxXYXY(x, y, x + 20.0, y + 20.0)))
-    dedup: dict[tuple[int, int], TrackedBox] = {}
-    for t in pred:
-        dedup[(t.frame, t.track_id)] = t
-    return gt, list(dedup.values())
 
 
 def tiny_detection_sets(rng: Xoshiro256, gt_tracks, pred_tracks):

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from chimptrack.assign import (
-    Assignment,
-    MatchWeights,
-    detr_cost,
-    focal_positive_cost,
-    greedy_match,
-    hungarian,
-)
-from chimptrack.geometry import giou, rel_to_corners
+from chimptrack.assign import Assignment, gated_match, greedy_match, hungarian
 from chimptrack.oracles import brute_assignment
 from chimptrack.rng import Xoshiro256
 
@@ -71,6 +63,23 @@ def test_hungarian_empty_and_invalid_inputs():
         hungarian(np.array([[np.nan]]))
 
 
+def test_gated_match_maximizes_benefit():
+    benefit = np.array([[0.9, 0.8], [0.85, 0.1]])
+    valid = np.ones((2, 2), dtype=bool)
+    assert gated_match(benefit, valid) == [(0, 1), (1, 0)]
+
+
+def test_gated_match_prefers_pair_count_over_benefit():
+    # only column 0 is valid: one pair max, and it should be the best one
+    benefit = np.array([[0.9, 0.8], [0.85, 0.1]])
+    valid = np.array([[True, False], [True, False]])
+    assert gated_match(benefit, valid) == [(0, 0)]
+
+
+def test_gated_match_empty():
+    assert gated_match(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)) == []
+
+
 def test_greedy_takes_global_minimum_first():
     cost = np.array([[5.0, 2.0], [1.0, 4.0]])
     got = greedy_match(cost, gate=10.0)
@@ -101,38 +110,3 @@ def test_greedy_tie_breaks_on_lowest_row_then_column():
 def test_greedy_rejects_non_finite_gate():
     with pytest.raises(ValueError):
         greedy_match(np.ones((2, 2)), gate=np.inf)
-
-
-def test_focal_positive_cost_formula_and_domain():
-    p = 0.3
-    expected = 0.25 * (1.0 - p) ** 2.0 * -np.log(p)
-    assert focal_positive_cost(p) == pytest.approx(expected, rel=1e-12)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            focal_positive_cost(bad)
-
-
-def test_detr_cost_single_entry_matches_hand_formula():
-    w = MatchWeights()
-    p = 0.7
-    pred = np.array([[0.5, 0.5, 0.2, 0.3]])
-    gt = np.array([[0.55, 0.45, 0.25, 0.2]])
-    cost = detr_cost(np.array([p]), pred, gt, w)
-    assert cost.shape == (1, 1)
-    cls_term = w.alpha * (1.0 - p) ** w.gamma * -np.log(p)
-    l1_term = float(np.abs(pred[0] - gt[0]).sum())
-    giou_term = 1.0 - giou(rel_to_corners(pred[0]), rel_to_corners(gt[0]))
-    want = w.cls * cls_term + w.l1 * l1_term + w.giou * giou_term
-    assert cost[0, 0] == pytest.approx(want, rel=1e-12)
-
-
-def test_detr_cost_shape_and_validation():
-    rng = Xoshiro256(3)
-    probs = np.array([rng.uniform(0.01, 0.99) for _ in range(4)])
-    pred = np.array([[rng.uniform(0.3, 0.7) for _ in range(4)] for _ in range(4)])
-    gt = np.array([[rng.uniform(0.3, 0.7) for _ in range(4)] for _ in range(2)])
-    assert detr_cost(probs, pred, gt).shape == (4, 2)
-    with pytest.raises(ValueError):
-        detr_cost(probs[:3], pred, gt)
-    with pytest.raises(ValueError):
-        detr_cost(np.array([0.0, 0.5, 0.5, 0.5]), pred, gt)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from chimptrack.geometry import giou, rel_to_corners
 from chimptrack.loss import (
     CLAMP_EPS,
     LossWeights,
+    detr_cost,
     focal_loss,
+    focal_positive_cost,
     giou_loss,
     l1_box_loss,
     multilabel_focal,
@@ -212,3 +215,38 @@ def test_set_loss_agrees_with_exhaustive_oracle():
         got = set_prediction_loss(probs, boxes, beh, gt, gt_beh).total
         want = brute_set_loss(probs, boxes, beh, gt, gt_beh)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_focal_positive_cost_formula_and_domain():
+    p = 0.3
+    expected = 0.25 * (1.0 - p) ** 2.0 * -np.log(p)
+    assert focal_positive_cost(p) == pytest.approx(expected, rel=1e-12)
+    for bad in (0.0, 1.0, -0.1, 1.1):
+        with pytest.raises(ValueError):
+            focal_positive_cost(bad)
+
+
+def test_detr_cost_single_entry_matches_hand_formula():
+    w = LossWeights()
+    p = 0.7
+    pred = np.array([[0.5, 0.5, 0.2, 0.3]])
+    gt = np.array([[0.55, 0.45, 0.25, 0.2]])
+    cost = detr_cost(np.array([p]), pred, gt, w)
+    assert cost.shape == (1, 1)
+    cls_term = w.alpha * (1.0 - p) ** w.gamma * -np.log(p)
+    l1_term = float(np.abs(pred[0] - gt[0]).sum())
+    giou_term = 1.0 - giou(rel_to_corners(pred[0]), rel_to_corners(gt[0]))
+    want = w.cls * cls_term + w.l1 * l1_term + w.giou * giou_term
+    assert cost[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+def test_detr_cost_shape_and_validation():
+    rng = Xoshiro256(3)
+    probs = np.array([rng.uniform(0.01, 0.99) for _ in range(4)])
+    pred = np.array([[rng.uniform(0.3, 0.7) for _ in range(4)] for _ in range(4)])
+    gt = np.array([[rng.uniform(0.3, 0.7) for _ in range(4)] for _ in range(2)])
+    assert detr_cost(probs, pred, gt).shape == (4, 2)
+    with pytest.raises(ValueError):
+        detr_cost(probs[:3], pred, gt)
+    with pytest.raises(ValueError):
+        detr_cost(np.array([0.0, 0.5, 0.5, 0.5]), pred, gt)

@@ -11,7 +11,6 @@ from chimptrack.metrics import (
     behavior_map,
     clear_metrics,
     detection_ap,
-    gated_match,
     hota,
     idf1,
     keypoint_ap,
@@ -35,26 +34,6 @@ FAR = BoxXYXY(200.0, 200.0, 210.0, 210.0)
 
 def track(frame, tid, box=BOX):
     return TrackedBox(frame, tid, box)
-
-
-# ---------------------------------------------------------------- gated_match
-
-
-def test_gated_match_maximizes_benefit():
-    benefit = np.array([[0.9, 0.8], [0.85, 0.1]])
-    valid = np.ones((2, 2), dtype=bool)
-    assert gated_match(benefit, valid) == [(0, 1), (1, 0)]
-
-
-def test_gated_match_prefers_pair_count_over_benefit():
-    # only column 0 is valid: one pair max, and it should be the best one
-    benefit = np.array([[0.9, 0.8], [0.85, 0.1]])
-    valid = np.array([[True, False], [True, False]])
-    assert gated_match(benefit, valid) == [(0, 0)]
-
-
-def test_gated_match_empty():
-    assert gated_match(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)) == []
 
 
 # -------------------------------------------------------------------- CLEAR

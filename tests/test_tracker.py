@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from chimptrack.dataio import DetectionRecord
-from chimptrack.geometry import BoxXYXY, iou
+from chimptrack.geometry import BoxXYXY, iou, iou_matrix
+from chimptrack.oracles import _brute_gated
+from chimptrack.rng import Xoshiro256
 from chimptrack.tracker import (
+    Track,
     Tracker,
     TrackerConfig,
     box_to_measurement,
@@ -160,6 +163,71 @@ def test_association_respects_iou_gate():
     assert len(tracker.tracks) == 2
     out = tracker.step([det(300.0, 300.0)])  # confirms track 2
     assert [t.track_id for t in out] == [2]
+
+
+def test_association_takes_the_optimal_crossed_pairs():
+    # Two overlapping tracks whose detections cross, plus a third track and a
+    # third detection far from everything. The optimum matches the crossed
+    # pairs (total 1 - IoU about 0.04) rather than the diagonal (about 0.7);
+    # a sentinel cost for the gated-out third pair would let the relative
+    # tie tolerance accept the diagonal.
+    track_boxes = [
+        BoxXYXY(0.0, 0.0, 100.0, 100.0),
+        BoxXYXY(20.0, 0.0, 120.0, 100.0),
+        BoxXYXY(500.0, 500.0, 560.0, 560.0),
+    ]
+    tracks = []
+    for i, box in enumerate(track_boxes):
+        mean = np.zeros(7)
+        mean[:4] = box_to_measurement(box)
+        tracks.append(Track(i + 1, mean, np.eye(7)))
+    dets = [det(21.0, 0.0, 100.0, 100.0), det(1.0, 0.0, 100.0, 100.0), det(800.0, 800.0)]
+    ious = iou_matrix(np.array([t.box for t in tracks]), np.array([d.box for d in dets]))
+    gate = TrackerConfig().iou_gate
+    assert gate <= ious[0, 0] < 0.7 and ious[0, 1] > 0.95
+    assert ious[1, 0] > 0.95 and gate <= ious[1, 1] < 0.7
+    assert (ious[2, :] < gate).all() and (ious[:, 2] < gate).all()
+
+    pairs, unmatched_t, unmatched_d = Tracker()._associate(tracks, dets)
+    assert pairs == [(0, 1), (1, 0)]
+    assert unmatched_t == [2] and unmatched_d == [2]
+
+
+def test_association_matches_brute_force_gated_matching():
+    # Both stages of a two-stage tracker, checked call by call against the
+    # exhaustive gated matching on random frames of up to 6 x 6 boxes.
+    gate = 0.3
+    config = TrackerConfig(iou_gate=gate, two_stage=True, conf_split=0.5, min_hits=1)
+    rng = Xoshiro256(2024)
+
+    def random_dets(n):
+        out = []
+        for _ in range(n):
+            x, y = rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)
+            out.append(det(x, y, rng.uniform(30.0, 60.0), rng.uniform(30.0, 60.0), rng.uniform(0.0, 1.0)))
+        return out
+
+    calls = {1: 0, 2: 0}
+    for _ in range(200):
+        tracker = Tracker(config)
+        seeds = random_dets(1 + rng.randint(6))
+        tracker.step([DetectionRecord(d.box, 0.9) for d in seeds])
+        associate = tracker._associate
+
+        def checked(tracks, detections):
+            got = associate(tracks, detections)
+            ious = iou_matrix(np.array([t.box for t in tracks]), np.array([d.box for d in detections]))
+            want = _brute_gated(ious, ious >= gate)
+            assert got[0] == want
+            assert got[1] == [i for i in range(len(tracks)) if i not in {r for r, _ in want}]
+            assert got[2] == [i for i in range(len(detections)) if i not in {c for _, c in want}]
+            if tracks and detections:
+                calls[1 if detections[0].score >= config.conf_split else 2] += 1
+            return got
+
+        tracker._associate = checked
+        tracker.step(random_dets(1 + rng.randint(6)))
+    assert calls[1] > 100 and calls[2] > 20
 
 
 def test_config_validation():
