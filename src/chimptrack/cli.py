@@ -210,7 +210,7 @@ def _cmd_evaluate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         futures = [pool.submit(report.evaluate_sequence, *item, motp_mode=args.motp_mode) for item in ordered]
         per_seq = [f.result() for f in futures]
-    aggregate = per_seq[0] if len(per_seq) == 1 else report.evaluate_sequences(per_seq, motp_mode=args.motp_mode)
+    aggregate = report.evaluate_sequences(per_seq, motp_mode=args.motp_mode)
 
     sidecar = {
         "task": args.task,

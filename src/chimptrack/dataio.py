@@ -230,8 +230,8 @@ def _parse_header(data: dict | str | Path, extra: tuple[str, ...] = ()) -> tuple
 def _frame_entries(data: dict, items: str, stride: int = 1, frame_count: int | None = None):
     """Yield (path, frame, item list) for each entry of $.frames.
 
-    Frames must be strictly increasing, multiples of the stride, and inside
-    [0, frame_count) when a frame count is given.
+    Frames must be non-negative, strictly increasing, multiples of the stride,
+    and inside [0, frame_count) when a frame count is given.
     """
     if not isinstance(data["frames"], list):
         raise AnnotationError("$.frames", "expected a list of frame entries")
@@ -244,6 +244,8 @@ def _frame_entries(data: dict, items: str, stride: int = 1, frame_count: int | N
             raise AnnotationError(f"{fpath}.frame", f"{frame} is not a multiple of the stride {stride}")
         if frame_count is not None and not 0 <= frame < frame_count:
             raise AnnotationError(f"{fpath}.frame", f"{frame} outside [0, {frame_count})")
+        if frame < 0:
+            raise AnnotationError(f"{fpath}.frame", f"frames must be non-negative, got {frame}")
         if frame <= prev:
             raise AnnotationError(f"{fpath}.frame", f"frames must be strictly increasing, got {frame} after {prev}")
         prev = frame

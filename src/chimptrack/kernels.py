@@ -361,8 +361,7 @@ def init_params(dims: ModelDims, seed: int = 0) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_spec(dims).items():
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
-        params[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+        params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
     # offsets stay small; weights become a convex combination per scale
     params["deform_offsets"] = rng.normal(0.0, 0.02, size=(dims.stages, dims.ref_points, 2))
     raw = np.abs(rng.normal(1.0, 0.25, size=(dims.stages, dims.ref_points))) + 1e-3
@@ -377,9 +376,7 @@ def averaging_params(dims: ModelDims) -> dict[str, np.ndarray]:
     """
     params = {}
     for name, shape in param_spec(dims).items():
-        if name.startswith(("stage_map", "stage_merge", "channel_map", "patch_proj")):
-            params[name] = np.full(shape, 1.0 / shape[0])
-        elif name.startswith("temporal_kernel"):
+        if name.startswith(("stage_map", "stage_merge", "channel_map", "patch_proj", "temporal_kernel")):
             params[name] = np.full(shape, 1.0 / shape[0])
         elif name == "deform_offsets":
             params[name] = np.zeros(shape)

@@ -4,8 +4,16 @@ Tracking inputs are flat lists of TrackedBox (0-based frame, 1-based id).
 Metrics evaluate exactly the frames present in the inputs; callers decide
 which frames to feed (the CLI restricts predictions to annotated frames).
 
-CLEAR's per-frame step and HOTA's per-alpha step use assign.gated_match, the
-one gated-matching construction (documented in the assign module).
+CLEAR, IDF1 and HOTA read one frame table (_pair_frames): ids re-indexed
+densely in ascending order, the boxes per id, and each frame's dense indices
+and IoU matrix. IDF1's identity overlap and HOTA's pair potential are both its
+overlaps(thresh) count. CLEAR's per-frame step and HOTA's per-alpha step use
+assign.gated_match, the one gated-matching construction (documented in the
+assign module).
+
+Detection AP, OKS AP and behavior mAP share one greedy matcher
+(_rank_and_match). It scores each same-frame (prediction, gt) pair once and
+runs the greedy pass of every threshold over those cached similarities.
 
 Every result also carries, in fields excluded from comparison, the statistics
 needed to merge it with the results of other sequences (the merge_* functions).
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assign
+from . import assign, geometry
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, KEYPOINT_COUNT, TrackedBox
 from .geometry import iou_matrix
 
@@ -139,6 +147,52 @@ def _by_frame(tracks: list[TrackedBox], label: str) -> dict[int, tuple[list[int]
     return out
 
 
+@dataclass(frozen=True)
+class _FrameTable:
+    """Ground truth and predictions paired per frame, ids re-indexed densely.
+
+    frames holds, for every frame present on either side in ascending order,
+    the dense gt indices, the dense prediction indices (both ascending by id)
+    and their (n_gt, n_pred) IoU matrix.
+    """
+
+    gt_counts: np.ndarray  # boxes per gt id
+    pred_counts: np.ndarray  # boxes per prediction id
+    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def overlaps(self, thresh: float) -> np.ndarray:
+        """Per (gt id, prediction id): the number of frames with IoU >= thresh."""
+        out = np.zeros((self.gt_counts.size, self.pred_counts.size))
+        for gi, pi, ious in self.frames:
+            hits = ious >= thresh
+            if hits.any():
+                out[np.ix_(gi, pi)] += hits
+        return out
+
+
+def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _FrameTable:
+    gt_frames = _by_frame(gt, "ground-truth")
+    pred_frames = _by_frame(pred, "prediction")
+    if not gt_frames:
+        raise ValueError(f"{metric} needs at least one ground-truth box")
+    gt_ids = sorted({t.track_id for t in gt})
+    pred_ids = sorted({t.track_id for t in pred})
+    g_index = {g: i for i, g in enumerate(gt_ids)}
+    p_index = {p: i for i, p in enumerate(pred_ids)}
+    gt_counts = np.zeros(len(gt_ids))
+    pred_counts = np.zeros(len(pred_ids))
+    frames = []
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gt_frame_ids, gt_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
+        pred_frame_ids, pred_boxes = pred_frames.get(frame, ([], np.zeros((0, 4))))
+        gi = np.array([g_index[g] for g in gt_frame_ids], dtype=int)
+        pi = np.array([p_index[p] for p in pred_frame_ids], dtype=int)
+        gt_counts[gi] += 1.0
+        pred_counts[pi] += 1.0
+        frames.append((gi, pi, iou_matrix(gt_boxes, pred_boxes)))
+    return _FrameTable(gt_counts, pred_counts, frames)
+
+
 def clear_metrics(
     gt: list[TrackedBox],
     pred: list[TrackedBox],
@@ -158,53 +212,44 @@ def clear_metrics(
     100 * mean (1 - IoU).
     """
     _check_motp_mode(motp_mode)
-    gt_frames = _by_frame(gt, "ground-truth")
-    pred_frames = _by_frame(pred, "prediction")
-    gt_total = sum(len(ids) for ids, _ in gt_frames.values())
-    if gt_total == 0:
-        raise ValueError("CLEAR metrics need at least one ground-truth box")
+    table = _pair_frames(gt, pred, "CLEAR")
 
     fp = fn = idsw = matched = 0
     iou_sum = 0.0
-    carry: dict[int, int] = {}       # gt id -> pred id matched in the previous frame
-    last_match: dict[int, int] = {}  # gt id -> most recent matched pred id
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        gt_ids, gt_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
-        pred_ids, pred_boxes = pred_frames.get(frame, ([], np.zeros((0, 4))))
-        ious = iou_matrix(gt_boxes, pred_boxes)
-
+    carry: dict[int, int] = {}       # gt index -> pred index matched in the previous frame
+    last_match: dict[int, int] = {}  # gt index -> most recent matched pred index
+    for gi, pi, ious in table.frames:
+        gi, pi = gi.tolist(), pi.tolist()
+        column = {p: c for c, p in enumerate(pi)}
         pairs: dict[int, int] = {}
         used_g: set[int] = set()
         used_p: set[int] = set()
-        for gi, g in enumerate(gt_ids):
-            p = carry.get(g)
-            if p is None or p not in pred_ids:
-                continue
-            pi = pred_ids.index(p)
-            if ious[gi, pi] >= iou_thresh:
-                pairs[g] = p
-                used_g.add(gi)
-                used_p.add(pi)
-                iou_sum += float(ious[gi, pi])
+        for r, g in enumerate(gi):
+            c = column.get(carry.get(g))
+            if c is not None and ious[r, c] >= iou_thresh:
+                pairs[g] = pi[c]
+                used_g.add(r)
+                used_p.add(c)
+                iou_sum += float(ious[r, c])
 
-        rest_g = [i for i in range(len(gt_ids)) if i not in used_g]
-        rest_p = [i for i in range(len(pred_ids)) if i not in used_p]
+        rest_g = [r for r in range(len(gi)) if r not in used_g]
+        rest_p = [c for c in range(len(pi)) if c not in used_p]
         if rest_g and rest_p:
             sub = ious[np.ix_(rest_g, rest_p)]
             for r, c in assign.gated_match(sub, sub >= iou_thresh):
-                pairs[gt_ids[rest_g[r]]] = pred_ids[rest_p[c]]
+                pairs[gi[rest_g[r]]] = pi[rest_p[c]]
                 iou_sum += float(sub[r, c])
 
         matched += len(pairs)
-        fn += len(gt_ids) - len(pairs)
-        fp += len(pred_ids) - len(pairs)
+        fn += len(gi) - len(pairs)
+        fp += len(pi) - len(pairs)
         for g, p in pairs.items():
             if g in last_match and last_match[g] != p:
                 idsw += 1
             last_match[g] = p
         carry = pairs
 
-    return _clear_scores(fp, fn, idsw, gt_total, matched, iou_sum, motp_mode)
+    return _clear_scores(fp, fn, idsw, len(gt), matched, iou_sum, motp_mode)
 
 
 def _check_motp_mode(motp_mode: str) -> None:
@@ -251,32 +296,12 @@ def idf1(gt: list[TrackedBox], pred: list[TrackedBox], iou_thresh: float = 0.5) 
     of frames where both exist and overlap at IoU >= threshold; IDTP is the
     maximum total benefit over bijections.
     """
-    gt_frames = _by_frame(gt, "ground-truth")
-    pred_frames = _by_frame(pred, "prediction")
-    gt_total = sum(len(ids) for ids, _ in gt_frames.values())
-    pred_total = sum(len(ids) for ids, _ in pred_frames.values())
-    if gt_total == 0:
-        raise ValueError("IDF1 needs at least one ground-truth box")
-
-    gt_id_list = sorted({t.track_id for t in gt})
-    pred_id_list = sorted({t.track_id for t in pred})
-    overlap = np.zeros((len(gt_id_list), len(pred_id_list)))
-    g_index = {g: i for i, g in enumerate(gt_id_list)}
-    p_index = {p: i for i, p in enumerate(pred_id_list)}
-    for frame in sorted(set(gt_frames) & set(pred_frames)):
-        gt_ids, gt_boxes = gt_frames[frame]
-        pred_ids, pred_boxes = pred_frames[frame]
-        ious = iou_matrix(gt_boxes, pred_boxes)
-        for gi, g in enumerate(gt_ids):
-            for pi, p in enumerate(pred_ids):
-                if ious[gi, pi] >= iou_thresh:
-                    overlap[g_index[g], p_index[p]] += 1.0
-
+    overlap = _pair_frames(gt, pred, "IDF1").overlaps(iou_thresh)
     idtp = 0
     if overlap.size:
         result = assign.hungarian(-overlap)
         idtp = int(round(-result.total_cost))
-    return _idf1_scores(idtp, pred_total - idtp, gt_total - idtp)
+    return _idf1_scores(idtp, len(pred) - idtp, len(gt) - idtp)
 
 
 def _idf1_scores(idtp: int, idfp: int, idfn: int) -> Idf1Metrics:
@@ -301,49 +326,19 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
     FPA) over TPs; HOTA_alpha = sqrt(DetA * AssA); headline numbers are means
     over the grid, scaled to 100.
     """
-    gt_frames = _by_frame(gt, "ground-truth")
-    pred_frames = _by_frame(pred, "prediction")
-    gt_total = sum(len(ids) for ids, _ in gt_frames.values())
-    pred_total = sum(len(ids) for ids, _ in pred_frames.values())
-    if gt_total == 0:
-        raise ValueError("HOTA needs at least one ground-truth box")
-
-    gt_id_list = sorted({t.track_id for t in gt})
-    pred_id_list = sorted({t.track_id for t in pred})
-    g_index = {g: i for i, g in enumerate(gt_id_list)}
-    p_index = {p: i for i, p in enumerate(pred_id_list)}
-    n_g = np.zeros(len(gt_id_list))
-    n_p = np.zeros(len(pred_id_list))
-    for ids, _ in gt_frames.values():
-        for g in ids:
-            n_g[g_index[g]] += 1.0
-    for ids, _ in pred_frames.values():
-        for p in ids:
-            n_p[p_index[p]] += 1.0
-
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    frame_data = []
-    for frame in frames:
-        gt_ids, gt_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
-        pred_ids, pred_boxes = pred_frames.get(frame, ([], np.zeros((0, 4))))
-        gi = np.array([g_index[g] for g in gt_ids], dtype=int)
-        pi = np.array([p_index[p] for p in pred_ids], dtype=int)
-        frame_data.append((gi, pi, iou_matrix(gt_boxes, pred_boxes)))
-
+    table = _pair_frames(gt, pred, "HOTA")
+    n_g = table.gt_counts[:, None]
+    n_p = table.pred_counts[None, :]
     tps = []
     numerators = []
     for alpha in ALPHA_GRID:
-        potential = np.zeros((len(gt_id_list), len(pred_id_list)))
-        for gi, pi, ious in frame_data:
-            hits = ious >= alpha
-            if hits.any():
-                potential[np.ix_(gi, pi)] += hits
-        denom = n_g[:, None] + n_p[None, :] - potential
+        potential = table.overlaps(alpha)
+        denom = n_g + n_p - potential
         affinity = np.divide(potential, denom, out=np.zeros_like(potential), where=denom > 0)
 
         tp = 0
         match_counts = np.zeros_like(potential)
-        for gi, pi, ious in frame_data:
+        for gi, pi, ious in table.frames:
             if gi.size == 0 or pi.size == 0:
                 continue
             benefit = affinity[np.ix_(gi, pi)]
@@ -353,13 +348,13 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
 
         numerator = 0.0
         if tp:
-            pair_denom = n_g[:, None] + n_p[None, :] - match_counts
+            pair_denom = n_g + n_p - match_counts
             ass_ratio = np.divide(match_counts, pair_denom, out=np.zeros_like(match_counts), where=pair_denom > 0)
             numerator = float((match_counts * ass_ratio).sum())
         tps.append(tp)
         numerators.append(numerator)
 
-    return _hota_scores(tuple(tps), tuple(numerators), gt_total, pred_total)
+    return _hota_scores(tuple(tps), tuple(numerators), len(gt), len(pred))
 
 
 def _hota_scores(tps: tuple[int, ...], numerators: tuple[float, ...], gt_total: int, pred_total: int) -> HotaMetrics:
@@ -407,86 +402,58 @@ def _box_area(box) -> float:
     return max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1])
 
 
-def _sorted_pred_order(preds: list) -> list[int]:
-    # score descending; ties by frame then insertion index, so ranking is total
-    return sorted(range(len(preds)), key=lambda i: (-preds[i][2], preds[i][0], i))
-
-
-def _greedy_tp_flags(preds, gts, order, thresh, similarity) -> np.ndarray:
-    """Greedy confidence-descending matching; each gt is consumed at most once.
-
-    similarity(pred, gt) -> score in [0, 1]; a pair is matchable at
-    similarity >= thresh; the best (highest-similarity, then lowest-index)
-    unconsumed gt of the same frame wins.
-    """
-    gt_by_frame: dict[int, list[int]] = {}
-    for j, g in enumerate(gts):
-        gt_by_frame.setdefault(g[0], []).append(j)
-    consumed = set()
-    flags = np.zeros(len(order), dtype=bool)
-    for rank, i in enumerate(order):
-        frame = preds[i][0]
-        best_j = -1
-        best_sim = thresh
-        for j in gt_by_frame.get(frame, []):
-            if j in consumed:
-                continue
-            sim = similarity(preds[i], gts[j])
-            if sim > best_sim or (sim == best_sim and best_j == -1 and sim >= thresh):
-                best_sim = sim
-                best_j = j
-        if best_j >= 0:
-            consumed.add(best_j)
-            flags[rank] = True
-    return flags
+def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recall after each rank and the precision envelope (its running maximum from the right)."""
+    tp = np.cumsum(tp_flags)
+    precision = tp / np.arange(1, tp.size + 1)
+    return tp / n_gt, np.maximum.accumulate(precision[::-1])[::-1]
 
 
 def _ap_101(tp_flags: np.ndarray, n_gt: int) -> float:
     """COCO-style AP: interpolated precision sampled at 101 recall points."""
-    if n_gt == 0:
-        return float("nan")
-    if tp_flags.size == 0:
-        return 0.0
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(~tp_flags)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    for i in range(precision.size - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
-    idx = np.searchsorted(recall, RECALL_POINTS, side="left")
-    sampled = np.where(idx < precision.size, precision[np.minimum(idx, precision.size - 1)], 0.0)
-    return float(sampled.mean())
+    recall, precision = _pr_envelope(tp_flags, n_gt)
+    # a recall point beyond the final recall samples precision 0
+    return float(np.append(precision, 0.0)[np.searchsorted(recall, RECALL_POINTS, side="left")].mean())
 
 
 def _ap_all_points(tp_flags: np.ndarray, n_gt: int) -> float:
     """All-point interpolated AP (area under the enveloped PR curve)."""
-    if n_gt == 0:
-        return float("nan")
-    if tp_flags.size == 0:
-        return 0.0
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(~tp_flags)
-    recall = np.concatenate([[0.0], tp / n_gt])
-    precision = np.concatenate([[1.0], tp / (tp + fp)])
-    for i in range(precision.size - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
+    recall, precision = _pr_envelope(tp_flags, n_gt)
     # fsum keeps the telescoping recall increments exact (perfect input -> 1.0)
-    return math.fsum((recall[1:] - recall[:-1]) * precision[1:])
+    return math.fsum(np.diff(recall, prepend=0.0) * precision)
 
 
 def _box_iou_similarity(pred, gt) -> float:
-    from .geometry import iou
-
-    return iou(pred[1], gt[1])
+    return geometry.iou(pred[1], gt[1])
 
 
 def _rank_and_match(preds: list, gts: list, thresholds, similarity) -> RankedMatches:
-    """Rank predictions (entries (frame, ..., score)) and match them greedily per threshold."""
-    order = _sorted_pred_order(preds)
-    tp = np.zeros((len(thresholds), len(preds)), dtype=bool)
-    if gts:
-        for t, thresh in enumerate(thresholds):
-            tp[t] = _greedy_tp_flags(preds, gts, order, float(thresh), similarity)
+    """Rank predictions (entries (frame, ..., score)) and match them greedily per threshold.
+
+    Confidence-descending greedy matching, run once per threshold: a pair is
+    matchable at similarity(pred, gt) >= threshold, the highest-similarity
+    unconsumed gt of the same frame wins (ties: the lowest gt index), and each
+    gt is consumed at most once. Each same-frame pair is scored once and the
+    score is shared by every threshold.
+    """
+    # score descending; ties by frame then insertion index, so ranking is total
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], preds[i][0], i))
+    thresholds = np.asarray(thresholds, dtype=float)
+    tp = np.zeros((thresholds.size, len(preds)), dtype=bool)
+    gt_by_frame: dict[int, list[int]] = {}
+    for j, g in enumerate(gts):
+        gt_by_frame.setdefault(g[0], []).append(j)
+    consumed = np.zeros((thresholds.size, len(gts)), dtype=bool)
+    for rank, i in enumerate(order):
+        candidates = gt_by_frame.get(preds[i][0])
+        if not candidates:
+            continue
+        sims = np.array([similarity(preds[i], gts[j]) for j in candidates], dtype=float)
+        free = ~consumed[:, candidates] & (sims >= thresholds[:, None])
+        hit = free.any(axis=1)
+        best = np.where(free, sims, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
+        consumed[hit, np.asarray(candidates)[best[hit]]] = True
+        tp[:, rank] = hit
     return RankedMatches(np.array([preds[i][2] for i in order], dtype=float), tp, len(gts))
 
 
@@ -499,7 +466,7 @@ def _merge_matches(parts: tuple[RankedMatches, ...]) -> RankedMatches:
 
 
 def _curve(matches: RankedMatches, interpolate) -> tuple[list[float], list[float]]:
-    """Per-threshold AP and final recall; needs ground truth."""
+    """Per-threshold AP and final recall; needs ground truth (n_gt > 0)."""
     n_gt = matches.n_gt
     return [interpolate(flags, n_gt) for flags in matches.tp], [flags.sum() / n_gt for flags in matches.tp]
 

@@ -310,42 +310,65 @@ def _naive_ap_all(flags: list[bool], n_gt: int) -> float:
     return total
 
 
-def brute_detection_ap(preds, gts) -> DetectionAP:
-    """Naive COCO-style AP; same containers, from-scratch computation."""
+def _area(b) -> float:
+    return max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
 
-    def box_sim(p, g):
-        return _iou(p[1], g[1])
 
-    def area(b):
-        return max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
+def _naive_ap_summary(splits, sim) -> DetectionAP:
+    """COCO AP summary of (preds, gts) over all instances, then the medium and large area splits."""
 
     def eval_subset(p_sub, g_sub):
-        n_gt = len(g_sub)
-        aps, recs = [], []
-        for t in IOU_THRESHOLDS:
-            flags = _naive_greedy(p_sub, g_sub, float(t), box_sim)
-            aps.append(_naive_ap_101(flags, n_gt) if n_gt else (float("nan") if not p_sub else 0.0))
-            recs.append(sum(flags) / n_gt if n_gt else float("nan"))
-        mean_ap = sum(aps) / len(aps) if n_gt else (float("nan") if not p_sub else 0.0)
-        mean_rec = sum(recs) / len(recs) if n_gt else float("nan")
-        return mean_ap, mean_rec, aps
+        flags = [_naive_greedy(p_sub, g_sub, float(t), sim) for t in IOU_THRESHOLDS]
+        aps = [_naive_ap_101(f, len(g_sub)) for f in flags]
+        recs = [sum(f) / len(g_sub) for f in flags]
+        return aps, sum(aps) / len(aps), sum(recs) / len(recs)
 
-    ap, ar, per = eval_subset(preds, gts)
-    if not gts:
-        ap = 0.0 if preds else float("nan")
+    (preds, gts), medium, large = splits
+    if gts:
+        per, ap, ar = eval_subset(preds, gts)
+    else:
+        ap, ar = (0.0 if preds else float("nan")), float("nan")
         per = [ap] * len(IOU_THRESHOLDS)
-
-    med_p = [p for p in preds if 32.0**2 <= area(p[1]) < 96.0**2]
-    med_g = [g for g in gts if 32.0**2 <= area(g[1]) < 96.0**2]
-    lrg_p = [p for p in preds if area(p[1]) >= 96.0**2]
-    lrg_g = [g for g in gts if area(g[1]) >= 96.0**2]
-    ap_m = eval_subset(med_p, med_g)[0] if med_g else float("nan")
-    ap_l = eval_subset(lrg_p, lrg_g)[0] if lrg_g else float("nan")
+    ap_m, ap_l = (eval_subset(*split)[1] if split[1] else float("nan") for split in (medium, large))
 
     def scale(v):
         return 100.0 * v if not math.isnan(v) else v
 
     return DetectionAP(scale(ap), scale(per[0]), scale(per[5]), scale(ap_m), scale(ap_l), scale(ar), len(gts), len(preds))
+
+
+def brute_detection_ap(preds, gts) -> DetectionAP:
+    """Naive COCO-style AP; same containers, from-scratch computation."""
+
+    def within(lo, hi):
+        return [p for p in preds if lo <= _area(p[1]) < hi], [g for g in gts if lo <= _area(g[1]) < hi]
+
+    splits = ((preds, gts), within(32.0**2, 96.0**2), within(96.0**2, math.inf))
+    return _naive_ap_summary(splits, lambda p, g: _iou(p[1], g[1]))
+
+
+def _oks(pred_pose, gt_pose, gt_box, kappa: float) -> float:
+    sims = [
+        math.exp(-((px - gx) ** 2 + (py - gy) ** 2) / (2.0 * _area(gt_box) * kappa * kappa))
+        for (px, py), (gx, gy, vis) in zip(pred_pose, gt_pose)
+        if vis > 0
+    ]
+    return sum(sims) / len(sims)
+
+
+def brute_keypoint_ap(preds, gts, kappa: float = 0.08) -> DetectionAP:
+    """Naive OKS AP with one kappa for every joint; same containers as keypoint_ap.
+
+    Ground truths without labeled joints are dropped; the area splits filter
+    ground truth by its box and keep every prediction.
+    """
+    gts = [g for g in gts if any(vis > 0 for _, _, vis in g[1])]
+
+    def within(lo, hi):
+        return preds, [g for g in gts if lo <= _area(g[2]) < hi]
+
+    splits = ((preds, gts), within(32.0**2, 96.0**2), within(96.0**2, math.inf))
+    return _naive_ap_summary(splits, lambda p, g: _oks(p[1], g[1], g[2], kappa))
 
 
 def brute_behavior_map(preds, gts, iou_thresh: float = 0.5) -> BehaviorMAP:

@@ -107,6 +107,16 @@ def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, va
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("frame", [-1, -10])
+def test_track_rejects_negative_frame_with_path(tmp_path, capsys, frame):
+    doc = dataio.write_detections("s", ImageSize(64, 64), {0: [DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9)]})
+    doc["frames"][0]["frame"] = frame
+    src = tmp_path / "dets.json"
+    src.write_text(json.dumps(doc))
+    assert main(["track", str(src), "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"input error: $.frames[0].frame: frames must be non-negative, got {frame}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "row, lineno",
     [("1,1,nan,0.0,5.0,5.0,1.0,-1,-1,-1", 1), ("1,1,0.0,0.0,inf,5.0,1.0,-1,-1,-1", 1), ("2,1,0,0,5,5,-inf,-1,-1,-1", 2)],

@@ -5,9 +5,11 @@ import pytest
 from conftest import nan_equal, tiny_behavior_sets, tiny_detection_sets, tiny_tracks
 
 from chimptrack.dataio import TrackedBox
-from chimptrack.geometry import BoxXYXY
+from chimptrack.geometry import BoxXYXY, iou
 from chimptrack.metrics import (
     ALPHA_GRID,
+    IOU_THRESHOLDS,
+    _rank_and_match,
     behavior_map,
     clear_metrics,
     detection_ap,
@@ -23,6 +25,7 @@ from chimptrack.oracles import (
     brute_detection_ap,
     brute_hota,
     brute_idf1,
+    brute_keypoint_ap,
 )
 from chimptrack.rng import Xoshiro256
 
@@ -359,6 +362,41 @@ def test_behavior_map_gt_consumed_once_per_class():
     assert flipped.per_class[0] == pytest.approx(100.0)
 
 
+# ------------------------------------------------------- greedy AP matching
+
+
+def test_rank_and_match_scores_each_same_frame_pair_once():
+    rng = Xoshiro256(7000)
+    gt, pred = tiny_tracks(rng)
+    det_pred, det_gt = tiny_detection_sets(rng, gt, pred)
+    # tag every entry with its index so the similarity can tell the pairs apart
+    preds = [(frame, (i, box), score) for i, (frame, box, score) in enumerate(det_pred)]
+    gts = [(frame, (j, box)) for j, (frame, box) in enumerate(det_gt)]
+    calls: dict[tuple[int, int], int] = {}
+
+    def counting_iou(p, g):
+        key = (p[1][0], g[1][0])
+        calls[key] = calls.get(key, 0) + 1
+        return iou(p[1][1], g[1][1])
+
+    _rank_and_match(preds, gts, IOU_THRESHOLDS, counting_iou)
+    assert calls and max(calls.values()) == 1
+    assert all(preds[i][0] == gts[j][0] for i, j in calls)
+
+
+def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
+    # pred 0 is equally similar to gts 0 and 1 and must take gt 0 at every
+    # threshold; pred 1 (ranked second) matches only the gt that pred 0 takes
+    # or only the one it leaves
+    for lone_gt, pred1_hits in ((0, False), (1, True)):
+        table = {(0, 0): 0.95, (0, 1): 0.95, (1, lone_gt): 1.0, (1, 1 - lone_gt): 0.0}
+        preds = [(0, 0, 0.9), (0, 1, 0.8)]
+        gts = [(0, 0), (0, 1)]
+        out = _rank_and_match(preds, gts, IOU_THRESHOLDS, lambda p, g: table[(p[1], g[1])])
+        assert out.tp[:, 0].all()
+        assert (out.tp[:, 1] == pred1_hits).all(), lone_gt
+
+
 # -------------------------------------------------- oracle agreement sweeps
 
 
@@ -424,4 +462,36 @@ def test_behavior_map_agrees_with_oracle():
         for k in range(23):
             assert nan_equal(got.per_class[k], want.per_class[k]), (seed, k)
         for key in ("map_locomotion", "map_object", "map_social", "map_others"):
+            assert nan_equal(getattr(got, key), getattr(want, key)), (seed, key)
+
+
+def _tiny_keypoint_sets(rng: Xoshiro256):
+    """OKS-AP inputs: gt poses on a grid inside square boxes of every area
+    split, partly labeled, and jittered predictions with rounded (tied) scores."""
+    preds, gts = [], []
+    for frame in range(1 + rng.randint(3)):
+        for _ in range(rng.randint(4)):
+            x, y, side = rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0), rng.uniform(20.0, 120.0)
+            grid = np.array([[x + side * (j % 4 + 0.5) / 4, y + side * (j // 4 + 0.5) / 4] for j in range(16)])
+            vis = [0 if rng.random() < 0.4 else 1 + rng.randint(2) for _ in range(16)]
+            if rng.random() < 0.1:
+                vis = [0] * 16
+            gts.append((frame, np.hstack([grid, np.array(vis, dtype=float)[:, None]]), BoxXYXY(x, y, x + side, y + side)))
+            for _ in range(rng.randint(3)):
+                sigma = rng.uniform(0.0, 0.1) * side
+                jitter = np.array([[rng.gauss(0.0, sigma), rng.gauss(0.0, sigma)] for _ in range(16)])
+                preds.append((frame, grid + jitter, round(rng.uniform(0.1, 0.99), 1)))
+        if rng.random() < 0.3:
+            clutter = np.array([[rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)] for _ in range(16)])
+            preds.append((frame, clutter, round(rng.uniform(0.1, 0.99), 1)))
+    return preds, gts
+
+
+def test_keypoint_ap_agrees_with_oracle():
+    for seed in range(60):
+        preds, gts = _tiny_keypoint_sets(Xoshiro256(8000 + seed))
+        got = keypoint_ap(preds, gts)
+        want = brute_keypoint_ap(preds, gts)
+        assert (got.gt_count, got.pred_count) == (want.gt_count, want.pred_count), seed
+        for key in ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar"):
             assert nan_equal(getattr(got, key), getattr(want, key)), (seed, key)
