@@ -1,4 +1,4 @@
-"""Bipartite assignment: optimal matching, gated optimal matching, greedy matching.
+"""Bipartite assignment: optimal matching and gated optimal matching.
 
 All matchers operate on dense float cost matrices. Rectangular inputs yield
 min(rows, cols) pairs; there is no padding. Ties between equally cheap optima
@@ -6,14 +6,11 @@ resolve deterministically to the lexicographically smallest pair list ordered
 by (row, col).
 
 Gated matchings (the tracker's association stages, CLEAR's per-frame step,
-HOTA's per-alpha step and the pose pairing of the report) share one
-documented construction, gated_match: benefit values in [0, 1], pairs below
-the validity gate get cost B = min(rows, cols) + 2 while valid pairs cost
-1 - benefit, the assignment problem is solved with the deterministic
-lexicographic tie-break of hungarian, and invalid pairs are discarded
-afterwards. This maximizes the number of valid pairs first and the summed
-benefit second; the tie-break makes the result, and therefore every
-downstream number, unique.
+HOTA's per-alpha step and the pose pairing of the report) share one rule,
+gated_match: among matchings of valid pairs, the most pairs, then the largest
+summed benefit, then the lexicographically smallest pair list, where a
+matched row sorts before an unmatched one. Invalid pairs play no part, so a
+frame's unique result does not depend on rows or columns it cannot use.
 """
 
 from __future__ import annotations
@@ -29,15 +26,6 @@ class Assignment(NamedTuple):
     total_cost: float
 
 
-def _as_cost(cost) -> np.ndarray:
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.size and not np.isfinite(cost).all():
-        raise ValueError("cost matrix entries must be finite")
-    return cost
-
-
 def hungarian(cost) -> Assignment:
     """Minimum-total-cost maximum matching of a dense cost matrix.
 
@@ -49,10 +37,13 @@ def hungarian(cost) -> Assignment:
 
     Because the tolerance is relative, a huge sentinel cost for forbidden
     pairs would inflate it until clearly worse completions pass as ties; pass
-    forbidden pairs through gated_match instead, whose invalid-pair cost is
-    bounded by min(rows, cols) + 2.
+    forbidden pairs through gated_match instead.
     """
-    cost = _as_cost(cost)
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
+    if cost.size and not np.isfinite(cost).all():
+        raise ValueError("cost matrix entries must be finite")
     n_rows, n_cols = cost.shape
     target = min(n_rows, n_cols)
     if target == 0:
@@ -95,39 +86,43 @@ def hungarian(cost) -> Assignment:
 
 
 def gated_match(benefit: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]:
-    """Maximize valid pair count, then summed benefit, then lex order.
+    """Among matchings of valid pairs: the most pairs, then the largest summed
+    benefit, then the lexicographically smallest pair list (a matched row sorts
+    before an unmatched one). Pairs come out in row order.
 
-    Implemented by solving the assignment problem on cost = 1 - benefit for
-    valid pairs and B = min(rows, cols) + 2 for invalid ones, then dropping
-    invalid pairs from the solution.
+    The rule never looks at an invalid pair, so each connected component of
+    the valid pairs is solved alone: a lone pair is taken as it is, any other
+    component goes to hungarian on cost 1 - benefit. A component with invalid
+    pairs gives each row a dummy column after the real ones at cost
+    B = min(rows, cols) + 2, and its invalid pairs cost 3B, which no optimum
+    uses. A frame whose pairs are all valid is one solve.
     """
-    if benefit.size == 0:
-        return []
-    big = min(benefit.shape) + 2.0
-    cost = np.where(valid, 1.0 - benefit, big)
-    return [(r, c) for r, c in hungarian(cost).pairs if valid[r, c]]
+    if valid.size and valid.all():
+        return list(hungarian(1.0 - benefit).pairs)
+    n_rows = valid.shape[0]
+    root = list(range(n_rows + valid.shape[1]))  # union-find over rows, then columns
 
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
 
-def greedy_match(cost, gate: float) -> Assignment:
-    """Greedy matching: repeatedly take the globally smallest entry <= gate.
-
-    Each accepted pair removes its row and column. Ties resolve to the lowest
-    row, then lowest column. Stops when no remaining entry passes the gate.
-    """
-    cost = _as_cost(cost)
-    if not np.isfinite(gate):
-        raise ValueError("gate must be finite")
-    work = cost.copy()
-    n_rows, n_cols = work.shape
-    pairs: list[tuple[int, int]] = []
-    total = 0.0
-    for _ in range(min(n_rows, n_cols)):
-        flat = np.argmin(work)  # first occurrence in C order: lowest row, then col
-        r, c = divmod(int(flat), n_cols)
-        if not work[r, c] <= gate:
-            break
-        pairs.append((r, c))
-        total += float(cost[r, c])
-        work[r, :] = np.inf
-        work[:, c] = np.inf
-    return Assignment(tuple(pairs), total)
+    edges = np.argwhere(valid).tolist()
+    for r, c in edges:
+        root[find(n_rows + c)] = find(r)
+    components: dict[int, list[tuple[int, int]]] = {}
+    for r, c in edges:
+        components.setdefault(find(r), []).append((r, c))
+    pairs = []
+    for component in components.values():
+        rows, cols = (sorted(set(side)) for side in zip(*component))
+        if len(component) == 1:
+            pairs.append((rows[0], cols[0]))
+            continue
+        cost = 1.0 - benefit[np.ix_(rows, cols)]
+        if len(component) < len(rows) * len(cols):
+            big = min(len(rows), len(cols)) + 2.0
+            cost = np.where(valid[np.ix_(rows, cols)], cost, 3.0 * big)
+            cost = np.hstack([cost, np.full((len(rows), len(rows)), big)])
+        pairs += [(rows[r], cols[c]) for r, c in hungarian(cost).pairs if c < len(cols)]
+    return sorted(pairs)

@@ -8,8 +8,8 @@ CLEAR, IDF1 and HOTA read one frame table (_pair_frames): ids re-indexed
 densely in ascending order, the boxes per id, and each frame's dense indices
 and IoU matrix. IDF1's identity overlap and HOTA's pair potential are both its
 overlaps(thresh) count. CLEAR's per-frame step and HOTA's per-alpha step use
-assign.gated_match, the one gated-matching construction (documented in the
-assign module).
+assign.gated_match, the one gated-matching rule (documented in the assign
+module).
 
 Detection AP, OKS AP and behavior mAP share one greedy matcher
 (_rank_and_match). It scores each same-frame (prediction, gt) pair once and
@@ -221,24 +221,18 @@ def clear_metrics(
     for gi, pi, ious in table.frames:
         gi, pi = gi.tolist(), pi.tolist()
         column = {p: c for c, p in enumerate(pi)}
+        valid = ious >= iou_thresh
         pairs: dict[int, int] = {}
-        used_g: set[int] = set()
-        used_p: set[int] = set()
         for r, g in enumerate(gi):
             c = column.get(carry.get(g))
-            if c is not None and ious[r, c] >= iou_thresh:
+            if c is not None and valid[r, c]:
                 pairs[g] = pi[c]
-                used_g.add(r)
-                used_p.add(c)
                 iou_sum += float(ious[r, c])
-
-        rest_g = [r for r in range(len(gi)) if r not in used_g]
-        rest_p = [c for c in range(len(pi)) if c not in used_p]
-        if rest_g and rest_p:
-            sub = ious[np.ix_(rest_g, rest_p)]
-            for r, c in assign.gated_match(sub, sub >= iou_thresh):
-                pairs[gi[rest_g[r]]] = pi[rest_p[c]]
-                iou_sum += float(sub[r, c])
+                valid[r, :] = valid[:, c] = False
+        # gated_match ignores invalid pairs: this matches the rest of the frame
+        for r, c in assign.gated_match(ious, valid):
+            pairs[gi[r]] = pi[c]
+            iou_sum += float(ious[r, c])
 
         matched += len(pairs)
         fn += len(gi) - len(pairs)
@@ -299,6 +293,9 @@ def idf1(gt: list[TrackedBox], pred: list[TrackedBox], iou_thresh: float = 0.5) 
     overlap = _pair_frames(gt, pred, "IDF1").overlaps(iou_thresh)
     idtp = 0
     if overlap.size:
+        # a plain hungarian solve: on small scenes, where every CLEAR and HOTA
+        # component can be a lone pair, it is the only one of an evaluation,
+        # and perfbench/traced.py needs one to time the assign layer
         result = assign.hungarian(-overlap)
         idtp = int(round(-result.total_cost))
     return _idf1_scores(idtp, len(pred) - idtp, len(gt) - idtp)

@@ -93,12 +93,19 @@ def _iou(a, b) -> float:
 
 
 def _brute_gated(benefit: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]:
-    """The gated matching, solved by exhaustive enumeration."""
-    if benefit.size == 0:
-        return []
-    big = min(benefit.shape) + 2.0
-    cost = np.where(valid, 1.0 - benefit, big)
-    return [(r, c) for r, c in brute_assignment(cost).pairs if valid[r, c]]
+    """The gated matching from its definition, by enumerating valid matchings:
+    the most pairs, then the largest summed benefit (ties within 1e-9
+    relative), then the lexicographically smallest pair list."""
+    n_rows, n_cols = valid.shape
+    if sum(math.comb(n_rows, k) * math.perm(n_cols, k) for k in range(min(n_rows, n_cols) + 1)) > _ENUM_LIMIT:
+        raise ValueError("instance too large for exhaustive gated matching")
+    found = [()]
+    for r in range(n_rows):
+        found += [m + ((r, c),) for m in found for c in range(n_cols) if valid[r, c] and c not in {d for _, d in m}]
+    most = max(map(len, found))
+    score = {m: sum(float(benefit[r, c]) for r, c in m) for m in found if len(m) == most}
+    best = max(score.values())
+    return list(min(m for m, s in score.items() if s >= best - 1e-9 * max(1.0, abs(best))))
 
 
 def _frame_table(tracks: list[TrackedBox]) -> dict[int, list[TrackedBox]]:

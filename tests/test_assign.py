@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chimptrack.assign import Assignment, gated_match, greedy_match, hungarian
-from chimptrack.oracles import brute_assignment
+from chimptrack.assign import Assignment, gated_match, hungarian
+from chimptrack.oracles import _brute_gated, brute_assignment
 from chimptrack.rng import Xoshiro256
 
 
@@ -45,6 +45,14 @@ def test_hungarian_known_instance():
     assert got.pairs == ((0, 1), (1, 0), (2, 2))
 
 
+def test_hungarian_takes_the_global_optimum_not_the_cheapest_entry():
+    # taking the cheapest entry (0, 0) first would force (1, 1) at 100
+    cost = np.array([[1.0, 2.0], [1.5, 100.0]])
+    got = hungarian(cost)
+    assert got.pairs == ((0, 1), (1, 0))
+    assert got.total_cost == pytest.approx(3.5)
+
+
 def test_hungarian_rectangular_counts():
     tall = hungarian(np.arange(12, dtype=float).reshape(4, 3))
     assert len(tall.pairs) == 3
@@ -80,33 +88,40 @@ def test_gated_match_empty():
     assert gated_match(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)) == []
 
 
-def test_greedy_takes_global_minimum_first():
-    cost = np.array([[5.0, 2.0], [1.0, 4.0]])
-    got = greedy_match(cost, gate=10.0)
-    assert got.pairs == ((1, 0), (0, 1))
-    assert got.total_cost == pytest.approx(3.0)
+def random_gated_instance(rng, density, ties):
+    rows = 1 + rng.randint(6)
+    cols = 1 + rng.randint(6)
+    draw = (lambda: rng.randint(5) / 4.0) if ties else (lambda: rng.uniform(0.0, 1.0))
+    benefit = np.array([[draw() for _ in range(cols)] for _ in range(rows)])
+    valid = np.array([[rng.random() < density for _ in range(cols)] for _ in range(rows)])
+    return benefit, valid
 
 
-def test_greedy_gate_blocks_expensive_pairs():
-    cost = np.array([[5.0, 2.0], [1.0, 4.0]])
-    got = greedy_match(cost, gate=2.0)
-    assert got.pairs == ((1, 0), (0, 1))  # 2.0 passes an inclusive gate
-    got = greedy_match(cost, gate=1.5)
-    assert got.pairs == ((1, 0),)
-    assert greedy_match(cost, gate=0.5).pairs == ()
+def test_gated_match_agrees_with_definition():
+    rng = Xoshiro256(606)
+    for density in (0.2, 0.4, 0.6, 0.8, 1.0):
+        for i in range(80):
+            benefit, valid = random_gated_instance(rng, density, ties=i % 2 == 0)
+            assert gated_match(benefit, valid) == _brute_gated(benefit, valid), (benefit, valid)
 
 
-def test_greedy_can_be_suboptimal_where_hungarian_is_not():
-    cost = np.array([[1.0, 2.0], [1.5, 100.0]])
-    assert greedy_match(cost, gate=1000.0).total_cost == pytest.approx(101.0)
-    assert hungarian(cost).total_cost == pytest.approx(3.5)
+def test_gated_match_ignores_pairs_it_cannot_use():
+    benefit = np.array([[0.0, 0.7], [0.0, 0.7]])
+    valid = np.array([[False, True], [False, True]])
+    assert gated_match(benefit, valid) == [(0, 1)]
+
+    rng = Xoshiro256(707)
+    for i in range(200):
+        benefit, valid = random_gated_instance(rng, 0.6, ties=i % 2 == 0)
+        want = gated_match(benefit, valid)
+        at = rng.randint(valid.shape[0] + 1)
+        rows = gated_match(np.insert(benefit, at, 0.5, axis=0), np.insert(valid, at, False, axis=0))
+        assert [(r - (r > at), c) for r, c in rows] == want
+        at = rng.randint(valid.shape[1] + 1)
+        cols = gated_match(np.insert(benefit, at, 0.5, axis=1), np.insert(valid, at, False, axis=1))
+        assert [(r, c - (c > at)) for r, c in cols] == want
 
 
-def test_greedy_tie_breaks_on_lowest_row_then_column():
-    cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert greedy_match(cost, gate=2.0).pairs == ((0, 0), (1, 1))
-
-
-def test_greedy_rejects_non_finite_gate():
+def test_brute_gated_refuses_large_instances():
     with pytest.raises(ValueError):
-        greedy_match(np.ones((2, 2)), gate=np.inf)
+        _brute_gated(np.zeros((12, 12)), np.ones((12, 12), dtype=bool))
