@@ -2,8 +2,8 @@
 
 Subcommands: synth, track, evaluate, forward, selfcheck. Exit codes are part
 of the contract: 0 success, 1 selfcheck failure, 2 input or IO error, 3
-sequence pairing error. All randomness flows from --seed; --workers changes
-wall time only.
+sequence pairing error. All randomness flows from --seed; --workers does not
+change results.
 
 evaluate over several sequences scores each once and adds an aggregate row,
 defined as one evaluation of the sequences' concatenation and computed by

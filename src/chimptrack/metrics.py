@@ -642,15 +642,25 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
     is a true positive when it overlaps (IoU >= threshold) an unconsumed
     ground truth whose multi-hot includes the class. AP is all-point
     interpolated. Classes without ground truth are excluded from the mean and
-    from category means; an empty category is NaN.
+    from category means; an empty category is NaN. The IoU does not depend on
+    the class, so each same-frame (prediction, gt) pair is scored once and
+    shared by every class.
     """
+    ious: dict[tuple[int, int], float] = {}
+
+    def _shared_iou(pred, gt) -> float:  # entries carry indices into preds and gts
+        key = (pred[1], gt[1])
+        if key not in ious:
+            ious[key] = geometry.iou(preds[pred[1]][1], gts[gt[1]][1])
+        return ious[key]
+
     return _behavior_scores(
         tuple(
             _rank_and_match(
-                [(p[0], p[1], float(p[2][k])) for p in preds],
-                [(g[0], g[1]) for g in gts if g[2][k]],
+                [(p[0], i, float(p[2][k])) for i, p in enumerate(preds)],
+                [(g[0], j) for j, g in enumerate(gts) if g[2][k]],
                 (iou_thresh,),
-                _box_iou_similarity,
+                _shared_iou,
             )
             for k in range(BEHAVIOR_COUNT)
         )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chimptrack.assign import Assignment, gated_match, hungarian
+from chimptrack import assign
+from chimptrack.assign import Assignment, gated_match, hungarian, linear_sum_assignment
 from chimptrack.oracles import _brute_gated, brute_assignment
 from chimptrack.rng import Xoshiro256
 
@@ -69,6 +70,59 @@ def test_hungarian_empty_and_invalid_inputs():
         hungarian(np.array([[np.inf, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         hungarian(np.array([[np.nan]]))
+
+
+def random_solver_instances(seed, count=300, max_dim=40):
+    """Rectangular matrices with rows <= cols, alternately continuous and
+    integer costs in {0, 1, 2} (many tied optima)."""
+    rng = Xoshiro256(seed)
+    for i in range(count):
+        rows, cols = sorted((1 + rng.randint(max_dim), 1 + rng.randint(max_dim)))
+        draw = (lambda: float(rng.randint(3))) if i % 2 else (lambda: rng.uniform(-5.0, 10.0))
+        yield np.array([[draw() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_linear_sum_assignment_total_matches_scipy():
+    scipy_lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    for cost in random_solver_instances(808):
+        col4row, _, _ = linear_sum_assignment(cost)
+        assert sorted(col4row) == sorted(set(col4row))
+        got = float(cost[np.arange(len(col4row)), col4row].sum())
+        want = float(cost[scipy_lsa(cost)].sum())
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), cost.shape
+
+
+def test_linear_sum_assignment_duals_are_feasible_and_tight():
+    for cost in random_solver_instances(909):
+        col4row, u, v = linear_sum_assignment(cost)
+        reduced = cost - np.array(u)[:, None] - np.array(v)[None, :]
+        assert reduced.min() >= -1e-9
+        assert np.abs(reduced[np.arange(len(col4row)), col4row]).max() <= 1e-9
+        total = float(cost[np.arange(len(col4row)), col4row].sum())
+        assert sum(u) + sum(v) == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+def test_linear_sum_assignment_rejects_tall_and_non_finite_inputs():
+    with pytest.raises(ValueError):
+        linear_sum_assignment(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        linear_sum_assignment(np.array([[0.0, np.inf]]))
+
+
+def test_hungarian_solves_an_untied_matrix_once(monkeypatch):
+    solves = []
+
+    def counting(cost):
+        solves.append(1)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(assign, "linear_sum_assignment", counting)
+    rng = Xoshiro256(1010)
+    cost = np.array([[rng.uniform(0.0, 1.0) for _ in range(10)] for _ in range(10)])
+    got = hungarian(cost)
+    assert len(solves) == 1
+    col4row, _, _ = linear_sum_assignment(cost)
+    assert got.pairs == tuple(enumerate(col4row))  # the optimum is unique
 
 
 def test_gated_match_maximizes_benefit():

@@ -363,3 +363,27 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "annotations.json").exists()
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # every command runs on NumPy alone; SciPy is only a test dependency
+    scene, pred, clip = tmp_path / "scene", tmp_path / "pred.csv", tmp_path / "clip.npy"
+    np.save(clip, np.random.default_rng(5).normal(size=(8, 64, 64, 3)))
+    ann, noisy = str(scene / "annotations.json"), str(scene / "detections_noisy.json")
+    commands = [
+        SYNTH_ARGS + ["--out", str(scene)],
+        ["track", noisy, "--out", str(pred)],
+        ["evaluate", "--gt", ann, "--pred", str(pred), "--out", str(tmp_path / "track.json")],
+        ["evaluate", "--task", "pose", "--gt", ann, "--pred", noisy, "--out", str(tmp_path / "pose.json")],
+        ["forward", str(clip), "--out", str(tmp_path / "clip.json")],
+        ["selfcheck"],
+    ]
+    script = (
+        "import sys\n"
+        "from chimptrack.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -384,6 +384,29 @@ def test_rank_and_match_scores_each_same_frame_pair_once():
     assert all(preds[i][0] == gts[j][0] for i, j in calls)
 
 
+def test_behavior_map_scores_each_same_frame_pair_once(monkeypatch):
+    # the IoU does not depend on the class, so one score per (pred, gt) pair
+    # serves all 23 classes
+    rng = Xoshiro256(7100)
+    gt, pred = tiny_tracks(rng)
+    det_pred, det_gt = tiny_detection_sets(rng, gt, pred)
+    beh_pred, beh_gt = tiny_behavior_sets(rng, det_pred, det_gt)
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return iou(a, b)
+
+    monkeypatch.setattr("chimptrack.geometry.iou", counting_iou)
+    got = behavior_map(beh_pred, beh_gt)
+    labeled = [frame for frame, _, hot in beh_gt if hot.any()]
+    pairs = sum(labeled.count(frame) for frame, _, _ in beh_pred)
+    assert pairs and len(calls) == pairs
+    monkeypatch.undo()
+    want = brute_behavior_map(beh_pred, beh_gt)
+    assert all(nan_equal(a, b) for a, b in zip(got.per_class, want.per_class))
+
+
 def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
     # pred 0 is equally similar to gts 0 and 1 and must take gt 0 at every
     # threshold; pred 1 (ranked second) matches only the gt that pred 0 takes
