@@ -11,6 +11,14 @@ accuracy, are the contract.
 
 All arithmetic is float64 numpy, so identical inputs give bit-identical
 outputs across runs and processes.
+
+Sampling is batched: bilinear_sample takes points of any shape (...) and
+returns (..., C), and deformable_sample takes references (..., 2), so
+toy_forward samples all Q queries of a scale in one call. The summation order
+is the contract: corners, reference points and scales are added one at a time
+in a fixed order, never by sum, einsum or matmul, so every query's features
+are bit-identical to a one-point-at-a-time loop (chimptrack.oracles keeps
+that loop as the reference).
 """
 
 from __future__ import annotations
@@ -219,48 +227,84 @@ def query_select(confidence: np.ndarray, index: np.ndarray, scale_shapes, querie
         raise ValueError("token confidences must be finite")
     order = np.argsort(-confidence, kind="stable")  # stable: equal scores keep index order
     selected = order[:queries]
-    anchors = np.empty((queries, 4), dtype=float)
-    for i, tok in enumerate(selected):
-        s, row, col = (int(v) for v in index[tok])
-        grid_h, grid_w = scale_shapes[s]
-        anchors[i] = ((col + 0.5) / grid_w, (row + 0.5) / grid_h, 1.0 / grid_h, 1.0 / grid_w)
+    scale, row, col = np.asarray(index)[selected].T
+    grid_h, grid_w = np.asarray(scale_shapes)[scale].T
+    anchors = np.stack([(col + 0.5) / grid_w, (row + 0.5) / grid_h, 1.0 / grid_h, 1.0 / grid_w], axis=1)
     return selected, anchors
 
 
-def bilinear_sample(feature: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Bilinear lookup at a normalized point; zero padding outside the map.
+def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
+    """Bilinear lookup at normalized points; zero padding outside the map.
 
     Cell centers sit at ((col + 0.5) / W, (row + 0.5) / H), so the continuous
     pixel position is (x * W - 0.5, y * H - 0.5).
+
+    Args:
+        feature: (H', W', C) map.
+        x, y: normalized coordinates of any broadcastable shape (...); scalars
+            give shape ().
+
+    Returns:
+        (..., C) samples.
+
+    Each point's four corners are added in (dy, dx) row-major order to a
+    running sum that starts at +0.0, each as (wy * wx) * value; an
+    off-map or zero-weight corner adds nothing. That order is the contract:
+    it makes every point bit-identical to a one-point-at-a-time loop.
+
+    Raises:
+        ValueError: if a point is NaN or infinite.
     """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sampling points must be finite")
     h, w = feature.shape[:2]
-    px = x * w - 0.5
-    py = y * h - 0.5
-    x0 = int(np.floor(px))
-    y0 = int(np.floor(py))
+    # a point at or beyond -1 or 2 has every corner off the map, so clipping to
+    # [-1, 2] changes no sample; it keeps the pixel position finite
+    px = np.clip(x, -1.0, 2.0) * w - 0.5
+    py = np.clip(y, -1.0, 2.0) * h - 0.5
+    x0 = np.floor(px)
+    y0 = np.floor(py)
     fx = px - x0
     fy = py - y0
-    out = np.zeros(feature.shape[2:], dtype=float)
-    for dy, wy in ((0, 1.0 - fy), (1, fy)):
-        for dx, wx in ((0, 1.0 - fx), (1, fx)):
-            r, c = y0 + dy, x0 + dx
-            if 0 <= r < h and 0 <= c < w and wy * wx != 0.0:
-                out = out + wy * wx * feature[r, c]
+    # corner axes (dy, dx) lead: rows (2, 1, ...), columns (1, 2, ...)
+    rows = np.stack([y0, y0 + 1])[:, None]
+    cols = np.stack([x0, x0 + 1])[None, :]
+    k = np.stack([1.0 - fy, fy])[:, None] * np.stack([1.0 - fx, fx])[None, :]
+    # bounds are tested on the floats, so no out-of-range value is cast
+    keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w) & (k != 0.0)
+    value = feature[np.where(keep, rows, 0).astype(np.intp), np.where(keep, cols, 0).astype(np.intp)]
+    lead = keep.shape + (1,) * (feature.ndim - 2)  # broadcasts per-corner weights over channels
+    # k >= 0, so a skipped corner adds exactly +0.0 and never reads its value
+    terms = k.reshape(lead) * np.where(keep.reshape(lead), value, 0.0)
+    out = np.zeros(x.shape + feature.shape[2:], dtype=float)
+    for term in terms.reshape((4,) + out.shape):  # (dy, dx) row-major
+        out = out + term
     return out
 
 
 def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted bilinear samples around a reference point.
+    """Weighted bilinear samples around reference points.
 
     Args:
         feature: (H', W', C) map.
-        ref: (2,) normalized (x, y) reference point.
-        offsets: (R, 2) normalized offsets added to the reference.
+        ref: (..., 2) normalized (x, y) reference points; (2,) is one point.
+        offsets: (R, 2) normalized offsets added to every reference.
         weights: (R,) non-negative weights summing to 1 within 1e-6.
+
+    Returns:
+        (..., C): for each reference, the samples added as
+        out = out + weights[r] * sample in r order from +0.0. That order is
+        the contract, as in bilinear_sample.
     """
+    ref = np.asarray(ref, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if offsets.ndim != 2 or offsets.shape[1] != 2 or offsets.shape[0] != weights.shape[0]:
+    if ref.ndim < 1 or ref.shape[-1] != 2:
+        raise ValueError(f"reference points must be (..., 2), got {ref.shape}")
+    if not np.isfinite(ref).all():
+        raise ValueError("reference points must be finite")
+    if offsets.ndim != 2 or offsets.shape[1] != 2 or weights.ndim != 1 or offsets.shape[0] != weights.shape[0]:
         raise ValueError(f"offsets (R, 2) and weights (R,) disagree: {offsets.shape} vs {weights.shape}")
     if not (np.isfinite(offsets).all() and np.isfinite(weights).all()):
         raise ValueError("offsets and weights must be finite")
@@ -268,9 +312,13 @@ def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray,
         raise ValueError("sampling weights must be non-negative")
     if abs(float(weights.sum()) - 1.0) > 1e-6:
         raise ValueError(f"sampling weights must sum to 1 within 1e-6, got {weights.sum()}")
-    out = np.zeros(feature.shape[2:], dtype=float)
+    per_point = (-1,) + (1,) * (ref.ndim - 1)  # offsets lead, the reference batch follows
+    x = ref[..., 0] + offsets[:, 0].reshape(per_point)
+    y = ref[..., 1] + offsets[:, 1].reshape(per_point)
+    samples = bilinear_sample(feature, x, y)  # (R, ..., C)
+    out = np.zeros(ref.shape[:-1] + feature.shape[2:], dtype=float)
     for r in range(offsets.shape[0]):
-        out = out + weights[r] * bilinear_sample(feature, ref[0] + offsets[r, 0], ref[1] + offsets[r, 1])
+        out = out + weights[r] * samples[r]
     return out
 
 
@@ -450,13 +498,10 @@ def toy_forward(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardResu
     confidence = _sigmoid(_mlp(tokens, _head_layers(params, "cls"))).reshape(-1)
     selected, anchors = query_select(confidence, index, dims.scale_shapes, dims.queries)
 
-    feats = np.empty((dims.queries, dims.channels), dtype=float)
-    for i in range(dims.queries):
-        ref = anchors[i, :2]  # (cx, cy)
-        sampled = np.zeros(dims.channels, dtype=float)
-        for s, f in enumerate(features):
-            sampled += deformable_sample(f, ref, params["deform_offsets"][s], params["deform_weights"][s])
-        feats[i] = sampled / len(features)
+    sampled = np.zeros((dims.queries, dims.channels), dtype=float)
+    for s, f in enumerate(features):  # scales add in order, all queries at once
+        sampled += deformable_sample(f, anchors[:, :2], params["deform_offsets"][s], params["deform_weights"][s])
+    feats = sampled / len(features)
     shapes["query_features"] = feats.shape
 
     outputs = head_forward(feats, params)

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles: exhaustive
 enumeration instead of the Hungarian solver, naive per-point curve sampling
-instead of envelope tricks, and local re-derivations of IoU and the loss
+instead of envelope tricks, one-point-at-a-time bilinear loops instead of
+the batched gather, and local re-derivations of IoU and the loss
 formulas instead of calls into the production code paths. The only shared
 pieces are plain data containers. These oracles are exponential and guarded
 against large inputs; they exist to check the fast implementations on small
@@ -520,6 +521,32 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
         else:
             total += weights.cls * ((1.0 - a) * pq**gmm * -math.log(1.0 - pq))
     return total
+
+
+def naive_bilinear_sample(feature: np.ndarray, x: float, y: float) -> np.ndarray:
+    """Bilinear lookup at one normalized point, one corner at a time."""
+    h, w = feature.shape[:2]
+    px = x * w - 0.5
+    py = y * h - 0.5
+    x0 = int(np.floor(px))
+    y0 = int(np.floor(py))
+    fx = px - x0
+    fy = py - y0
+    out = np.zeros(feature.shape[2:], dtype=float)
+    for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            r, c = y0 + dy, x0 + dx
+            if 0 <= r < h and 0 <= c < w and wy * wx != 0.0:
+                out = out + wy * wx * feature[r, c]
+    return out
+
+
+def naive_deformable_sample(feature: np.ndarray, ref, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted bilinear samples around one (x, y) reference, one offset at a time."""
+    out = np.zeros(feature.shape[2:], dtype=float)
+    for r in range(offsets.shape[0]):
+        out = out + weights[r] * naive_bilinear_sample(feature, ref[0] + offsets[r, 0], ref[1] + offsets[r, 1])
+    return out
 
 
 def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):

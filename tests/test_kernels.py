@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from chimptrack.kernels import (
     toy_forward,
     validate_params,
 )
+from chimptrack.oracles import naive_bilinear_sample, naive_deformable_sample
 
 DIMS = ModelDims()
 
@@ -159,6 +162,96 @@ def test_deformable_sample_weights_contract():
         deformable_sample(feat, ref, offsets, np.full(4, 0.3))  # sums to 1.2
     with pytest.raises(ValueError):
         deformable_sample(feat, ref, offsets, np.array([0.5, 0.6, -0.1, 0.0]))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # signed zeros too
+
+
+def _sampling_cases(rng):
+    """Seeded maps from 1x1 to 16x16 with points on cell centers, borders, and far off the map.
+
+    An all -0.0 map tells a running sum from +0.0 apart from a plain sum, and an
+    infinite cell turns any skipped corner that is multiplied in instead into NaN.
+    """
+    for h, w in ((1, 1), (1, 3), (2, 2), (3, 3), (3, 5), (7, 4), (16, 16)):
+        feature = rng.normal(size=(h, w, 1 + rng.integers(4)))
+        feature[rng.uniform(size=(h, w)) < 0.2] = -0.0
+        if (h, w) == (3, 3):
+            feature[:] = -0.0
+        if (h, w) == (7, 4):
+            feature[0, 0] = feature[1, 1] = np.inf  # (1, 1) is a zero-weight corner of three cell centers
+        centers = [((c + 0.5) / w, (r + 0.5) / h) for r in range(h) for c in range(w)]
+        borders = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.5), (0.5, 0.0), (0.5 / w, 1.0)]
+        outside = [(-5.0, 0.5), (0.5, 7.0), (1e300, 0.5), (0.5, -1e300), (-1e300, 1e300), (2.0, -1.0)]
+        inside = [tuple(p) for p in rng.uniform(-0.3, 1.3, size=(12, 2))]
+        points = np.array(centers[:8] + borders + outside + inside)
+        yield feature, points
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no product is taken of a skipped corner
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+def test_batched_bilinear_sample_matches_naive_oracle_exactly(batch):
+    rng = np.random.default_rng(20)
+    for feature, points in _sampling_cases(rng):
+        picks = rng.integers(len(points), size=batch)
+        x, y = points[picks, 0], points[picks, 1]
+        got = bilinear_sample(feature, x, y)
+        assert got.shape == batch + feature.shape[2:]
+        for idx in np.ndindex(*batch):
+            _same_bits(got[idx], naive_bilinear_sample(feature, x[idx], y[idx]))
+    for feature, points in _sampling_cases(np.random.default_rng(21)):
+        for px, py in points:  # plain floats give one (C,) sample
+            _same_bits(bilinear_sample(feature, float(px), float(py)), naive_bilinear_sample(feature, float(px), float(py)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no product is taken of a skipped corner
+@pytest.mark.parametrize("batch", [(), (10,), (3, 4)])
+def test_batched_deformable_sample_matches_naive_oracle_exactly(batch):
+    rng = np.random.default_rng(22)
+    for feature, points in _sampling_cases(rng):
+        refs = points[rng.integers(len(points), size=batch)]
+        for offsets in (np.zeros((4, 2)), rng.normal(0.0, 0.3, size=(3, 2)), (rng.integers(-2, 3, size=(5, 2)) + 0.5) / 16):
+            raw = rng.uniform(0.1, 1.0, size=offsets.shape[0])
+            weights = raw / raw.sum()
+            got = deformable_sample(feature, refs, offsets, weights)
+            assert got.shape == batch + feature.shape[2:]
+            for idx in np.ndindex(*batch):
+                _same_bits(got[idx], naive_deformable_sample(feature, refs[idx], offsets, weights))
+
+
+def test_sampling_rejects_non_finite_points_and_misshapen_inputs():
+    feat = np.ones((4, 4, 3))
+    offsets = np.zeros((4, 2))
+    weights = np.full(4, 0.25)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="reference points must be finite"):
+            deformable_sample(feat, [bad, 0.5], offsets, weights)
+        with pytest.raises(ValueError, match="reference points must be finite"):
+            deformable_sample(feat, np.array([[0.5, 0.5], [0.5, bad]]), offsets, weights)
+        with pytest.raises(ValueError, match="sampling points must be finite"):
+            bilinear_sample(feat, bad, 0.5)
+        with pytest.raises(ValueError, match="sampling points must be finite"):
+            bilinear_sample(feat, np.array([0.5, 0.5]), np.array([0.5, bad]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="sampling points must be finite"):
+        deformable_sample(feat, [1e308, 0.5], np.array([[1e308, 0.0]]), np.ones(1))  # the sum overflows
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+        deformable_sample(feat, [0.5, 0.5, 0.5], offsets, weights)
+    with pytest.raises(ValueError, match="disagree"):
+        deformable_sample(feat, [0.5, 0.5], np.zeros((1, 2)), 1.0)  # 0-d weights
+
+
+def test_far_finite_points_sample_zero_without_warnings():
+    feat = np.ones((4, 4, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((1e300, 0.5), (-1e300, 0.5), (0.5, 1e300), (0.5, -1e300), (1.7e308, -1.7e308)):
+            assert bilinear_sample(feat, x, y).tolist() == [0.0, 0.0, 0.0]
+            got = deformable_sample(feat, [x, y], np.zeros((4, 2)), np.full(4, 0.25))
+            assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_zero_head_weights_are_neutral():
