@@ -218,10 +218,11 @@ def _cmd_evaluate(args) -> int:
         "aggregate": _json_for_task(aggregate, args.task),
     }
     out = Path(args.out) if args.out else pred_path.with_name(pred_path.name + ".metrics.json")
-    out.write_text(dump_json(sidecar))
+    text = dump_json(sidecar)
+    out.write_text(text)
 
     if args.format == "json":
-        print(json.dumps(sidecar, indent=2, sort_keys=True))
+        print(text, end="")
     else:
         labeled = [(r.sequence_id, r) for r in per_seq]
         if len(per_seq) > 1:
@@ -414,7 +415,7 @@ def _cmd_selfcheck(args) -> int:
         results.append({"name": name, "ok": ok, "detail": detail})
 
     if args.format == "json":
-        print(json.dumps({"ok": all(r["ok"] for r in results), "checks": results}, indent=2, sort_keys=True))
+        print(dump_json({"ok": all(r["ok"] for r in results), "checks": results}), end="")
     else:
         for r in results:
             print(f"{_mark(r['ok'])} {r['name']}: {r['detail']}")

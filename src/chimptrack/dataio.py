@@ -9,6 +9,12 @@ Conventions: frames are 0-based internally and only multiples of the
 annotation stride carry ground truth; track ids are 1-based; keypoint
 visibility uses 0 = outside the frame, 1 = present but obscured,
 2 = clearly visible.
+
+dump_json is the package's only JSON writer (files and JSON stdout alike).
+Its text is the standard library's ``json.dumps(obj, indent=2,
+sort_keys=True)`` plus a newline, byte for byte, with floats spelled by
+``float.__repr__``; it is faster only because it joins strings instead of
+running the stdlib's per-value Python encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any
 
@@ -176,16 +183,29 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_number(value, path: str) -> float:
+def _as_number(value, path: str, *index: int) -> float:
+    """A JSON number as a finite float; `index` continues the path, formatted only on failure."""
+    if type(value) is float and value - value == 0.0:  # nan - nan and inf - inf are nan
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise AnnotationError(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise AnnotationError(path, f"expected a finite number, got {value!r}")
-    return number
+        problem = "expected a number"
+    else:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+        problem = "expected a finite number"
+    raise AnnotationError(path + "".join(f"[{i}]" for i in index), f"{problem}, got {value!r}")
+
+
+def _as_numbers(values: list, path: str, *index: int) -> tuple[float, ...]:
+    """Each entry of a JSON number list as _as_number gives it; a list of finite floats is kept as is."""
+    for value in values:
+        if type(value) is not float or value - value != 0.0:
+            return tuple([_as_number(v, path, *index, k) for k, v in enumerate(values)])
+    return tuple(values)
 
 
 def _as_image_size(value) -> ImageSize:
@@ -200,7 +220,7 @@ def _as_image_size(value) -> ImageSize:
 def _as_box(value, path: str) -> BoxXYXY:
     if not isinstance(value, list) or len(value) != 4:
         raise AnnotationError(path, "expected [x1, y1, x2, y2]")
-    x1, y1, x2, y2 = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    x1, y1, x2, y2 = _as_numbers(value, path)
     if x2 <= x1 or y2 <= y1:
         raise AnnotationError(path, f"degenerate box: [{x1}, {y1}, {x2}, {y2}]")
     return BoxXYXY(x1, y1, x2, y2)
@@ -289,8 +309,8 @@ def _parse_instance(obj, path: str) -> InstanceAnnotation:
             jpath = f"{path}.pose[{j}]"
             if not isinstance(item, list) or len(item) != 3:
                 raise AnnotationError(jpath, "expected [x, y, visibility]")
-            x = _as_number(item[0], f"{jpath}[0]")
-            y = _as_number(item[1], f"{jpath}[1]")
+            x = _as_number(item[0], jpath, 0)
+            y = _as_number(item[1], jpath, 1)
             v = _as_int(item[2], f"{jpath}[2]")
             if v not in (0, 1, 2):
                 raise AnnotationError(f"{jpath}[2]", f"visibility must be 0, 1, or 2, got {v}")
@@ -376,7 +396,7 @@ def parse_detections(data: dict | str | Path) -> tuple[str, ImageSize, dict[int,
             raw_scores = det["behavior_scores"]
             if not isinstance(raw_scores, list) or len(raw_scores) != BEHAVIOR_COUNT:
                 raise AnnotationError(f"{dpath}.behavior_scores", f"expected {BEHAVIOR_COUNT} scores")
-            scores = tuple(_as_number(s, f"{dpath}.behavior_scores[{k}]") for k, s in enumerate(raw_scores))
+            scores = _as_numbers(raw_scores, f"{dpath}.behavior_scores")
             if any(not 0.0 <= s <= 1.0 for s in scores):
                 raise AnnotationError(f"{dpath}.behavior_scores", "scores must lie in [0, 1]")
             pose = None
@@ -388,7 +408,7 @@ def parse_detections(data: dict | str | Path) -> tuple[str, ImageSize, dict[int,
                 for k, p in enumerate(raw_pose):
                     if not isinstance(p, list) or len(p) != 2:
                         raise AnnotationError(f"{dpath}.pose[{k}]", "expected [x, y]")
-                    joints.append((_as_number(p[0], f"{dpath}.pose[{k}][0]"), _as_number(p[1], f"{dpath}.pose[{k}][1]")))
+                    joints.append(_as_numbers(p, f"{dpath}.pose", k))
                 pose = tuple(joints)
             records.append(DetectionRecord(box, score, scores, pose))
         frames[frame] = records
@@ -463,6 +483,111 @@ def parse_mot_csv(text: str) -> list[TrackedBox]:
     return tracks
 
 
-def dump_json(obj: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dump_json(obj: Any) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    (chimptrack.oracles.stdlib_dump_json), and the same inputs raise the same
+    TypeError or ValueError. Floats are written by ``float.__repr__``, so NumPy
+    float64 values print as plain numbers; NaN and infinities are written as
+    NaN / Infinity / -Infinity. Every JSON file and JSON stdout of the package
+    comes from here.
+    """
+    return _json_value(obj, "", set()) + "\n"
+
+
+# Before Python 3.13 the stdlib's C encoder cannot indent, and its Python
+# encoder takes one generator step per value. This writer joins strings
+# instead: a list of floats is one join over float.__repr__, redone value by
+# value only when the text holds an "n" (nan, inf).
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return _float_repr(value)
+
+
+def _json_value(value, pad: str, active: set) -> str:
+    """One value indented at `pad`; `active` holds the ids of the open containers.
+
+    No class derives from two of list/tuple, float, str, int and dict, so only
+    bool (an int) depends on the order of the tests; the rest is ordered for
+    speed.
+    """
+    if isinstance(value, (list, tuple)):
+        return _json_list(value, pad, active)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    if isinstance(value, dict):
+        return _json_dict(value, pad, active)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_list(values, pad: str, active: set) -> str:
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    try:
+        text = sep.join(map(_float_repr, values))
+    except TypeError:  # not a list of floats
+        marker = _enter(values, active)
+        text = sep.join([_json_value(v, inner, active) for v in values])
+        active.discard(marker)
+    else:
+        if "n" in text:
+            text = sep.join(map(_json_float, values))
+    return f"[\n{inner}{text}\n{pad}]"
+
+
+def _json_dict(obj: dict, pad: str, active: set) -> str:
+    if not obj:
+        return "{}"
+    marker = _enter(obj, active)
+    inner = pad + "  "
+    text = (",\n" + inner).join([f"{_json_key(k)}: {_json_value(v, inner, active)}" for k, v in sorted(obj.items())])
+    active.discard(marker)
+    return f"{{\n{inner}{text}\n{pad}}}"
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _json_float(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = _int_repr(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _json_string(text)
+
+
+def _enter(container, active: set) -> int:
+    marker = id(container)
+    if marker in active:
+        raise ValueError("Circular reference detected")
+    active.add(marker)
+    return marker

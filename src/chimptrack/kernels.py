@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import dump_json
 from .geometry import BoxRel
 
 PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
@@ -444,7 +445,7 @@ def save_params(params: dict[str, np.ndarray], path: str | Path) -> None:
             for name, t in sorted(params.items())
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dump_json(doc))
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles: exhaustive
 enumeration instead of the Hungarian solver, naive per-point curve sampling
 instead of envelope tricks, one-point-at-a-time bilinear loops instead of
-the batched gather, and local re-derivations of IoU and the loss
+the batched gather, the standard library's JSON encoder instead of the
+string-joining writer, and local re-derivations of IoU and the loss
 formulas instead of calls into the production code paths. The only shared
 pieces are plain data containers. These oracles are exponential and guarded
 against large inputs; they exist to check the fast implementations on small
@@ -13,6 +14,7 @@ the selfcheck.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -547,6 +549,15 @@ def naive_deformable_sample(feature: np.ndarray, ref, offsets: np.ndarray, weigh
     for r in range(offsets.shape[0]):
         out = out + weights[r] * naive_bilinear_sample(feature, ref[0] + offsets[r, 0], ref[1] + offsets[r, 1])
     return out
+
+
+def stdlib_dump_json(obj) -> str:
+    """Canonical JSON text as the standard library writes it.
+
+    dataio.dump_json must return the same text for every input and raise the
+    same exception type where this raises.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):

@@ -80,19 +80,40 @@ def test_track_empty_detections_gives_empty_csv(tmp_path):
     assert dst.read_text() == ""
 
 
+FINITE = "expected a finite number, got"
+
+
 @pytest.mark.parametrize(
-    "keys, value, where",
+    "keys, value, where, message",
     [
-        (("frames", 0, "detections", 0, "box", 0), math.nan, "$.frames[0].detections[0].box[0]"),
-        (("frames", 0, "detections", 0, "box", 2), math.inf, "$.frames[0].detections[0].box[2]"),
-        (("frames", 0, "detections", 0, "box", 3), 10**400, "$.frames[0].detections[0].box[3]"),
-        (("frames", 0, "detections", 0, "pose", 3, 1), math.nan, "$.frames[0].detections[0].pose[3][1]"),
-        (("image_size", "width"), 0, "$.image_size"),
-        (("image_size", "height"), -5, "$.image_size"),
+        (("frames", 0, "detections", 0, "box", 0), math.nan, "$.frames[0].detections[0].box[0]", f"{FINITE} nan"),
+        (("frames", 0, "detections", 0, "box", 2), math.inf, "$.frames[0].detections[0].box[2]", f"{FINITE} inf"),
+        (("frames", 0, "detections", 0, "box", 3), 10**400, "$.frames[0].detections[0].box[3]", f"{FINITE} {10**400}"),
+        (("frames", 0, "detections", 0, "pose", 3, 1), math.nan, "$.frames[0].detections[0].pose[3][1]", f"{FINITE} nan"),
+        (("image_size", "width"), 0, "$.image_size", "image size must be positive, got 0x64"),
+        (("image_size", "height"), -5, "$.image_size", "image size must be positive, got 64x-5"),
+        (("frames", 0, "detections", 0, "score"), math.inf, "$.frames[0].detections[0].score", f"{FINITE} inf"),
+        (
+            ("frames", 0, "detections", 0, "behavior_scores", 5),
+            math.nan,
+            "$.frames[0].detections[0].behavior_scores[5]",
+            f"{FINITE} nan",
+        ),
+        (("frames", 0, "detections", 0, "box", 1), True, "$.frames[0].detections[0].box[1]", "expected a number, got True"),
     ],
-    ids=["nan-box", "inf-box", "huge-int-box", "nan-pose-joint", "zero-width", "negative-height"],
+    ids=[
+        "nan-box",
+        "inf-box",
+        "huge-int-box",
+        "nan-pose-joint",
+        "zero-width",
+        "negative-height",
+        "inf-score",
+        "nan-behavior-score",
+        "bool-box",
+    ],
 )
-def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, value, where):
+def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, value, where, message):
     pose = tuple((float(k), float(k)) for k in range(16))
     record = DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9, None, pose)
     doc = dataio.write_detections("s", ImageSize(64, 64), {0: [record]})
@@ -103,8 +124,19 @@ def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, va
     src = tmp_path / "dets.json"
     src.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
     assert main(["track", str(src), "--out", str(tmp_path / "out.csv")]) == 2
-    assert f"input error: {where}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {where}: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_evaluate_rejects_non_finite_annotation_pose_joint_with_path(tmp_path, capsys):
+    out = make_scene(tmp_path)
+    gt = out / "annotations.json"
+    doc = json.loads(gt.read_text())
+    doc["frames"][0]["instances"][0]["pose"][3][0] = math.nan
+    gt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(out / "detections_noisy.json"), "--task", "pose"]) == 2
+    assert capsys.readouterr().err == f"input error: $.frames[0].instances[0].pose[3][0]: {FINITE} nan\n"
 
 
 @pytest.mark.parametrize("frame", [-1, -10])

@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from chimptrack import dataio
+from chimptrack import cli, dataio, oracles
 from chimptrack.dataio import (
     BEHAVIOR_CATEGORIES,
     BEHAVIOR_COUNT,
@@ -22,6 +24,8 @@ from chimptrack.dataio import (
     write_mot_csv,
 )
 from chimptrack.geometry import BoxXYXY, ImageSize
+from chimptrack.kernels import ModelDims, init_params, save_params
+from chimptrack.rng import Xoshiro256
 
 
 def sample_sequence() -> SequenceAnnotation:
@@ -205,6 +209,31 @@ def test_parse_detections_validates_scores():
         parse_detections(doc)
 
 
+def test_integer_numbers_parse_to_the_same_floats():
+    frames = {0: [DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 1.0, (0.0, 1.0) * 11 + (0.0,), ((3.0, 4.0),) * 16)]}
+    doc = write_detections("s", ImageSize(64, 64), frames)
+    det = doc["frames"][0]["detections"][0]
+    det["box"] = [1, 2, 30, 40]
+    det["score"] = 1
+    det["behavior_scores"] = [0, 1] * 11 + [0]
+    det["pose"] = [[3, 4]] * 16
+    parsed = parse_detections(doc)[2]
+    assert parsed == frames
+    record = parsed[0][0]
+    numbers = [*record.box, record.score, *record.behavior_scores, *(c for joint in record.pose for c in joint)]
+    assert all(type(v) is float for v in numbers)
+
+    seq = sample_sequence()
+    ann = write_annotations(seq)
+    inst = ann["frames"][0]["instances"][0]
+    inst["box"] = [int(v) for v in inst["box"]]
+    inst["pose"] = [[int(x), int(y), v] for x, y, v in inst["pose"]]
+    parsed_seq = parse_annotations(ann)
+    assert parsed_seq == seq
+    assert all(type(v) is float for v in parsed_seq.frames[0][0].box)
+    assert all(type(x) is float and type(y) is float for x, y, _ in parsed_seq.frames[0][0].pose)
+
+
 def test_parse_detections_requires_increasing_frames():
     doc = write_detections("s", ImageSize(10, 10), sample_detections())
     doc["frames"] = list(reversed(doc["frames"]))
@@ -265,3 +294,212 @@ def test_dump_json_is_canonical():
     text = dataio.dump_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert json.loads(text) == {"a": [2, 3], "b": 1}
+
+
+def _assert_same_text(doc):
+    text = dataio.dump_json(doc)
+    assert text == oracles.stdlib_dump_json(doc)
+    return text
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """Every document the CLI passes to dump_json, in call order."""
+    docs = []
+
+    def record(obj):
+        docs.append(obj)
+        return dataio.dump_json(obj)
+
+    monkeypatch.setattr(cli, "dump_json", record)
+    return docs
+
+
+def test_dump_json_matches_stdlib_on_bench_scale_synth_documents(tmp_path, dumped):
+    noise = ["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0", "--kp-jitter", "1.0"]
+    out = tmp_path / "scene"
+    assert cli.main(["synth", "--seed", "9", "--agents", "8", "--frames", "250", *noise, "--out", str(out)]) == 0
+    assert len(dumped) == 3
+    for name, doc in zip(("annotations", "detections_clean", "detections_noisy"), dumped):
+        assert (out / f"{name}.json").read_text() == _assert_same_text(doc)
+
+
+def test_dump_json_matches_stdlib_on_forward_detections_with_numpy_floats(tmp_path, dumped):
+    clip = tmp_path / "clip.npy"
+    np.save(clip, np.random.default_rng(5).normal(size=(9, 64, 64, 3)))
+    out = tmp_path / "clip.json"
+    assert cli.main(["forward", str(clip), "--cls-thresh", "0", "--out", str(out)]) == 0
+    (doc,) = dumped
+    det = doc["frames"][0]["detections"][0]
+    leaves = [det["score"], *det["box"], *det["behavior_scores"]]
+    assert any(type(v) is np.float64 for v in leaves)
+    text = out.read_text()
+    assert text == _assert_same_text(doc)
+    assert "np." not in text
+
+
+def test_dump_json_matches_stdlib_on_sidecars_and_params(tmp_path, dumped):
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--seed", "3", "--agents", "3", "--frames", "30", "--out", str(scene)]) == 0
+    gt, dets = scene / "annotations.json", scene / "detections_noisy.json"
+    assert cli.main(["track", str(dets), "--out", str(tmp_path / "pred.csv")]) == 0
+    del dumped[:]
+    for task, pred in (("tracking", tmp_path / "pred.csv"), ("behavior", dets), ("detection", dets)):
+        out = tmp_path / f"{task}.metrics.json"
+        assert cli.main(["evaluate", "--task", task, "--gt", str(gt), "--pred", str(pred), "--out", str(out)]) == 0
+        assert out.read_text() == _assert_same_text(dumped[-1])
+    assert "null" in (tmp_path / "tracking.metrics.json").read_text()
+
+    params = tmp_path / "params.json"
+    save_params(init_params(ModelDims(), 3), params)
+    text = params.read_text()
+    assert text == oracles.stdlib_dump_json(json.loads(text))
+
+
+EDGE_DOCUMENTS = [
+    [math.nan, math.inf, -math.inf],
+    [1.5, math.nan, 2.5],
+    {"x": math.inf, "y": [0.0, -math.inf]},
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308, 1e16, 1e-7, 0.1],
+    [10**30, -(10**30), 2**64, 0, -1],
+    [True, False, None, 1, 1.0],
+    [1.0, 2.0, True],
+    (1.0, (2.0, 3.0), ()),
+    [],
+    {},
+    [[], {}, [[]], {"a": {}}, [{}]],
+    "top-level string",
+    1.25,
+    7,
+    None,
+    {"caf\u00e9": "\u00fcber \u4e2d \U0001f600", "ctl": "\x00\x1f\x7f\n\t\"\\/\u2028"},
+    {1: "a", 2.5: "b", 10: "c", -3: "d"},
+    {True: 1, False: 2, 5: 3},
+    {None: "n"},
+    {math.nan: 1, math.inf: 2, -0.0: 3},
+    {"b": [1.0, 2.0], "a": {"d": None, "c": [3, "s", 4.5]}},
+    {"score": np.float64(0.25), "mixed": [np.float64(1.5), 2, None], "nan": np.float64("nan")},
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS, ids=[str(i) for i in range(len(EDGE_DOCUMENTS))])
+def test_dump_json_matches_stdlib_on_edge_cases(doc):
+    _assert_same_text(doc)
+
+
+_CHARS = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u4e2d", "\U0001f600", "\u2028"]
+_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1e16, 0.1]
+
+
+def _random_float(rng: Xoshiro256) -> float:
+    if rng.randint(5) == 0:
+        return _FLOATS[rng.randint(len(_FLOATS))]
+    return rng.gauss() * 10.0 ** (rng.randint(41) - 20)
+
+
+def _random_scalar(rng: Xoshiro256):
+    kind = rng.randint(6)
+    if kind == 0:
+        return _random_float(rng)
+    if kind == 1:
+        return rng.randint(2001) - 1000 if rng.randint(4) else (rng.randint(3) - 1) * 10 ** rng.randint(40)
+    if kind == 2:
+        return [True, False, None][rng.randint(3)]
+    return "".join(_CHARS[rng.randint(len(_CHARS))] for _ in range(rng.randint(6)))
+
+
+def _random_key(rng: Xoshiro256, kind: int):
+    if kind == 0:
+        return rng.randint(3001) - 1500
+    if kind == 1:
+        return _random_float(rng)
+    return "".join(_CHARS[rng.randint(len(_CHARS))] for _ in range(rng.randint(4)))
+
+
+def _random_document(rng: Xoshiro256, depth: int = 0):
+    kind = rng.randint(5) if depth < 4 else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # a leaf list of floats, the writer's fast path
+        return [_random_float(rng) for _ in range(rng.randint(8))]
+    if kind == 2:
+        items = [_random_document(rng, depth + 1) for _ in range(rng.randint(5))]
+        return tuple(items) if rng.randint(4) == 0 else items
+    key_kind = rng.randint(6)  # mostly str keys; one key type per dict keeps the keys sortable
+    return {_random_key(rng, key_kind): _random_document(rng, depth + 1) for _ in range(rng.randint(5))}
+
+
+def test_dump_json_matches_stdlib_on_random_documents():
+    rng = Xoshiro256(2024)
+    for _ in range(400):
+        _assert_same_text(_random_document(rng))
+
+
+def _cycle_list():
+    items = [1.0]
+    items.append(items)
+    return items
+
+
+def _cycle_dict():
+    doc = {"a": [1.0]}
+    doc["b"] = {"c": doc}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        np.int64(3),
+        {"n": np.int64(3)},
+        [1.0, 2.0, np.float32(1.0)],
+        [1.0, np.bool_(True)],
+        {1, 2},
+        {"s": frozenset()},
+        {1: 0, "a": 0},
+        {None: 0, True: 1},
+        {(1, 2): 0},
+        {"a": [1.0, object()]},
+        {"b": b"bytes"},
+        [complex(1, 2)],
+        {"x": np.array([1.0])},
+        _cycle_list(),
+        _cycle_dict(),
+    ],
+    ids=[
+        "int64",
+        "int64-value",
+        "float32-in-float-list",
+        "numpy-bool",
+        "set",
+        "frozenset-value",
+        "mixed-key-types",
+        "none-and-bool-keys",
+        "tuple-key",
+        "object-in-list",
+        "bytes",
+        "complex",
+        "ndarray",
+        "circular-list",
+        "circular-dict",
+    ],
+)
+def test_dump_json_raises_where_stdlib_raises(doc):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        oracles.stdlib_dump_json(doc)
+    with pytest.raises(expected.type) as got:
+        dataio.dump_json(doc)
+    assert got.type is expected.type
+    assert str(got.value) == str(expected.value)
+
+
+def test_dump_json_does_not_run_the_stdlib_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib indent encoder ran")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)  # from Python 3.13 the C encoder can indent
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    doc = {"b": [0.5, 2.0], "a": None}
+    with pytest.raises(AssertionError):
+        oracles.stdlib_dump_json(doc)
+    assert dataio.dump_json(doc) == '{\n  "a": null,\n  "b": [\n    0.5,\n    2.0\n  ]\n}\n'
