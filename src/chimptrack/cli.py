@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, kernels, oracles, report, synth
+from . import dataio, kernels, report, synth
 from .dataio import AnnotationError, DetectionRecord, TrackedBox, dump_json
 from .geometry import ImageSize, rel_to_abs
 from .rng import Xoshiro256
@@ -239,28 +239,16 @@ def _cmd_forward(args) -> int:
         params = kernels.load_params(Path(args.params))
     else:
         params = kernels.init_params(dims, args.seed)
-    kernels.validate_params(params, dims)
 
-    if video.ndim != 4 or video.shape[3] != 3:
-        raise ValueError(f"video must be (frames, height, width, 3), got {video.shape}")
-    n = video.shape[0]
-    if n < dims.frames:
-        raise ValueError(f"video has {n} frames; need at least {dims.frames}")
-    if video.shape[1] != dims.height or video.shape[2] != dims.width:
-        raise ValueError(
-            f"video is {video.shape[1]}x{video.shape[2]}, dims expect {dims.height}x{dims.width}"
-        )
-
+    # toy_forward validates the clip and the parameters
+    windows = kernels.emit_detections(kernels.toy_forward(video, params, dims), args.cls_thresh, args.beh_thresh)
+    del video  # the clip is the largest allocation; writing the detections does not need it
     size = ImageSize(dims.width, dims.height)
-    detections: dict[int, list[DetectionRecord]] = {}
-    for start in range(0, n - dims.frames + 1):
-        window = video[start : start + dims.frames]
-        result = kernels.toy_forward(window, params, dims)
-        dets = kernels.emit_detections(result, args.cls_thresh, args.beh_thresh)
-        # each window scores its final frame
-        detections[start + dims.frames - 1] = [
-            DetectionRecord(rel_to_abs(d.box, size), d.score, d.behavior_scores) for d in dets
-        ]
+    # each window scores its final frame
+    detections = {
+        start + dims.frames - 1: [DetectionRecord(rel_to_abs(d.box, size), d.score, d.behavior_scores) for d in dets]
+        for start, dets in enumerate(windows)
+    }
     out = Path(args.out) if args.out else Path(args.video).with_suffix(".detections.json")
     out.write_text(dump_json(dataio.write_detections(args.seq_id, size, detections)))
     total = sum(len(v) for v in detections.values())
@@ -272,6 +260,7 @@ def _cmd_forward(args) -> int:
 
 
 def _check_hungarian(rng: Xoshiro256) -> tuple[bool, str]:
+    from . import oracles
     from .assign import hungarian
 
     for trial in range(60):
@@ -286,7 +275,7 @@ def _check_hungarian(rng: Xoshiro256) -> tuple[bool, str]:
 
 
 def _check_gradients(rng: Xoshiro256) -> tuple[bool, str]:
-    from . import loss
+    from . import loss, oracles
 
     worst = 0.0
     for _ in range(20):
@@ -321,7 +310,7 @@ def _close(a: float, b: float, tol: float = 1e-9) -> bool:
 
 
 def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
-    from . import metrics
+    from . import metrics, oracles
 
     for trial in range(25):
         gt, pred = oracles.tiny_tracks(rng, max_ids=3, max_frames=6)
@@ -358,9 +347,9 @@ def _check_shapes() -> tuple[bool, str]:
     result = kernels.toy_forward(video, params, dims)
     out = result.outputs
     checks = [
-        out.boxes.shape == (dims.queries, 4),
-        out.class_conf.shape == (dims.queries,),
-        out.behavior_probs.shape == (dims.queries, dims.behavior_classes),
+        out.boxes.shape == (1, dims.queries, 4),
+        out.class_conf.shape == (1, dims.queries),
+        out.behavior_probs.shape == (1, dims.queries, dims.behavior_classes),
         bool(((out.boxes >= 0.0) & (out.boxes <= 1.0)).all()),
         bool(((out.class_conf >= 0.0) & (out.class_conf <= 1.0)).all()),
         bool(((out.behavior_probs >= 0.0) & (out.behavior_probs <= 1.0)).all()),

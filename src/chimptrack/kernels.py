@@ -12,10 +12,22 @@ accuracy, are the contract.
 All arithmetic is float64 numpy, so identical inputs give bit-identical
 outputs across runs and processes.
 
-Sampling is batched: bilinear_sample takes points of any shape (...) and
-returns (..., C), and deformable_sample takes references (..., 2), so
-toy_forward samples all Q queries of a scale in one call. The summation order
-is the contract: corners, reference points and scales are added one at a time
+toy_forward runs every stride-1 window of a clip, WINDOW_BLOCK windows at a
+time. A window of F frames reads the F/2 frame pairs (s, s+1), (s+2, s+3),
+...; pairs overlap between windows, so each block computes every distinct
+pair's patch tokens and four stage maps once, and each window gathers its
+pairs from them. The stages after that take a leading window axis: the
+temporal merge, channel maps, flattening, query selection, deformable
+sampling and heads run once per block for all its windows. Batching changes
+no bits: numpy's stacked matmul makes the same 2-D BLAS call per slice as an
+unbatched one, and every other step is elementwise or adds its terms in a
+fixed order. chimptrack.oracles keeps the one-window-at-a-time loop as the
+reference.
+
+Sampling is batched too: bilinear_sample takes points of any shape (...) and
+returns (..., C), deformable_sample takes references (..., 2), and both take
+a batch of maps (B, H', W', C) with points (B, ...). The summation order is
+the contract: corners, reference points and scales are added one at a time
 in a fixed order, never by sum, einsum or matmul, so every query's features
 are bit-identical to a one-point-at-a-time loop (chimptrack.oracles keeps
 that loop as the reference).
@@ -35,6 +47,12 @@ from .geometry import BoxRel
 PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
 PATCH_VALUES = PATCH_T * PATCH_Y * PATCH_X * 3  # 96 raw values per patch
 PARAMS_FORMAT = "chimptrack-params-v1"
+# Windows per toy_forward block, fixed. On the 400-frame 64x64 clip (393
+# windows; 2 vCPUs, NumPy 2.4 with OpenBLAS) toy_forward took 0.37 / 0.32 /
+# 0.26 / 0.37 / 0.33 s for blocks of 4 / 8 / 16 / 32 / 64 windows (median of
+# 5), and the process peak after it was 83.5 / 87.7 / 95.4 MB for 8 / 16 /
+# 32 (the clip itself is 39 MB).
+WINDOW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -84,11 +102,14 @@ class ModelDims:
 
 @dataclass(frozen=True)
 class HeadOutputs:
-    """Per-query head outputs; box columns are (cx, cy, h, w) in [0, 1]."""
+    """Per-query head outputs; box columns are (cx, cy, h, w) in [0, 1].
 
-    boxes: np.ndarray        # (Q, 4)
-    class_conf: np.ndarray   # (Q,)
-    behavior_probs: np.ndarray  # (Q, K)
+    Leading axes (...) are those of the features, e.g. one per window.
+    """
+
+    boxes: np.ndarray        # (..., Q, 4)
+    class_conf: np.ndarray   # (..., Q)
+    behavior_probs: np.ndarray  # (..., Q, K)
 
 
 @dataclass(frozen=True)
@@ -101,11 +122,13 @@ class Detection:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    outputs: HeadOutputs
-    token_confidence: np.ndarray      # (N,)
-    selected_tokens: np.ndarray       # (Q,) indices into the flattened tokens
-    anchors: np.ndarray               # (Q, 4) rows (cx, cy, h, w)
-    shapes: dict[str, tuple[int, ...]]
+    """Outputs of every window of a clip; window w ends at frame w + F - 1."""
+
+    outputs: HeadOutputs              # (W, Q, ...)
+    token_confidence: np.ndarray      # (W, N)
+    selected_tokens: np.ndarray       # (W, Q) indices into the flattened tokens
+    anchors: np.ndarray               # (W, Q, 4) rows (cx, cy, h, w)
+    shapes: dict[str, tuple[int, ...]]  # intermediate shapes of one window
 
 
 def _sigmoid(x):
@@ -168,47 +191,53 @@ def temporal_merge(tokens: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     The kernel spans all T/2 steps (stride T/2), one weight vector per
     channel, so the output temporal extent is 1 and is squeezed away.
+    tokens may carry leading axes (..., T/2, H', W', ch), one per window.
     """
     tokens = np.asarray(tokens, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
-    if tokens.ndim != 4:
-        raise ValueError(f"tokens must be (T/2, H', W', ch), got {tokens.shape}")
-    if kernel.shape != (tokens.shape[0], tokens.shape[3]):
-        raise ValueError(f"temporal kernel must be (T/2, ch) = {(tokens.shape[0], tokens.shape[3])}, got {kernel.shape}")
-    return np.einsum("thwc,tc->hwc", tokens, kernel)
+    if tokens.ndim < 4:
+        raise ValueError(f"tokens must be (..., T/2, H', W', ch), got {tokens.shape}")
+    if kernel.shape != (tokens.shape[-4], tokens.shape[-1]):
+        raise ValueError(f"temporal kernel must be (T/2, ch) = {(tokens.shape[-4], tokens.shape[-1])}, got {kernel.shape}")
+    return np.einsum("...thwc,tc->...hwc", tokens, kernel)
 
 
 def channel_map(feature: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """1x1 convolution standardizing channels to the shared width."""
+    """1x1 convolution standardizing channels to the shared width.
+
+    feature is (..., H', W', ch); leading axes are windows.
+    """
     feature = np.asarray(feature, dtype=float)
     weight = np.asarray(weight, dtype=float)
-    if feature.ndim != 3:
-        raise ValueError(f"feature must be (H', W', ch), got {feature.shape}")
-    if weight.ndim != 2 or weight.shape[0] != feature.shape[2]:
-        raise ValueError(f"channel map expects (ch={feature.shape[2]}, C), got {weight.shape}")
+    if feature.ndim < 3:
+        raise ValueError(f"feature must be (..., H', W', ch), got {feature.shape}")
+    if weight.ndim != 2 or weight.shape[0] != feature.shape[-1]:
+        raise ValueError(f"channel map expects (ch={feature.shape[-1]}, C), got {weight.shape}")
     return feature @ weight
 
 
 def flatten_concat(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten per-scale maps scale-major, row-major within each scale.
 
+    Every map is (..., H', W', C) with the same leading (window) axes.
+
     Returns:
-        tokens: (N, C) stacked feature vectors.
+        tokens: (..., N, C) stacked feature vectors.
         index: (N, 3) integer rows (scale, row, col) locating each token.
     """
     if not features:
         raise ValueError("need at least one feature map")
-    channels = features[0].shape[-1]
+    lead, channels = features[0].shape[:-3], features[0].shape[-1]
     tokens = []
     index = []
     for s, f in enumerate(features):
-        if f.ndim != 3 or f.shape[2] != channels:
-            raise ValueError(f"scale {s}: expected (H', W', {channels}), got {f.shape}")
-        h, w = f.shape[:2]
-        tokens.append(f.reshape(-1, channels))
+        if f.ndim != len(lead) + 3 or f.shape[:-3] != lead or f.shape[-1] != channels:
+            raise ValueError(f"scale {s}: expected {lead} + (H', W', {channels}), got {f.shape}")
+        h, w = f.shape[-3:-1]
+        tokens.append(f.reshape(lead + (h * w, channels)))
         rows, cols = np.divmod(np.arange(h * w), w)
         index.append(np.stack([np.full(h * w, s), rows, cols], axis=1))
-    return np.concatenate(tokens, axis=0), np.concatenate(index, axis=0)
+    return np.concatenate(tokens, axis=-2), np.concatenate(index, axis=0)
 
 
 def query_select(confidence: np.ndarray, index: np.ndarray, scale_shapes, queries: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,21 +245,22 @@ def query_select(confidence: np.ndarray, index: np.ndarray, scale_shapes, querie
 
     Anchors are the selected tokens' cells: center at the cell center, height
     and width equal to one cell extent of that token's scale, all normalized.
+    confidence is (..., N), one row of N tokens per window.
 
     Returns:
-        selected: (Q,) token indices in descending-confidence order.
-        anchors: (Q, 4) rows (cx, cy, h, w).
+        selected: (..., Q) token indices in descending-confidence order.
+        anchors: (..., Q, 4) rows (cx, cy, h, w).
     """
-    confidence = np.asarray(confidence, dtype=float).reshape(-1)
-    if queries > confidence.shape[0]:
-        raise ValueError(f"cannot select {queries} queries from {confidence.shape[0]} tokens")
+    confidence = np.asarray(confidence, dtype=float)
+    if queries > confidence.shape[-1]:
+        raise ValueError(f"cannot select {queries} queries from {confidence.shape[-1]} tokens")
     if not np.isfinite(confidence).all():
         raise ValueError("token confidences must be finite")
-    order = np.argsort(-confidence, kind="stable")  # stable: equal scores keep index order
-    selected = order[:queries]
-    scale, row, col = np.asarray(index)[selected].T
-    grid_h, grid_w = np.asarray(scale_shapes)[scale].T
-    anchors = np.stack([(col + 0.5) / grid_w, (row + 0.5) / grid_h, 1.0 / grid_h, 1.0 / grid_w], axis=1)
+    order = np.argsort(-confidence, axis=-1, kind="stable")  # stable: equal scores keep index order
+    selected = order[..., :queries]
+    scale, row, col = np.moveaxis(np.asarray(index)[selected], -1, 0)
+    grid_h, grid_w = np.moveaxis(np.asarray(scale_shapes)[scale], -1, 0)
+    anchors = np.stack([(col + 0.5) / grid_w, (row + 0.5) / grid_h, 1.0 / grid_h, 1.0 / grid_w], axis=-1)
     return selected, anchors
 
 
@@ -241,9 +271,10 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
     pixel position is (x * W - 0.5, y * H - 0.5).
 
     Args:
-        feature: (H', W', C) map.
+        feature: (H', W', C) map, or a batch (B, H', W', C) of maps.
         x, y: normalized coordinates of any broadcastable shape (...); scalars
-            give shape ().
+            give shape (). With a batch of maps the points are (B, ...), and
+            points [b] sample map b.
 
     Returns:
         (..., C) samples.
@@ -254,12 +285,16 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
     it makes every point bit-identical to a one-point-at-a-time loop.
 
     Raises:
-        ValueError: if a point is NaN or infinite.
+        ValueError: if a point is NaN or infinite, or a batch of maps and its
+            points disagree.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("sampling points must be finite")
-    h, w = feature.shape[:2]
+    batched = feature.ndim == 4
+    if batched and x.shape[:1] != feature.shape[:1]:
+        raise ValueError(f"a batch of {feature.shape[0]} maps needs points (B, ...), got {x.shape}")
+    h, w = feature.shape[batched : batched + 2]
     # a point at or beyond -1 or 2 has every corner off the map, so clipping to
     # [-1, 2] changes no sample; it keeps the pixel position finite
     px = np.clip(x, -1.0, 2.0) * w - 0.5
@@ -274,11 +309,15 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
     k = np.stack([1.0 - fy, fy])[:, None] * np.stack([1.0 - fx, fx])[None, :]
     # bounds are tested on the floats, so no out-of-range value is cast
     keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w) & (k != 0.0)
-    value = feature[np.where(keep, rows, 0).astype(np.intp), np.where(keep, cols, 0).astype(np.intp)]
-    lead = keep.shape + (1,) * (feature.ndim - 2)  # broadcasts per-corner weights over channels
+    cells = (np.where(keep, rows, 0).astype(np.intp), np.where(keep, cols, 0).astype(np.intp))
+    if batched:  # map b for points [b]
+        cells = (np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1)),) + cells
+    value = feature[cells]
+    channels = feature.shape[batched + 2 :]
+    lead = keep.shape + (1,) * len(channels)  # broadcasts per-corner weights over channels
     # k >= 0, so a skipped corner adds exactly +0.0 and never reads its value
     terms = k.reshape(lead) * np.where(keep.reshape(lead), value, 0.0)
-    out = np.zeros(x.shape + feature.shape[2:], dtype=float)
+    out = np.zeros(x.shape + channels, dtype=float)
     for term in terms.reshape((4,) + out.shape):  # (dy, dx) row-major
         out = out + term
     return out
@@ -288,8 +327,9 @@ def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray,
     """Weighted bilinear samples around reference points.
 
     Args:
-        feature: (H', W', C) map.
+        feature: (H', W', C) map, or a batch (B, H', W', C) of maps.
         ref: (..., 2) normalized (x, y) reference points; (2,) is one point.
+            With a batch of maps ref is (B, ..., 2), and ref[b] samples map b.
         offsets: (R, 2) normalized offsets added to every reference.
         weights: (R,) non-negative weights summing to 1 within 1e-6.
 
@@ -313,13 +353,13 @@ def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray,
         raise ValueError("sampling weights must be non-negative")
     if abs(float(weights.sum()) - 1.0) > 1e-6:
         raise ValueError(f"sampling weights must sum to 1 within 1e-6, got {weights.sum()}")
-    per_point = (-1,) + (1,) * (ref.ndim - 1)  # offsets lead, the reference batch follows
-    x = ref[..., 0] + offsets[:, 0].reshape(per_point)
-    y = ref[..., 1] + offsets[:, 1].reshape(per_point)
-    samples = bilinear_sample(feature, x, y)  # (R, ..., C)
-    out = np.zeros(ref.shape[:-1] + feature.shape[2:], dtype=float)
+    # offsets trail the reference batch, so a batch of maps still leads
+    x = ref[..., 0, None] + offsets[:, 0]
+    y = ref[..., 1, None] + offsets[:, 1]
+    samples = bilinear_sample(feature, x, y)  # (..., R, C)
+    out = np.zeros(samples.shape[:-2] + samples.shape[-1:], dtype=float)
     for r in range(offsets.shape[0]):
-        out = out + weights[r] * samples[r]
+        out = out + weights[r] * samples[..., r, :]
     return out
 
 
@@ -335,35 +375,36 @@ def _head_layers(params: dict, head: str) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def head_forward(feats: np.ndarray, params: dict) -> HeadOutputs:
-    """Run the box / class / behavior MLP heads on per-query features.
+    """Run the box / class / behavior MLP heads on (..., Q, C) query features.
 
     All-zero head weights give the neutral outputs: every probability 0.5 and
     every box (0.5, 0.5, 0.5, 0.5).
     """
     feats = np.asarray(feats, dtype=float)
     boxes = _sigmoid(_mlp(feats, _head_layers(params, "box")))
-    cls = _sigmoid(_mlp(feats, _head_layers(params, "cls"))).reshape(-1)
+    cls = _sigmoid(_mlp(feats, _head_layers(params, "cls")))[..., 0]
     beh = _sigmoid(_mlp(feats, _head_layers(params, "beh")))
     return HeadOutputs(boxes, cls, beh)
 
 
-def emit_detections(outputs, cls_thresh: float = 0.3, beh_thresh: float = 0.3) -> list[Detection]:
+def emit_detections(outputs, cls_thresh: float = 0.3, beh_thresh: float = 0.3) -> list[list[Detection]]:
     """Keep queries at or above the class threshold; flag behaviors likewise.
 
-    Accepts HeadOutputs or a full ForwardResult.
+    Accepts a ForwardResult or HeadOutputs with a leading window axis, and
+    returns one list of detections per window, in query order.
     """
     if isinstance(outputs, ForwardResult):
         outputs = outputs.outputs
-    detections = []
-    for q in range(outputs.class_conf.shape[0]):
-        score = float(outputs.class_conf[q])
-        if score < cls_thresh:
-            continue
-        scores = outputs.behavior_probs[q]
-        active = tuple(int(k) for k in np.nonzero(scores >= beh_thresh)[0])
-        cx, cy, h, w = (float(v) for v in outputs.boxes[q])
-        detections.append(Detection(BoxRel(cx, cy, h, w), score, scores.copy(), active))
-    return detections
+    if outputs.class_conf.ndim != 2:
+        raise ValueError(f"expected (windows, queries) class scores, got {outputs.class_conf.shape}")
+    windows: list[list[Detection]] = [[] for _ in outputs.class_conf]
+    boxes, conf = outputs.boxes.tolist(), outputs.class_conf.tolist()
+    behavior = outputs.behavior_probs.copy()  # detections hold rows of this copy
+    active = behavior >= beh_thresh
+    for w, q in zip(*np.nonzero(outputs.class_conf >= cls_thresh)):  # row-major: query order per window
+        flagged = tuple(np.flatnonzero(active[w, q]).tolist())
+        windows[w].append(Detection(BoxRel(*boxes[w][q]), conf[w][q], behavior[w, q], flagged))
+    return windows
 
 
 def param_spec(dims: ModelDims) -> dict[str, tuple[int, ...]]:
@@ -418,24 +459,6 @@ def init_params(dims: ModelDims, seed: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
-def averaging_params(dims: ModelDims) -> dict[str, np.ndarray]:
-    """Uniform-averaging weights: constant inputs stay constant at every step.
-
-    Head weights are zero, so outputs sit at the neutral point (0.5).
-    """
-    params = {}
-    for name, shape in param_spec(dims).items():
-        if name.startswith(("stage_map", "stage_merge", "channel_map", "patch_proj", "temporal_kernel")):
-            params[name] = np.full(shape, 1.0 / shape[0])
-        elif name == "deform_offsets":
-            params[name] = np.zeros(shape)
-        elif name == "deform_weights":
-            params[name] = np.full(shape, 1.0 / dims.ref_points)
-        else:
-            params[name] = np.zeros(shape)
-    return params
-
-
 def save_params(params: dict[str, np.ndarray], path: str | Path) -> None:
     """Write parameters as named flat tensors in JSON; reload is bit-exact."""
     doc = {
@@ -463,50 +486,90 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def toy_forward(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardResult:
-    """Run the full toy pipeline on one clip.
+    """Run the full toy pipeline on every stride-1 window of a clip.
+
+    The clip is (T, H, W, 3) with T >= dims.frames; window w covers frames
+    w .. w + dims.frames - 1, so there are T - dims.frames + 1 windows. They
+    run WINDOW_BLOCK at a time, each block sharing its frame-pair maps (see
+    the module docstring), and every window's outputs are bit-identical to
+    running it alone. The clip and the parameters are validated once.
 
     The auxiliary token confidence shares the class head's weights, applied
     per token. Per-query features average one deformable sample per scale,
     taken at the query's anchor center.
     """
     video = np.asarray(video, dtype=float)
-    expected = (dims.frames, dims.height, dims.width, 3)
-    if video.shape != expected:
-        raise ValueError(f"video shape {video.shape} does not match dims {expected}")
+    if video.ndim != 4 or video.shape[0] < dims.frames or video.shape[1:] != (dims.height, dims.width, 3):
+        expected = (f">={dims.frames}", dims.height, dims.width, 3)
+        raise ValueError(f"video shape {video.shape} does not match dims ({', '.join(map(str, expected))})")
+    if not np.isfinite(video).all():
+        raise ValueError("video contains non-finite values")
     validate_params(params, dims)
+    windows = video.shape[0] - dims.frames + 1
+    blocks = [
+        _forward_block(video[first : first + WINDOW_BLOCK + dims.frames - 1], params, dims)
+        for first in range(0, windows, WINDOW_BLOCK)
+    ]
+    cat = np.concatenate
+    return ForwardResult(
+        HeadOutputs(
+            cat([b.outputs.boxes for b in blocks]),
+            cat([b.outputs.class_conf for b in blocks]),
+            cat([b.outputs.behavior_probs for b in blocks]),
+        ),
+        cat([b.token_confidence for b in blocks]),
+        cat([b.selected_tokens for b in blocks]),
+        cat([b.anchors for b in blocks]),
+        blocks[0].shapes,
+    )
+
+
+def _forward_block(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardResult:
+    """Every window of a validated clip at once; the intermediates die on return.
+
+    Window w reads the frame pairs (w, w+1), (w+2, w+3), ..., so the windows
+    of parity q all read the pairs of the frames from q on, which
+    patch_partition_3d splits like one long video. Both parities' pairs
+    stack along one pair axis, and only they go through the backbone.
+    """
+    windows = video.shape[0] - dims.frames + 1
+    t_half = dims.t_half
     shapes: dict[str, tuple[int, ...]] = {}
 
-    tokens4d = patch_partition_3d(video, params["patch_proj"])
-    shapes["patch_tokens"] = tokens4d.shape
+    pairs = [n + t_half - 1 for n in ((windows + 1) // 2, windows // 2) if n]  # per parity, for its last window
+    sequences = [video[q : q + 2 * n] for q, n in enumerate(pairs)]
+    pair_maps = [np.concatenate([patch_partition_3d(v, params["patch_proj"]) for v in sequences])]
+    for i in (1, 2, 3, 4):
+        weight = params["stage_map_1"] if i == 1 else params[f"stage_merge_{i}"]
+        pair_maps.append(stage_transform(pair_maps[-1], i, weight))
 
-    stage_out = stage_transform(tokens4d, 1, params["stage_map_1"])
-    stage_maps = [stage_out]
-    shapes["stage_1"] = stage_out.shape
-    for i in (2, 3, 4):
-        stage_out = stage_transform(stage_out, i, params[f"stage_merge_{i}"])
-        stage_maps.append(stage_out)
-        shapes[f"stage_{i}"] = stage_out.shape
-
+    w = np.arange(windows)
+    first = np.where(w % 2, pairs[0], 0) + w // 2  # pair row of each window's first pair
+    slots = first[:, None] + np.arange(t_half)  # (W, T/2)
+    shapes["patch_tokens"] = (t_half,) + pair_maps[0].shape[1:]
     features = []
-    for i, v in enumerate(stage_maps, start=1):
-        f = channel_map(temporal_merge(v, params[f"temporal_kernel_{i}"]), params[f"channel_map_{i}"])
+    for i in (1, 2, 3, 4):
+        stage = pair_maps[i][slots]  # (W, T/2, H', W', ch)
+        shapes[f"stage_{i}"] = stage.shape[1:]
+        f = channel_map(temporal_merge(stage, params[f"temporal_kernel_{i}"]), params[f"channel_map_{i}"])
         features.append(f)
-        shapes[f"fused_{i}"] = f.shape
+        shapes[f"fused_{i}"] = f.shape[1:]
+    del pair_maps, stage  # the backbone maps are not needed by the token MLP, the block's largest step
 
     tokens, index = flatten_concat(features)
-    shapes["tokens"] = tokens.shape
+    shapes["tokens"] = tokens.shape[1:]
 
-    confidence = _sigmoid(_mlp(tokens, _head_layers(params, "cls"))).reshape(-1)
+    confidence = _sigmoid(_mlp(tokens, _head_layers(params, "cls")))[..., 0]
     selected, anchors = query_select(confidence, index, dims.scale_shapes, dims.queries)
 
-    sampled = np.zeros((dims.queries, dims.channels), dtype=float)
-    for s, f in enumerate(features):  # scales add in order, all queries at once
-        sampled += deformable_sample(f, anchors[:, :2], params["deform_offsets"][s], params["deform_weights"][s])
+    sampled = np.zeros((windows, dims.queries, dims.channels), dtype=float)
+    for s, f in enumerate(features):  # scales add in order, all windows and queries at once
+        sampled += deformable_sample(f, anchors[..., :2], params["deform_offsets"][s], params["deform_weights"][s])
     feats = sampled / len(features)
-    shapes["query_features"] = feats.shape
+    shapes["query_features"] = feats.shape[1:]
 
     outputs = head_forward(feats, params)
-    shapes["boxes"] = outputs.boxes.shape
-    shapes["class_conf"] = outputs.class_conf.shape
-    shapes["behavior_probs"] = outputs.behavior_probs.shape
+    shapes["boxes"] = outputs.boxes.shape[1:]
+    shapes["class_conf"] = outputs.class_conf.shape[1:]
+    shapes["behavior_probs"] = outputs.behavior_probs.shape[1:]
     return ForwardResult(outputs, confidence, selected, anchors, shapes)

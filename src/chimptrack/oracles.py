@@ -10,21 +10,28 @@ pieces are plain data containers. These oracles are exponential and guarded
 against large inputs; they exist to check the fast implementations on small
 instances, not to be fast. tiny_tracks draws such instances for the tests and
 the selfcheck.
+
+Two references check batching rather than an algorithm, so they reuse the
+production steps and undo only the batching: window_forward runs the toy
+detector one window at a time, every window from its own frames, and
+scalar_track runs the tracker one track at a time with its own 7-dim Kalman
+filter. The batched code must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
+from . import assign, kernels, tracker
 from .assign import Assignment
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
-from .geometry import BoxXYXY
+from .geometry import BoxXYXY, iou_matrix
 from .loss import LossWeights
 from .metrics import ALPHA_GRID, IOU_THRESHOLDS, RECALL_POINTS, BehaviorMAP, DetectionAP
 from .rng import Xoshiro256
@@ -548,6 +555,146 @@ def naive_deformable_sample(feature: np.ndarray, ref, offsets: np.ndarray, weigh
     out = np.zeros(feature.shape[2:], dtype=float)
     for r in range(offsets.shape[0]):
         out = out + weights[r] * naive_bilinear_sample(feature, ref[0] + offsets[r, 0], ref[1] + offsets[r, 1])
+    return out
+
+
+def window_forward(video: np.ndarray, params: dict, dims: kernels.ModelDims) -> kernels.ForwardResult:
+    """kernels.toy_forward one window at a time, stacked into one result.
+
+    Each window partitions its own frames and runs every stage without a
+    window axis. Inputs are taken as valid.
+    """
+    video = np.asarray(video, dtype=float)
+    results = []
+    for start in range(video.shape[0] - dims.frames + 1):
+        stage = kernels.patch_partition_3d(video[start : start + dims.frames], params["patch_proj"])
+        shapes = {"patch_tokens": stage.shape}
+        features = []
+        for i in (1, 2, 3, 4):
+            stage = kernels.stage_transform(stage, i, params["stage_map_1"] if i == 1 else params[f"stage_merge_{i}"])
+            shapes[f"stage_{i}"] = stage.shape
+            f = kernels.channel_map(kernels.temporal_merge(stage, params[f"temporal_kernel_{i}"]), params[f"channel_map_{i}"])
+            features.append(f)
+            shapes[f"fused_{i}"] = f.shape
+        tokens, index = kernels.flatten_concat(features)
+        shapes["tokens"] = tokens.shape
+        confidence = kernels._sigmoid(kernels._mlp(tokens, kernels._head_layers(params, "cls")))[:, 0]
+        selected, anchors = kernels.query_select(confidence, index, dims.scale_shapes, dims.queries)
+        sampled = np.zeros((dims.queries, dims.channels), dtype=float)
+        for s, f in enumerate(features):
+            sampled += kernels.deformable_sample(f, anchors[:, :2], params["deform_offsets"][s], params["deform_weights"][s])
+        feats = sampled / len(features)
+        shapes["query_features"] = feats.shape
+        out = kernels.head_forward(feats, params)
+        shapes.update(boxes=out.boxes.shape, class_conf=out.class_conf.shape, behavior_probs=out.behavior_probs.shape)
+        results.append(kernels.ForwardResult(out, confidence, selected, anchors, shapes))
+    stack = np.stack
+    return kernels.ForwardResult(
+        kernels.HeadOutputs(
+            stack([r.outputs.boxes for r in results]),
+            stack([r.outputs.class_conf for r in results]),
+            stack([r.outputs.behavior_probs for r in results]),
+        ),
+        stack([r.token_confidence for r in results]),
+        stack([r.selected_tokens for r in results]),
+        stack([r.anchors for r in results]),
+        results[0].shapes,
+    )
+
+
+def _scalar_measurement(box) -> np.ndarray:
+    x1, y1, x2, y2 = box
+    w = x2 - x1
+    h = y2 - y1
+    return np.array([x1 + w / 2.0, y1 + h / 2.0, w * h, w / h])
+
+
+def _scalar_box(mean) -> BoxXYXY:
+    cx, cy, area, aspect = mean[:4]
+    w = float(np.sqrt(max(area, 1e-12) * max(aspect, 1e-12)))
+    h = float(max(area, 1e-12) / w)
+    return BoxXYXY(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
+@dataclass
+class _ScalarTrack:
+    track_id: int
+    mean: np.ndarray
+    cov: np.ndarray
+    hits: int = 1
+    misses: int = 0
+
+
+def scalar_track(frames, config: tracker.TrackerConfig = tracker.TrackerConfig()) -> list[TrackedBox]:
+    """tracker.run with one 7-dim Kalman filter per track, predicted and updated alone.
+
+    Inputs are taken as valid: nothing here checks covariances or boxes.
+    """
+    F, H, Q, R = tracker._F, tracker._H, tracker._Q, tracker._R
+    if isinstance(frames, dict):
+        frames = sorted(frames.items())
+    tracks: list[_ScalarTrack] = []
+    next_id, count, prev = 1, 0, -1
+    out: list[TrackedBox] = []
+
+    def associate(rows: list[_ScalarTrack], dets: list[DetectionRecord]):
+        if not rows or not dets:
+            return [], list(range(len(rows)))
+        ious = iou_matrix(np.array([_scalar_box(t.mean) for t in rows]), np.array([d.box for d in dets]))
+        pairs = assign.gated_match(ious, ious >= config.iou_gate)
+        return pairs, [i for i in range(len(rows)) if i not in {r for r, _ in pairs}]
+
+    def step(detections: list[DetectionRecord]) -> list[TrackedBox]:
+        nonlocal tracks, next_id, count
+        frame, count = count, count + 1
+        for t in tracks:
+            t.mean = F @ t.mean
+            cov = F @ t.cov @ F.T + Q
+            t.cov = (cov + cov.T) / 2.0
+        if config.two_stage:
+            high = [d for d in detections if d.score >= config.conf_split]
+            low = [d for d in detections if d.score < config.conf_split]
+        else:
+            high, low = list(detections), []
+        pairs, unmatched_t = associate(tracks, high)
+        updates = [(tracks[r], high[c]) for r, c in pairs]
+        unmatched_d = [i for i in range(len(high)) if i not in {c for _, c in pairs}]
+        if low and unmatched_t:
+            rest = [tracks[i] for i in unmatched_t]
+            pairs2, still_t = associate(rest, low)
+            updates += [(rest[r], low[c]) for r, c in pairs2]
+            unmatched_t = [unmatched_t[i] for i in still_t]
+        emitted = []
+        for t, det in updates:
+            innovation = _scalar_measurement(det.box) - H @ t.mean
+            gain = t.cov @ H.T @ np.linalg.inv(H @ t.cov @ H.T + R)
+            t.mean = t.mean + gain @ innovation
+            joseph = np.eye(7) - gain @ H
+            cov = joseph @ t.cov @ joseph.T + gain @ R @ gain.T
+            t.cov = (cov + cov.T) / 2.0
+            t.hits += 1
+            t.misses = 0
+            if t.hits >= config.min_hits or count <= config.min_hits:
+                emitted.append(TrackedBox(frame, t.track_id, _scalar_box(t.mean), det.score, det.behavior_scores))
+        for i in unmatched_t:
+            tracks[i].misses += 1
+        tracks = [t for t in tracks if t.misses <= config.max_misses]
+        for i in unmatched_d:
+            mean = np.zeros(7)
+            mean[:4] = _scalar_measurement(high[i].box)
+            tracks.append(_ScalarTrack(next_id, mean, tracker._P0.copy()))
+            if count <= config.min_hits:
+                emitted.append(TrackedBox(frame, next_id, _scalar_box(mean), high[i].score, high[i].behavior_scores))
+            next_id += 1
+        return sorted(emitted, key=lambda t: t.track_id)
+
+    for frame, detections in frames:
+        if frame <= prev:
+            raise ValueError(f"frame indices must be strictly increasing, got {frame} after {prev}")
+        while count < frame:
+            step([])
+        out.extend(step(detections))
+        prev = frame
     return out
 
 

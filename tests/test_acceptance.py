@@ -366,11 +366,11 @@ def test_criterion_07_forward_shape_contract():
     }
     shape_ok = all(result.shapes.get(k) == v for k, v in expect.items())
 
-    out = result.outputs
+    out = result.outputs  # one window: a leading window axis of 1
     range_ok = (
-        out.boxes.shape == (10, 4)
-        and out.class_conf.shape == (10,)
-        and out.behavior_probs.shape == (10, 23)
+        out.boxes.shape == (1, 10, 4)
+        and out.class_conf.shape == (1, 10)
+        and out.behavior_probs.shape == (1, 10, 23)
         and bool(np.all((out.boxes >= 0.0) & (out.boxes <= 1.0)))
         and bool(np.all((out.class_conf >= 0.0) & (out.class_conf <= 1.0)))
         and bool(np.all((out.behavior_probs >= 0.0) & (out.behavior_probs <= 1.0)))
@@ -388,7 +388,7 @@ def test_criterion_07_forward_shape_contract():
 
     dt = time.perf_counter() - t0
     ok = shape_ok and range_ok and mono_ok and dt < 10.0
-    _verdict(7, ok, f"head outputs (10,4)/(10,)/(10,23) in [0,1], 14 intermediate shapes pinned, top-10 selection invariant to 3 monotone transforms, {dt:.2f}s (budget 10s)")
+    _verdict(7, ok, f"head outputs (1,10,4)/(1,10)/(1,10,23) in [0,1], 14 intermediate shapes pinned, top-10 selection invariant to 3 monotone transforms, {dt:.2f}s (budget 10s)")
 
 
 def test_criterion_08_set_loss_sanity():

@@ -9,8 +9,9 @@ import pytest
 from chimptrack import dataio
 from chimptrack.cli import main
 from chimptrack.dataio import DetectionRecord
-from chimptrack.geometry import BoxXYXY, ImageSize
-from chimptrack.kernels import ModelDims, init_params, save_params
+from chimptrack.geometry import BoxRel, BoxXYXY, ImageSize, rel_to_abs
+from chimptrack.kernels import WINDOW_BLOCK, ModelDims, init_params, save_params
+from chimptrack.oracles import window_forward
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--agents", "3", "--frames", "30", "--stride", "10"]
 
@@ -333,6 +334,35 @@ def test_forward_errors_exit_2(tmp_path, capsys):
     assert main(["forward", str(good), "--dims", "bogus=3"]) == 2
     assert main(["forward", str(tmp_path / "missing.npy")]) == 2
     capsys.readouterr()
+    # one NaN or Inf in the last frame of a clip longer than one block of windows
+    for bad in (np.nan, np.inf):
+        video = np.random.default_rng(1).random((WINDOW_BLOCK + 12, 64, 64, 3))
+        video[-1, 63, 63, 0] = bad
+        clip = tmp_path / "bad.npy"
+        np.save(clip, video)
+        assert main(["forward", str(clip), "--out", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == "error: video contains non-finite values\n"
+        assert not (tmp_path / "bad.json").exists()
+
+
+def test_forward_detections_match_the_window_oracle_byte_for_byte(tmp_path, capsys):
+    # the CLI's blocked, pair-sharing forward pass against one window at a time
+    dims = ModelDims()
+    video = np.random.default_rng(8).random((WINDOW_BLOCK + dims.frames, 64, 64, 3))  # WINDOW_BLOCK + 1 windows
+    clip, out = tmp_path / "clip.npy", tmp_path / "clip.json"
+    np.save(clip, video)
+    assert main(["forward", str(clip), "--seed", "4", "--cls-thresh", "0.55", "--out", str(out)]) == 0
+    capsys.readouterr()
+    size = ImageSize(dims.width, dims.height)
+    want = window_forward(video, init_params(dims, 4), dims).outputs
+    detections = {}
+    for start, (boxes, conf, behavior) in enumerate(zip(want.boxes, want.class_conf, want.behavior_probs)):
+        detections[start + dims.frames - 1] = [
+            DetectionRecord(rel_to_abs(BoxRel(*map(float, boxes[q])), size), float(conf[q]), behavior[q])
+            for q in range(dims.queries) if conf[q] >= 0.55
+        ]
+    assert 0 < sum(map(len, detections.values())) < dims.queries * len(detections)
+    assert out.read_text() == dataio.dump_json(dataio.write_detections("forward", size, detections))
 
 
 def test_selfcheck_passes_clean(capsys):

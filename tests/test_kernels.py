@@ -5,10 +5,11 @@ import pytest
 
 from chimptrack.kernels import (
     PATCH_VALUES,
+    WINDOW_BLOCK,
     ForwardResult,
     ModelDims,
-    averaging_params,
     bilinear_sample,
+    channel_map,
     deformable_sample,
     emit_detections,
     flatten_concat,
@@ -24,7 +25,7 @@ from chimptrack.kernels import (
     toy_forward,
     validate_params,
 )
-from chimptrack.oracles import naive_bilinear_sample, naive_deformable_sample
+from chimptrack.oracles import naive_bilinear_sample, naive_deformable_sample, window_forward
 
 DIMS = ModelDims()
 
@@ -255,7 +256,7 @@ def test_far_finite_points_sample_zero_without_warnings():
 
 
 def test_zero_head_weights_are_neutral():
-    params = averaging_params(DIMS)
+    params = {name: np.zeros_like(t) if name.startswith("head_") else t for name, t in init_params(DIMS, seed=3).items()}
     feats = np.random.default_rng(3).normal(size=(5, DIMS.channels))
     out = head_forward(feats, params)
     assert np.all(out.boxes == 0.5)
@@ -316,9 +317,13 @@ def test_forward_shape_contract():
     assert np.all((out.boxes >= 0.0) & (out.boxes <= 1.0))
     assert np.all((out.class_conf >= 0.0) & (out.class_conf <= 1.0))
     assert np.all((out.behavior_probs >= 0.0) & (out.behavior_probs <= 1.0))
-    assert result.token_confidence.shape == (340,)
-    assert result.selected_tokens.shape == (10,)
-    assert result.anchors.shape == (10, 4)
+    # one window: every output carries a leading window axis of 1
+    assert out.boxes.shape == (1, 10, 4)
+    assert out.class_conf.shape == (1, 10)
+    assert out.behavior_probs.shape == (1, 10, 23)
+    assert result.token_confidence.shape == (1, 340)
+    assert result.selected_tokens.shape == (1, 10)
+    assert result.anchors.shape == (1, 10, 4)
 
 
 def test_forward_is_deterministic():
@@ -341,11 +346,88 @@ def test_emit_detections_thresholds_and_unwrapping():
     video = np.random.default_rng(17).normal(size=(8, 64, 64, 3))
     params = init_params(DIMS, seed=2)
     result = toy_forward(video, params, DIMS)
-    dets = emit_detections(result, cls_thresh=0.0)
+    [dets] = emit_detections(result, cls_thresh=0.0)  # one list per window
     assert len(dets) == 10
-    unwrapped = emit_detections(result.outputs, cls_thresh=0.0)
+    [unwrapped] = emit_detections(result.outputs, cls_thresh=0.0)
     assert [(d.box, d.score, d.behaviors) for d in unwrapped] == [(d.box, d.score, d.behaviors) for d in dets]
-    assert emit_detections(result, cls_thresh=1.1) == []
-    for det in emit_detections(result, cls_thresh=0.0, beh_thresh=0.5):
-        for k in det.behaviors:
-            assert det.behavior_scores[k] >= 0.5
+    assert emit_detections(result, cls_thresh=1.1) == [[]]
+    [dets] = emit_detections(result, cls_thresh=0.0, beh_thresh=0.5)
+    for det in dets:
+        assert det.behaviors == tuple(k for k, v in enumerate(det.behavior_scores) if v >= 0.5)
+    with pytest.raises(ValueError, match="windows, queries"):
+        emit_detections(head_forward(np.zeros((10, DIMS.channels)), params))  # no window axis
+
+
+def _same_result(got: ForwardResult, want: ForwardResult):
+    for name in ("boxes", "class_conf", "behavior_probs"):
+        _same_bits(getattr(got.outputs, name), getattr(want.outputs, name))
+    _same_bits(got.token_confidence, want.token_confidence)
+    _same_bits(got.selected_tokens, want.selected_tokens)
+    _same_bits(got.anchors, want.anchors)
+    assert got.shapes == want.shapes
+
+
+@pytest.mark.parametrize("windows", [1, WINDOW_BLOCK, WINDOW_BLOCK + 1, 2 * WINDOW_BLOCK + 3])
+def test_batched_forward_matches_window_oracle_exactly(windows):
+    # shared frame pairs, the block boundary and the stages' window axis change no bit
+    video = np.random.default_rng(windows).random((windows + DIMS.frames - 1, 64, 64, 3))
+    params = init_params(DIMS, seed=windows)
+    result = toy_forward(video, params, DIMS)
+    assert result.outputs.boxes.shape == (windows, DIMS.queries, 4)
+    _same_result(result, window_forward(video, params, DIMS))
+
+
+def test_forward_rejects_a_non_finite_value_in_any_frame():
+    params = init_params(DIMS, seed=0)
+    for bad in (np.nan, np.inf):
+        video = np.random.default_rng(9).random((WINDOW_BLOCK + DIMS.frames, 64, 64, 3))
+        video[-1, 5, 7, 2] = bad  # read only by the last window, in the second block
+        with pytest.raises(ValueError, match="non-finite"):
+            toy_forward(video, params, DIMS)
+
+
+def test_stages_with_a_window_axis_match_each_window_exactly():
+    rng = np.random.default_rng(31)
+    stage = rng.normal(size=(5, 4, 8, 8, 16))  # (windows, T/2, H', W', ch)
+    kernel = rng.normal(size=(4, 16))
+    weight = rng.normal(size=(16, 32))
+    merged = temporal_merge(stage, kernel)
+    fused = channel_map(merged, weight)
+    small = channel_map(rng.normal(size=(5, 2, 2, 16)), rng.normal(size=(16, 32)))
+    tokens, index = flatten_concat([fused, small])
+    assert tokens.shape == (5, 68, 32)
+    confidence = rng.normal(size=(5, 68))
+    confidence[:, 3] = confidence[:, 9]  # a tie in every window
+    selected, anchors = query_select(confidence, index, ((8, 8), (2, 2)), 6)
+    assert selected.shape == (5, 6) and anchors.shape == (5, 6, 4)
+    for w in range(5):
+        _same_bits(merged[w], temporal_merge(stage[w], kernel))
+        _same_bits(fused[w], channel_map(merged[w], weight))
+        one_tokens, one_index = flatten_concat([fused[w], small[w]])
+        _same_bits(tokens[w], one_tokens)
+        assert np.array_equal(index, one_index)
+        one_selected, one_anchors = query_select(confidence[w], index, ((8, 8), (2, 2)), 6)
+        _same_bits(selected[w], one_selected)
+        _same_bits(anchors[w], one_anchors)
+    with pytest.raises(ValueError, match="scale 1"):
+        flatten_concat([fused, small[:4]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_batch_of_maps_samples_each_map_exactly():
+    rng = np.random.default_rng(23)
+    cases = list(_sampling_cases(rng))
+    for feature, points in cases:
+        maps = np.stack([feature, -feature, 2.0 * feature])  # (B, H', W', C)
+        refs = points[rng.integers(len(points), size=(3, 5))]  # (B, 5, 2)
+        got = bilinear_sample(maps, refs[..., 0], refs[..., 1])
+        assert got.shape == (3, 5) + feature.shape[2:]
+        offsets = rng.normal(0.0, 0.3, size=(4, 2))
+        weights = np.full(4, 0.25)
+        sampled = deformable_sample(maps, refs, offsets, weights)
+        for b in range(3):
+            for i in range(5):
+                _same_bits(got[b, i], naive_bilinear_sample(maps[b], *refs[b, i]))
+                _same_bits(sampled[b, i], naive_deformable_sample(maps[b], refs[b, i], offsets, weights))
+    with pytest.raises(ValueError, match="batch of 3 maps"):
+        bilinear_sample(maps, refs[:2, :, 0], refs[:2, :, 1])

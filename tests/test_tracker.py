@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from chimptrack import kernels, synth
 from chimptrack.dataio import DetectionRecord
-from chimptrack.geometry import BoxXYXY, iou, iou_matrix
-from chimptrack.oracles import _brute_gated
+from chimptrack.geometry import BoxXYXY, ImageSize, iou, iou_matrix, rel_to_abs
+from chimptrack.oracles import _brute_gated, scalar_track
 from chimptrack.rng import Xoshiro256
 from chimptrack.tracker import (
-    Track,
     Tracker,
     TrackerConfig,
     box_to_measurement,
@@ -160,7 +160,7 @@ def test_association_respects_iou_gate():
     # far detection: below gate, so the old track coasts and a new one seeds
     out = tracker.step([det(300.0, 300.0)])
     assert out == []  # tentative outside the warm-up window
-    assert len(tracker.tracks) == 2
+    assert tracker.ids.tolist() == [1, 2]
     out = tracker.step([det(300.0, 300.0)])  # confirms track 2
     assert [t.track_id for t in out] == [2]
 
@@ -171,24 +171,19 @@ def test_association_takes_the_optimal_crossed_pairs():
     # pairs (total 1 - IoU about 0.04) rather than the diagonal (about 0.7);
     # a sentinel cost for the gated-out third pair would let the relative
     # tie tolerance accept the diagonal.
-    track_boxes = [
+    boxes = np.array([
         BoxXYXY(0.0, 0.0, 100.0, 100.0),
         BoxXYXY(20.0, 0.0, 120.0, 100.0),
         BoxXYXY(500.0, 500.0, 560.0, 560.0),
-    ]
-    tracks = []
-    for i, box in enumerate(track_boxes):
-        mean = np.zeros(7)
-        mean[:4] = box_to_measurement(box)
-        tracks.append(Track(i + 1, mean, np.eye(7)))
+    ])
     dets = [det(21.0, 0.0, 100.0, 100.0), det(1.0, 0.0, 100.0, 100.0), det(800.0, 800.0)]
-    ious = iou_matrix(np.array([t.box for t in tracks]), np.array([d.box for d in dets]))
+    ious = iou_matrix(boxes, np.array([d.box for d in dets]))
     gate = TrackerConfig().iou_gate
     assert gate <= ious[0, 0] < 0.7 and ious[0, 1] > 0.95
     assert ious[1, 0] > 0.95 and gate <= ious[1, 1] < 0.7
     assert (ious[2, :] < gate).all() and (ious[:, 2] < gate).all()
 
-    pairs, unmatched_t, unmatched_d = Tracker()._associate(tracks, dets)
+    pairs, unmatched_t, unmatched_d = Tracker()._associate(boxes, dets)
     assert pairs == [(0, 1), (1, 0)]
     assert unmatched_t == [2] and unmatched_d == [2]
 
@@ -214,14 +209,14 @@ def test_association_matches_brute_force_gated_matching():
         tracker.step([DetectionRecord(d.box, 0.9) for d in seeds])
         associate = tracker._associate
 
-        def checked(tracks, detections):
-            got = associate(tracks, detections)
-            ious = iou_matrix(np.array([t.box for t in tracks]), np.array([d.box for d in detections]))
+        def checked(boxes, detections):
+            got = associate(boxes, detections)
+            ious = iou_matrix(boxes, np.array([d.box for d in detections]))
             want = _brute_gated(ious, ious >= gate)
             assert got[0] == want
-            assert got[1] == [i for i in range(len(tracks)) if i not in {r for r, _ in want}]
+            assert got[1] == [i for i in range(len(boxes)) if i not in {r for r, _ in want}]
             assert got[2] == [i for i in range(len(detections)) if i not in {c for _, c in want}]
-            if tracks and detections:
+            if len(boxes) and detections:
                 calls[1 if detections[0].score >= config.conf_split else 2] += 1
             return got
 
@@ -254,3 +249,64 @@ def test_behavior_scores_pass_through():
     frames = {0: [DetectionRecord(BoxXYXY(10.0, 10.0, 50.0, 60.0), 0.9, scores)]}
     tracks = run(frames, TrackerConfig(min_hits=1))
     assert tracks[0].behavior_scores == scores
+
+
+def test_stacked_kalman_matches_one_track_at_a_time_exactly():
+    rng = np.random.default_rng(12)
+    means = np.zeros((6, 7))
+    means[:, :4] = box_to_measurement(np.array([[x, y, x + 30.0, y + 40.0] for x, y in rng.uniform(0.0, 200.0, size=(6, 2))]))
+    covs = np.stack([np.diag(rng.uniform(0.5, 20.0, size=7)) for _ in range(6)])
+    boxes = np.array([[x, y, x + 31.0, y + 39.0] for x, y in rng.uniform(0.0, 200.0, size=(6, 2))])
+    for _ in range(5):
+        pm, pc = kalman_predict(means, covs)
+        um, uc = kalman_update(pm, pc, boxes)
+        for i in range(6):
+            one_m, one_c = kalman_predict(means[i], covs[i])
+            assert one_m.tobytes() == pm[i].tobytes() and one_c.tobytes() == pc[i].tobytes()
+            one_m, one_c = kalman_update(one_m, one_c, BoxXYXY(*boxes[i]))
+            assert one_m.tobytes() == um[i].tobytes() and one_c.tobytes() == uc[i].tobytes()
+        means, covs = um, uc
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        kalman_predict(means, np.concatenate([covs, -np.eye(7)[None]]))
+    with pytest.raises(ValueError, match="degenerate"):
+        kalman_update(means[:2], covs[:2], [[0.0, 0.0, 5.0, 5.0], [3.0, 3.0, 3.0, 9.0]])
+
+
+def _box_bits(tracks):
+    return [(t.frame, t.track_id, tuple(float(v).hex() for v in t.box), t.score, t.behavior_scores) for t in tracks]
+
+
+def _readme_noise_scene():
+    scene = synth.generate(synth.SceneConfig(agents=6, frames=120), 9)
+    noise = synth.NoiseConfig(fn_rate=0.1, fp_rate=0.5, box_jitter=2.0, kp_jitter=1.0)
+    return synth.perturb_detections(scene.detections, scene.annotation.image_size, noise, 9)
+
+
+def _forward_detections():
+    dims = kernels.ModelDims()
+    video = np.random.default_rng(9).random((60, 64, 64, 3))
+    windows = kernels.emit_detections(kernels.toy_forward(video, kernels.init_params(dims, 0), dims))
+    size = ImageSize(dims.width, dims.height)
+    return {
+        start + dims.frames - 1: [DetectionRecord(rel_to_abs(d.box, size), d.score, d.behavior_scores) for d in dets]
+        for start, dets in enumerate(windows)
+    }
+
+
+@pytest.mark.parametrize("scene", ["readme-noise", "forward", "gaps"])
+@pytest.mark.parametrize("config", [
+    TrackerConfig(),
+    TrackerConfig(two_stage=True),
+    TrackerConfig(min_hits=1),
+    TrackerConfig(max_misses=2, two_stage=True, conf_split=0.6),
+], ids=["default", "two-stage", "min-hits-1", "short-memory"])
+def test_stacked_tracker_matches_scalar_oracle_exactly(scene, config):
+    if scene == "forward":
+        frames = _forward_detections()
+    else:
+        frames = _readme_noise_scene()
+        if scene == "gaps":
+            frames = {f: dets for f, dets in frames.items() if f % 9 not in (4, 5, 6)}
+    got = run(frames, config)
+    assert len(got) > 100
+    assert _box_bits(got) == _box_bits(scalar_track(frames, config))
