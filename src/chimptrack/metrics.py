@@ -11,9 +11,10 @@ overlaps(thresh) count. CLEAR's per-frame step and HOTA's per-alpha step use
 assign.gated_match, the one gated-matching rule (documented in the assign
 module).
 
-Detection AP, OKS AP and behavior mAP share one greedy matcher
-(_rank_and_match). It scores each same-frame (prediction, gt) pair once and
-runs the greedy pass of every threshold over those cached similarities.
+Detection AP, OKS AP and behavior mAP share one AP engine. Each metric call
+scores every same-frame (prediction, gt) pair once into one similarity table
+(_score_pairs), and the greedy matcher (_rank_and_match) runs area splits,
+behavior classes and thresholds as masks over that one table.
 
 Every result also carries, in fields excluded from comparison, the statistics
 needed to merge it with the results of other sequences (the merge_* functions).
@@ -395,8 +396,11 @@ def merge_hota(parts: list[HotaMetrics]) -> HotaMetrics:
     )
 
 
-def _box_area(box) -> float:
-    return max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1])
+def _area_masks(boxes: list) -> list[np.ndarray]:
+    """Masks of all instances, then the medium [32^2, 96^2) and large [96^2, inf) area splits."""
+    area = np.array([geometry.area(b) for b in boxes], dtype=float)
+    ranges = ((MEDIUM_AREA, LARGE_AREA), (LARGE_AREA, np.inf))
+    return [np.ones(area.size, dtype=bool)] + [(lo <= area) & (area < hi) for lo, hi in ranges]
 
 
 def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,38 +424,50 @@ def _ap_all_points(tp_flags: np.ndarray, n_gt: int) -> float:
     return math.fsum(np.diff(recall, prepend=0.0) * precision)
 
 
-def _box_iou_similarity(pred, gt) -> float:
-    return geometry.iou(pred[1], gt[1])
+def _score_pairs(preds: list, gts: list, similarity) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per prediction (entries (frame, ...)): its frame's gt indices in input order and their similarities.
 
-
-def _rank_and_match(preds: list, gts: list, thresholds, similarity) -> RankedMatches:
-    """Rank predictions (entries (frame, ..., score)) and match them greedily per threshold.
-
-    Confidence-descending greedy matching, run once per threshold: a pair is
-    matchable at similarity(pred, gt) >= threshold, the highest-similarity
-    unconsumed gt of the same frame wins (ties: the lowest gt index), and each
-    gt is consumed at most once. Each same-frame pair is scored once and the
-    score is shared by every threshold.
+    similarity(pred, gt) runs once for each same-frame pair and nowhere else.
     """
-    # score descending; ties by frame then insertion index, so ranking is total
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], preds[i][0], i))
-    thresholds = np.asarray(thresholds, dtype=float)
-    tp = np.zeros((thresholds.size, len(preds)), dtype=bool)
-    gt_by_frame: dict[int, list[int]] = {}
+    by_frame: dict[int, list[int]] = {}
     for j, g in enumerate(gts):
-        gt_by_frame.setdefault(g[0], []).append(j)
-    consumed = np.zeros((thresholds.size, len(gts)), dtype=bool)
+        by_frame.setdefault(g[0], []).append(j)
+    indices = {frame: np.array(js) for frame, js in by_frame.items()}  # shared by the frame's predictions
+    return [
+        (indices.get(p[0], np.zeros(0, dtype=int)), np.array([similarity(p, gts[j]) for j in by_frame.get(p[0], ())]))
+        for p in preds
+    ]
+
+
+def _rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray, thresholds) -> RankedMatches:
+    """Rank predictions (their _score_pairs rows, frames and scores) and match them greedily per threshold.
+
+    A pair is matchable at similarity >= threshold; in rank order the
+    highest-similarity unconsumed gt of the same frame with keep_gt set wins
+    (ties: the lowest gt index), and each gt is consumed at most once. Nothing
+    is rescored: splits, classes and thresholds are masks over one table.
+    """
+    # score descending; ties by frame then position, so ranking is total
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], frames[i], i))
+    thresholds = np.asarray(thresholds, dtype=float)
+    tp = np.zeros((thresholds.size, len(order)), dtype=bool)
+    consumed = np.zeros((thresholds.size, keep_gt.size), dtype=bool)
+    kept_by_frame: dict[int, tuple | None] = {}  # decided once per frame: (keep mask, kept gt indices) or None
     for rank, i in enumerate(order):
-        candidates = gt_by_frame.get(preds[i][0])
-        if not candidates:
+        gi, sims = table[i]
+        if frames[i] not in kept_by_frame:
+            kept = keep_gt[gi]
+            kept_by_frame[frames[i]] = (kept, gi[kept]) if kept.any() else None
+        if kept_by_frame[frames[i]] is None:
             continue
-        sims = np.array([similarity(preds[i], gts[j]) for j in candidates], dtype=float)
+        kept, candidates = kept_by_frame[frames[i]]
+        sims = sims[kept]
         free = ~consumed[:, candidates] & (sims >= thresholds[:, None])
         hit = free.any(axis=1)
         best = np.where(free, sims, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
-        consumed[hit, np.asarray(candidates)[best[hit]]] = True
+        consumed[hit, candidates[best[hit]]] = True
         tp[:, rank] = hit
-    return RankedMatches(np.array([preds[i][2] for i in order], dtype=float), tp, len(gts))
+    return RankedMatches(np.array([scores[i] for i in order], dtype=float), tp, int(keep_gt.sum()))
 
 
 def _merge_matches(parts: tuple[RankedMatches, ...]) -> RankedMatches:
@@ -524,14 +540,13 @@ def detection_ap(preds: list, gts: list) -> DetectionAP:
     thresholds of the final recall. With zero ground truth the overall AP is
     0; area-split APs without ground truth are NaN.
     """
-
-    def _in_range(box, lo, hi):
-        return lo <= _box_area(box) < hi
-
-    splits = [(preds, gts)]
-    for lo, hi in ((MEDIUM_AREA, LARGE_AREA), (LARGE_AREA, float("inf"))):
-        splits.append(([p for p in preds if _in_range(p[1], lo, hi)], [g for g in gts if _in_range(g[1], lo, hi)]))
-    return _ap_scores(tuple(_rank_and_match(p, g, IOU_THRESHOLDS, _box_iou_similarity) for p, g in splits))
+    table = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
+    splits = []
+    for rows, keep_gt in zip(_area_masks([p[1] for p in preds]), _area_masks([g[1] for g in gts])):
+        rows = np.flatnonzero(rows).tolist()
+        frames, scores = [preds[i][0] for i in rows], [preds[i][2] for i in rows]
+        splits.append(_rank_and_match([table[i] for i in rows], frames, scores, keep_gt, IOU_THRESHOLDS))
+    return _ap_scores(tuple(splits))
 
 
 def _scale(v: float) -> float:
@@ -552,7 +567,7 @@ def oks(pred_pose, gt_pose, gt_box, kappas=None) -> float:
     labeled = gt_pose[:, 2] > 0
     if not labeled.any():
         return float("nan")
-    s2 = _box_area(gt_box)
+    s2 = geometry.area(gt_box)
     if s2 <= 0.0:
         raise ValueError("OKS needs a ground-truth box with positive area")
     d2 = ((pred_pose - gt_pose[:, :2]) ** 2).sum(axis=1)
@@ -567,21 +582,16 @@ def keypoint_ap(preds: list, gts: list, kappas=None) -> DetectionAP:
         preds: list of (frame, pose (16, 2), score).
         gts: list of (frame, pose (16, 3), box).
 
-    Ground truths without labeled joints are dropped. Area splits filter
-    ground truth by box area; every prediction stays in (predictions carry no
-    box of their own).
+    Ground truths without labeled joints are dropped before any pair is
+    scored. Area splits mask ground truth by box area; every prediction stays
+    in (predictions carry no box of their own).
     """
     gts = [g for g in gts if np.asarray(g[1]).reshape(KEYPOINT_COUNT, 3)[:, 2].max() > 0]
-
-    def _sim(pred, gt) -> float:
-        return oks(pred[1], gt[1], gt[2], kappas)
-
-    split_gts = (
-        gts,
-        [g for g in gts if MEDIUM_AREA <= _box_area(g[2]) < LARGE_AREA],
-        [g for g in gts if _box_area(g[2]) >= LARGE_AREA],
+    table = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2], kappas))
+    frames, scores = [p[0] for p in preds], [p[2] for p in preds]
+    return _ap_scores(
+        tuple(_rank_and_match(table, frames, scores, keep, IOU_THRESHOLDS) for keep in _area_masks([g[2] for g in gts]))
     )
-    return _ap_scores(tuple(_rank_and_match(preds, g, IOU_THRESHOLDS, _sim) for g in split_gts))
 
 
 def pck(pred_poses, gt_poses, gt_boxes, delta: float = 0.05) -> PckResult:
@@ -642,29 +652,18 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
     is a true positive when it overlaps (IoU >= threshold) an unconsumed
     ground truth whose multi-hot includes the class. AP is all-point
     interpolated. Classes without ground truth are excluded from the mean and
-    from category means; an empty category is NaN. The IoU does not depend on
-    the class, so each same-frame (prediction, gt) pair is scored once and
-    shared by every class.
+    from category means; an empty category is NaN. Ground truths with an
+    empty multi-hot are dropped first; the IoU does not depend on the class,
+    so each class is a score column and a multi-hot column over one IoU table.
     """
-    ious: dict[tuple[int, int], float] = {}
-
-    def _shared_iou(pred, gt) -> float:  # entries carry indices into preds and gts
-        key = (pred[1], gt[1])
-        if key not in ious:
-            ious[key] = geometry.iou(preds[pred[1]][1], gts[gt[1]][1])
-        return ious[key]
-
-    return _behavior_scores(
-        tuple(
-            _rank_and_match(
-                [(p[0], i, float(p[2][k])) for i, p in enumerate(preds)],
-                [(g[0], j) for j, g in enumerate(gts) if g[2][k]],
-                (iou_thresh,),
-                _shared_iou,
-            )
-            for k in range(BEHAVIOR_COUNT)
-        )
-    )
+    hot = np.array([g[2] for g in gts], dtype=bool).reshape(-1, BEHAVIOR_COUNT)
+    labeled = np.flatnonzero(hot.any(axis=1))
+    gts, hot = [gts[j] for j in labeled], hot[labeled]
+    table = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
+    frames = [p[0] for p in preds]
+    scores = np.array([p[2] for p in preds], dtype=float).reshape(-1, BEHAVIOR_COUNT)
+    classes = [_rank_and_match(table, frames, s.tolist(), h, (iou_thresh,)) for s, h in zip(scores.T, hot.T)]
+    return _behavior_scores(tuple(classes))
 
 
 def _behavior_scores(classes: tuple[RankedMatches, ...]) -> BehaviorMAP:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import nan_equal, tiny_behavior_sets, tiny_detection_sets, tiny_tracks
 
+from chimptrack import geometry, metrics
 from chimptrack.dataio import TrackedBox
-from chimptrack.geometry import BoxXYXY, iou
+from chimptrack.geometry import BoxXYXY
 from chimptrack.metrics import (
     ALPHA_GRID,
     IOU_THRESHOLDS,
@@ -20,6 +21,10 @@ from chimptrack.metrics import (
     pck,
 )
 from chimptrack.oracles import (
+    _area,
+    _iou,
+    _naive_greedy,
+    _oks,
     brute_behavior_map,
     brute_clear,
     brute_detection_ap,
@@ -33,6 +38,7 @@ BOX = BoxXYXY(0.0, 0.0, 10.0, 10.0)
 # same-size box shifted so IoU is exactly 0.6 (overlap fraction 0.75)
 BOX_IOU06 = BoxXYXY(0.0, 2.5, 10.0, 12.5)
 FAR = BoxXYXY(200.0, 200.0, 210.0, 210.0)
+AP_KEYS = ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar")
 
 
 def track(frame, tid, box=BOX):
@@ -365,59 +371,89 @@ def test_behavior_map_gt_consumed_once_per_class():
 # ------------------------------------------------------- greedy AP matching
 
 
-def test_rank_and_match_scores_each_same_frame_pair_once():
-    rng = Xoshiro256(7000)
-    gt, pred = tiny_tracks(rng)
-    det_pred, det_gt = tiny_detection_sets(rng, gt, pred)
-    # tag every entry with its index so the similarity can tell the pairs apart
-    preds = [(frame, (i, box), score) for i, (frame, box, score) in enumerate(det_pred)]
-    gts = [(frame, (j, box)) for j, (frame, box) in enumerate(det_gt)]
-    calls: dict[tuple[int, int], int] = {}
+def _pair_count_case(metric: str):
+    """Inputs of one AP metric and the gts it scores.
 
-    def counting_iou(p, g):
-        key = (p[1][0], g[1][0])
-        calls[key] = calls.get(key, 0) + 1
-        return iou(p[1][1], g[1][1])
-
-    _rank_and_match(preds, gts, IOU_THRESHOLDS, counting_iou)
-    assert calls and max(calls.values()) == 1
-    assert all(preds[i][0] == gts[j][0] for i, j in calls)
-
-
-def test_behavior_map_scores_each_same_frame_pair_once(monkeypatch):
-    # the IoU does not depend on the class, so one score per (pred, gt) pair
-    # serves all 23 classes
+    Three frames each hold a small, a medium and a large gt box with two
+    jittered predictions; one prediction sits on a frame without gt. The
+    behavior gt and the pose gt at index 1 are left unscored: an empty
+    multi-hot, no labeled joint.
+    """
     rng = Xoshiro256(7100)
-    gt, pred = tiny_tracks(rng)
-    det_pred, det_gt = tiny_detection_sets(rng, gt, pred)
-    beh_pred, beh_gt = tiny_behavior_sets(rng, det_pred, det_gt)
+    gts, preds = [], []
+    for frame in range(3):
+        for side in (10.0, 40.0, 100.0):
+            x, y = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
+            gts.append((frame, BoxXYXY(x, y, x + side, y + side)))
+            for _ in range(2):
+                dx, dy = rng.gauss(0.0, 0.1 * side), rng.gauss(0.0, 0.1 * side)
+                preds.append((frame, BoxXYXY(x + dx, y + dy, x + dx + side, y + dy + side), rng.uniform(0.1, 0.99)))
+    preds.append((5, BoxXYXY(0.0, 0.0, 50.0, 50.0), 0.5))
+    assert {(_area(box) >= 32.0**2) + (_area(box) >= 96.0**2) for _, box in gts} == {0, 1, 2}
+    if metric == "detection_ap":
+        return preds, gts, gts
+    if metric == "behavior_map":
+        beh_gts = [(f, box, multihot(j % 23) if j != 1 else multihot()) for j, (f, box) in enumerate(gts)]
+        beh_preds = [(f, box, np.array([rng.random() for _ in range(23)])) for f, box, _ in preds]
+        return beh_preds, beh_gts, beh_gts[:1] + beh_gts[2:]
+
+    def grid(box):
+        side = box[2] - box[0]
+        return np.array([[box[0] + side * (j % 4 + 0.5) / 4, box[1] + side * (j // 4 + 0.5) / 4] for j in range(16)])
+
+    pose_gts = [(f, np.hstack([grid(box), np.full((16, 1), 2.0 * (j != 1))]), box) for j, (f, box) in enumerate(gts)]
+    pose_preds = [(f, grid(box), score) for f, box, score in preds]
+    return pose_preds, pose_gts, pose_gts[:1] + pose_gts[2:]
+
+
+@pytest.mark.parametrize(
+    "metric, oracle, module, similarity, keys",
+    [
+        (detection_ap, brute_detection_ap, geometry, "iou", AP_KEYS),
+        (keypoint_ap, brute_keypoint_ap, metrics, "oks", AP_KEYS),
+        (behavior_map, brute_behavior_map, geometry, "iou", ("map", "per_class")),
+    ],
+    ids=["detection_ap", "keypoint_ap", "behavior_map"],
+)
+def test_ap_metric_scores_each_same_frame_pair_once(monkeypatch, metric, oracle, module, similarity, keys):
+    # one similarity table per metric call: area splits, behavior classes and
+    # thresholds all read it, so each same-frame pair of the scored gts is
+    # scored exactly once
+    preds, gts, scored = _pair_count_case(metric.__name__)
+    real = getattr(module, similarity)
     calls = []
 
-    def counting_iou(a, b):
-        calls.append(1)
-        return iou(a, b)
+    def counting(pred, gt, *rest):
+        calls.append((id(pred), id(gt)))
+        return real(pred, gt, *rest)
 
-    monkeypatch.setattr("chimptrack.geometry.iou", counting_iou)
-    got = behavior_map(beh_pred, beh_gt)
-    labeled = [frame for frame, _, hot in beh_gt if hot.any()]
-    pairs = sum(labeled.count(frame) for frame, _, _ in beh_pred)
-    assert pairs and len(calls) == pairs
+    monkeypatch.setattr(module, similarity, counting)
+    got = metric(preds, gts)
     monkeypatch.undo()
-    want = brute_behavior_map(beh_pred, beh_gt)
-    assert all(nan_equal(a, b) for a, b in zip(got.per_class, want.per_class))
+    pairs = [(id(p[1]), id(g[1])) for p in preds for g in scored if p[0] == g[0]]
+    assert pairs and sorted(calls) == sorted(pairs)
+    want = oracle(preds, gts)
+    for key in keys:
+        assert all(map(nan_equal, np.ravel(getattr(got, key)), np.ravel(getattr(want, key)))), key
 
 
 def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
-    # pred 0 is equally similar to gts 0 and 1 and must take gt 0 at every
-    # threshold; pred 1 (ranked second) matches only the gt that pred 0 takes
-    # or only the one it leaves
-    for lone_gt, pred1_hits in ((0, False), (1, True)):
-        table = {(0, 0): 0.95, (0, 1): 0.95, (1, lone_gt): 1.0, (1, 1 - lone_gt): 0.0}
-        preds = [(0, 0, 0.9), (0, 1, 0.8)]
-        gts = [(0, 0), (0, 1)]
-        out = _rank_and_match(preds, gts, IOU_THRESHOLDS, lambda p, g: table[(p[1], g[1])])
-        assert out.tp[:, 0].all()
-        assert (out.tp[:, 1] == pred1_hits).all(), lone_gt
+    # pred 0 is equally similar to gts 0 and 1 and must take the lowest kept
+    # index at every threshold; pred 1 (ranked second) matches only the gt
+    # that pred 0 takes or only the one it leaves. With gt 0 masked out, pred 0
+    # takes gt 1 and gt 0 is never consumed, so pred 1 matches neither.
+    gi = np.array([0, 1])
+    for keep, lone_gt, pred1_hits in (
+        ((True, True), 0, False),
+        ((True, True), 1, True),
+        ((False, True), 0, False),
+        ((False, True), 1, False),
+    ):
+        table = [(gi, np.array([0.95, 0.95])), (gi, np.eye(2)[lone_gt])]
+        out = _rank_and_match(table, [0, 0], [0.9, 0.8], np.array(keep), IOU_THRESHOLDS)
+        assert out.n_gt == sum(keep)
+        assert out.tp[:, 0].all(), (keep, lone_gt)
+        assert (out.tp[:, 1] == pred1_hits).all(), (keep, lone_gt)
 
 
 # -------------------------------------------------- oracle agreement sweeps
@@ -462,15 +498,54 @@ def test_hota_agrees_with_oracle():
         assert nan_equal(got.assa, want["assa"]), seed
 
 
+def _assert_oracle_flags(matches, preds, gts, thresholds, sim, label):
+    """The rank-ordered tp flags equal oracles._naive_greedy's exactly, threshold by threshold."""
+    assert matches.tp.shape == (len(thresholds), len(preds)), label
+    for t, flags in zip(thresholds, matches.tp):
+        assert flags.tolist() == _naive_greedy(preds, gts, float(t), sim), (label, float(t))
+
+
+def _iou_sim(p, g) -> float:
+    return _iou(p[1], g[1])
+
+
+def _oks_sim(p, g) -> float:
+    return _oks(p[1], g[1], g[2], 0.08)
+
+
+def _oracle_splits(preds, gts, pred_box, gt_box):
+    """(preds, gts) of all instances, then of the medium and large area splits,
+    filtered as the oracles filter them; pred_box None keeps every prediction."""
+    splits = [(preds, gts)]
+    for lo, hi in ((32.0**2, 96.0**2), (96.0**2, math.inf)):
+        splits.append(
+            (
+                [p for p in preds if pred_box is None or lo <= _area(pred_box(p)) < hi],
+                [g for g in gts if lo <= _area(gt_box(g)) < hi],
+            )
+        )
+    return splits
+
+
 def test_detection_ap_agrees_with_oracle():
+    # tiny_tracks boxes are all small; scaled copies fill the medium and large splits
+    split_gts = np.zeros(3, dtype=int)
     for seed in range(40):
         rng = Xoshiro256(4000 + seed)
         gt, pred = tiny_tracks(rng)
         det_pred, det_gt = tiny_detection_sets(rng, gt, pred)
-        got = detection_ap(det_pred, det_gt)
-        want = brute_detection_ap(det_pred, det_gt)
-        for key in ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar"):
-            assert nan_equal(getattr(got, key), getattr(want, key)), (seed, key)
+        for scale in (1.0, 2.0, 4.0):
+            s_pred = [(f, BoxXYXY(*(scale * v for v in box)), score) for f, box, score in det_pred]
+            s_gt = [(f, BoxXYXY(*(scale * v for v in box))) for f, box in det_gt]
+            got = detection_ap(s_pred, s_gt)
+            want = brute_detection_ap(s_pred, s_gt)
+            for key in AP_KEYS:
+                assert nan_equal(getattr(got, key), getattr(want, key)), (seed, scale, key)
+            splits = _oracle_splits(s_pred, s_gt, lambda p: p[1], lambda g: g[1])
+            for split, (matches, (p_sub, g_sub)) in enumerate(zip(got.splits, splits)):
+                _assert_oracle_flags(matches, p_sub, g_sub, IOU_THRESHOLDS, _iou_sim, (seed, scale, split))
+                split_gts[split] += len(g_sub)
+    assert (split_gts > 0).all()
 
 
 def test_behavior_map_agrees_with_oracle():
@@ -486,6 +561,10 @@ def test_behavior_map_agrees_with_oracle():
             assert nan_equal(got.per_class[k], want.per_class[k]), (seed, k)
         for key in ("map_locomotion", "map_object", "map_social", "map_others"):
             assert nan_equal(getattr(got, key), getattr(want, key)), (seed, key)
+        for k, matches in enumerate(got.classes):
+            k_preds = [(p[0], p[1], float(p[2][k])) for p in beh_pred]
+            k_gts = [(g[0], g[1]) for g in beh_gt if g[2][k]]
+            _assert_oracle_flags(matches, k_preds, k_gts, (0.5,), _iou_sim, (seed, k))
 
 
 def _tiny_keypoint_sets(rng: Xoshiro256):
@@ -516,5 +595,9 @@ def test_keypoint_ap_agrees_with_oracle():
         got = keypoint_ap(preds, gts)
         want = brute_keypoint_ap(preds, gts)
         assert (got.gt_count, got.pred_count) == (want.gt_count, want.pred_count), seed
-        for key in ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar"):
+        for key in AP_KEYS:
             assert nan_equal(getattr(got, key), getattr(want, key)), (seed, key)
+        labeled = [g for g in gts if g[1][:, 2].max() > 0]
+        splits = _oracle_splits(preds, labeled, None, lambda g: g[2])
+        for split, (matches, (p_sub, g_sub)) in enumerate(zip(got.splits, splits)):
+            _assert_oracle_flags(matches, p_sub, g_sub, IOU_THRESHOLDS, _oks_sim, (seed, split))
