@@ -2,7 +2,8 @@
 
 Two layouts are used throughout: corner form ``BoxXYXY`` (x1, y1, x2, y2) in
 absolute pixels and center form ``BoxRel`` (cx, cy, h, w) normalized to the
-unit square. Note the center form orders height before width.
+unit square. Note the center form orders height before width. rel_to_abs
+maps the detector's center form onto pixel corners.
 
 Areas follow half-open semantics: area = (x2 - x1) * (y2 - y1), so boxes that
 touch only along an edge have zero intersection.
@@ -95,20 +96,6 @@ def rel_to_abs(box: BoxRel, size: ImageSize) -> BoxXYXY:
         (cy - h / 2.0) * height,
         (cx + w / 2.0) * width,
         (cy + h / 2.0) * height,
-    )
-
-
-def abs_to_rel(box, size: ImageSize) -> BoxRel:
-    """Inverse of rel_to_abs; exact round trip up to float rounding."""
-    x1, y1, x2, y2 = box
-    width, height = size
-    if width <= 0 or height <= 0:
-        raise ValueError(f"image size must be positive, got {size}")
-    return BoxRel(
-        (x1 + x2) / 2.0 / width,
-        (y1 + y2) / 2.0 / height,
-        (y2 - y1) / height,
-        (x2 - x1) / width,
     )
 
 

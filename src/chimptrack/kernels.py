@@ -31,6 +31,10 @@ the contract: corners, reference points and scales are added one at a time
 in a fixed order, never by sum, einsum or matmul, so every query's features
 are bit-identical to a one-point-at-a-time loop (chimptrack.oracles keeps
 that loop as the reference).
+
+emit_detections turns a ForwardResult into the frames of the detections
+file: window w's queries at or above the class threshold go on frame
+w + F - 1, the window's last, with their boxes in pixels.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import dump_json
-from .geometry import BoxRel
+from .dataio import DetectionRecord, dump_json
+from .geometry import BoxRel, ImageSize, rel_to_abs
 
 PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
 PATCH_VALUES = PATCH_T * PATCH_Y * PATCH_X * 3  # 96 raw values per patch
@@ -57,7 +61,10 @@ WINDOW_BLOCK = 16
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Static shape configuration; defaults are the desk-scale contract."""
+    """Static shape configuration; defaults are the desk-scale contract.
+
+    The backbone has four stages, and so four scales, at any dims.
+    """
 
     frames: int = 8
     height: int = 64
@@ -68,15 +75,12 @@ class ModelDims:
     queries: int = 10
     behavior_classes: int = 23
     ref_points: int = 4
-    stages: int = 4
 
     def __post_init__(self):
         if self.frames < 2 or self.frames % 2 != 0:
             raise ValueError(f"frames must be even and >= 2, got {self.frames}")
         if self.height % 32 != 0 or self.width % 32 != 0 or self.height <= 0 or self.width <= 0:
             raise ValueError(f"height and width must be positive multiples of 32, got {self.height}x{self.width}")
-        if self.stages != 4:
-            raise ValueError(f"the pipeline is fixed at 4 stages, got {self.stages}")
         for name in ("c_in", "merge_dim", "channels", "queries", "behavior_classes", "ref_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -89,11 +93,11 @@ class ModelDims:
 
     @property
     def stage_channels(self) -> tuple[int, ...]:
-        return tuple(self.merge_dim * 2**i for i in range(self.stages))
+        return tuple(self.merge_dim * 2**i for i in range(4))
 
     @property
     def scale_shapes(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.height // (4 * 2**i), self.width // (4 * 2**i)) for i in range(self.stages))
+        return tuple((self.height // (4 * 2**i), self.width // (4 * 2**i)) for i in range(4))
 
     @property
     def token_count(self) -> int:
@@ -110,14 +114,6 @@ class HeadOutputs:
     boxes: np.ndarray        # (..., Q, 4)
     class_conf: np.ndarray   # (..., Q)
     behavior_probs: np.ndarray  # (..., Q, K)
-
-
-@dataclass(frozen=True)
-class Detection:
-    box: BoxRel
-    score: float
-    behavior_scores: np.ndarray       # (K,) sigmoid scores
-    behaviors: tuple[int, ...]        # indices at or above the behavior threshold
 
 
 @dataclass(frozen=True)
@@ -387,24 +383,23 @@ def head_forward(feats: np.ndarray, params: dict) -> HeadOutputs:
     return HeadOutputs(boxes, cls, beh)
 
 
-def emit_detections(outputs, cls_thresh: float = 0.3, beh_thresh: float = 0.3) -> list[list[Detection]]:
-    """Keep queries at or above the class threshold; flag behaviors likewise.
+def emit_detections(result: ForwardResult, dims: ModelDims, cls_thresh: float) -> dict[int, list[DetectionRecord]]:
+    """The frames of the detections file: each window's queries at or above cls_thresh.
 
-    Accepts a ForwardResult or HeadOutputs with a leading window axis, and
-    returns one list of detections per window, in query order.
+    Window w scores its last frame, w + dims.frames - 1, and every window has
+    a frame, empty when no query passes. Queries keep their order; boxes go to
+    pixel corners of the dims.width x dims.height image through rel_to_abs.
     """
-    if isinstance(outputs, ForwardResult):
-        outputs = outputs.outputs
-    if outputs.class_conf.ndim != 2:
-        raise ValueError(f"expected (windows, queries) class scores, got {outputs.class_conf.shape}")
-    windows: list[list[Detection]] = [[] for _ in outputs.class_conf]
-    boxes, conf = outputs.boxes.tolist(), outputs.class_conf.tolist()
-    behavior = outputs.behavior_probs.copy()  # detections hold rows of this copy
-    active = behavior >= beh_thresh
-    for w, q in zip(*np.nonzero(outputs.class_conf >= cls_thresh)):  # row-major: query order per window
-        flagged = tuple(np.flatnonzero(active[w, q]).tolist())
-        windows[w].append(Detection(BoxRel(*boxes[w][q]), conf[w][q], behavior[w, q], flagged))
-    return windows
+    out = result.outputs
+    size = ImageSize(dims.width, dims.height)
+    first = dims.frames - 1
+    frames: dict[int, list[DetectionRecord]] = {first + w: [] for w in range(len(out.class_conf))}
+    w, q = np.nonzero(out.class_conf >= cls_thresh)  # row-major: query order per window
+    # behavior scores stay rows of one (kept, K) array until the file is written
+    kept = zip(w.tolist(), out.boxes[w, q].tolist(), out.class_conf[w, q].tolist(), out.behavior_probs[w, q])
+    for window, box, score, behavior in kept:
+        frames[first + window].append(DetectionRecord(rel_to_abs(BoxRel(*box), size), score, behavior))
+    return frames
 
 
 def param_spec(dims: ModelDims) -> dict[str, tuple[int, ...]]:
@@ -417,8 +412,8 @@ def param_spec(dims: ModelDims) -> dict[str, tuple[int, ...]]:
     for i in (1, 2, 3, 4):
         spec[f"temporal_kernel_{i}"] = (dims.t_half, chans[i - 1])
         spec[f"channel_map_{i}"] = (chans[i - 1], dims.channels)
-    spec["deform_offsets"] = (dims.stages, dims.ref_points, 2)
-    spec["deform_weights"] = (dims.stages, dims.ref_points)
+    spec["deform_offsets"] = (4, dims.ref_points, 2)
+    spec["deform_weights"] = (4, dims.ref_points)
     heads = {"box": 4, "cls": 1, "beh": dims.behavior_classes}
     for head, out in heads.items():
         spec[f"head_{head}_w1"] = (dims.channels, dims.channels)
@@ -453,8 +448,8 @@ def init_params(dims: ModelDims, seed: int = 0) -> dict[str, np.ndarray]:
     for name, shape in param_spec(dims).items():
         params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
     # offsets stay small; weights become a convex combination per scale
-    params["deform_offsets"] = rng.normal(0.0, 0.02, size=(dims.stages, dims.ref_points, 2))
-    raw = np.abs(rng.normal(1.0, 0.25, size=(dims.stages, dims.ref_points))) + 1e-3
+    params["deform_offsets"] = rng.normal(0.0, 0.02, size=(4, dims.ref_points, 2))
+    raw = np.abs(rng.normal(1.0, 0.25, size=(4, dims.ref_points))) + 1e-3
     params["deform_weights"] = raw / raw.sum(axis=1, keepdims=True)
     return params
 

@@ -16,6 +16,9 @@ scores every same-frame (prediction, gt) pair once into one similarity table
 (_score_pairs), and the greedy matcher (_rank_and_match) runs area splits,
 behavior classes and thresholds as masks over that one table.
 
+IDF1 and behavior mAP match at IoU >= MATCH_IOU (0.5), where CLEAR gates by
+default; OKS uses one kappa, KAPPA, for every joint.
+
 Every result also carries, in fields excluded from comparison, the statistics
 needed to merge it with the results of other sequences (the merge_* functions).
 The merge equals one evaluation of the sequences' concatenation with frames and
@@ -37,9 +40,10 @@ from .geometry import iou_matrix
 ALPHA_GRID = np.linspace(0.05, 0.95, 19)
 IOU_THRESHOLDS = np.linspace(0.5, 0.95, 10)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+MATCH_IOU = 0.5  # CLEAR's default gate, IDF1's overlap and behavior mAP's match threshold
 MEDIUM_AREA = 32.0**2
 LARGE_AREA = 96.0**2
-DEFAULT_KAPPA = 0.08
+KAPPA = 0.08
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _
 def clear_metrics(
     gt: list[TrackedBox],
     pred: list[TrackedBox],
-    iou_thresh: float = 0.5,
+    iou_thresh: float = MATCH_IOU,
     motp_mode: str = "iou",
 ) -> ClearMetrics:
     """CLEAR multi-object tracking scores.
@@ -284,14 +288,14 @@ def merge_clear(parts: list[ClearMetrics], motp_mode: str = "iou") -> ClearMetri
     )
 
 
-def idf1(gt: list[TrackedBox], pred: list[TrackedBox], iou_thresh: float = 0.5) -> Idf1Metrics:
+def idf1(gt: list[TrackedBox], pred: list[TrackedBox]) -> Idf1Metrics:
     """Identity F1: optimal global bijection between gt and predicted identities.
 
     The benefit between a gt identity and a predicted identity is the number
-    of frames where both exist and overlap at IoU >= threshold; IDTP is the
+    of frames where both exist and overlap at IoU >= MATCH_IOU; IDTP is the
     maximum total benefit over bijections.
     """
-    overlap = _pair_frames(gt, pred, "IDF1").overlaps(iou_thresh)
+    overlap = _pair_frames(gt, pred, "IDF1").overlaps(MATCH_IOU)
     idtp = 0
     if overlap.size:
         # a plain hungarian solve: on small scenes, where every CLEAR and HOTA
@@ -553,17 +557,15 @@ def _scale(v: float) -> float:
     return 100.0 * v if not np.isnan(v) else v
 
 
-def oks(pred_pose, gt_pose, gt_box, kappas=None) -> float:
+def oks(pred_pose, gt_pose, gt_box) -> float:
     """Object keypoint similarity averaged over labeled joints.
 
-    exp(-d^2 / (2 * s^2 * kappa_j^2)) with s^2 the gt box area; labeled means
-    visibility > 0. Returns NaN when no joint is labeled.
+    exp(-d^2 / (2 * s^2 * kappa^2)) with s^2 the gt box area and one
+    kappa = KAPPA for every joint; labeled means visibility > 0. Returns NaN
+    when no joint is labeled.
     """
     pred_pose = np.asarray(pred_pose, dtype=float).reshape(KEYPOINT_COUNT, 2)
     gt_pose = np.asarray(gt_pose, dtype=float).reshape(KEYPOINT_COUNT, 3)
-    if kappas is None:
-        kappas = np.full(KEYPOINT_COUNT, DEFAULT_KAPPA)
-    kappas = np.asarray(kappas, dtype=float).reshape(KEYPOINT_COUNT)
     labeled = gt_pose[:, 2] > 0
     if not labeled.any():
         return float("nan")
@@ -571,11 +573,11 @@ def oks(pred_pose, gt_pose, gt_box, kappas=None) -> float:
     if s2 <= 0.0:
         raise ValueError("OKS needs a ground-truth box with positive area")
     d2 = ((pred_pose - gt_pose[:, :2]) ** 2).sum(axis=1)
-    sims = np.exp(-d2 / (2.0 * s2 * kappas**2))
+    sims = np.exp(-d2 / (2.0 * s2 * KAPPA**2))
     return float(sims[labeled].mean())
 
 
-def keypoint_ap(preds: list, gts: list, kappas=None) -> DetectionAP:
+def keypoint_ap(preds: list, gts: list) -> DetectionAP:
     """OKS-thresholded AP with the detection machinery.
 
     Args:
@@ -587,7 +589,7 @@ def keypoint_ap(preds: list, gts: list, kappas=None) -> DetectionAP:
     in (predictions carry no box of their own).
     """
     gts = [g for g in gts if np.asarray(g[1]).reshape(KEYPOINT_COUNT, 3)[:, 2].max() > 0]
-    table = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2], kappas))
+    table = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2]))
     frames, scores = [p[0] for p in preds], [p[2] for p in preds]
     return _ap_scores(
         tuple(_rank_and_match(table, frames, scores, keep, IOU_THRESHOLDS) for keep in _area_masks([g[2] for g in gts]))
@@ -641,7 +643,7 @@ def merge_pck(parts: list[PckResult]) -> PckResult:
     return _pck_scores(correct, counted, parts[0].delta)
 
 
-def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP:
+def behavior_map(preds: list, gts: list) -> BehaviorMAP:
     """Frame-level multi-label behavior mAP.
 
     Args:
@@ -649,7 +651,7 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
         gts: list of (frame, box, multihot (23,)).
 
     Per class, every prediction competes with its class score; a prediction
-    is a true positive when it overlaps (IoU >= threshold) an unconsumed
+    is a true positive when it overlaps (IoU >= MATCH_IOU) an unconsumed
     ground truth whose multi-hot includes the class. AP is all-point
     interpolated. Classes without ground truth are excluded from the mean and
     from category means; an empty category is NaN. Ground truths with an
@@ -662,7 +664,7 @@ def behavior_map(preds: list, gts: list, iou_thresh: float = 0.5) -> BehaviorMAP
     table = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
     frames = [p[0] for p in preds]
     scores = np.array([p[2] for p in preds], dtype=float).reshape(-1, BEHAVIOR_COUNT)
-    classes = [_rank_and_match(table, frames, s.tolist(), h, (iou_thresh,)) for s, h in zip(scores.T, hot.T)]
+    classes = [_rank_and_match(table, frames, s.tolist(), h, (MATCH_IOU,)) for s, h in zip(scores.T, hot.T)]
     return _behavior_scores(tuple(classes))
 
 

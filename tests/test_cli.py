@@ -332,7 +332,11 @@ def test_forward_errors_exit_2(tmp_path, capsys):
     good = tmp_path / "good.npy"
     np.save(good, np.zeros((8, 64, 64, 3)))
     assert main(["forward", str(good), "--dims", "bogus=3"]) == 2
+    assert main(["forward", str(good), "--dims", "stages=4"]) == 2  # the four stages are fixed, not a field
     assert main(["forward", str(tmp_path / "missing.npy")]) == 2
+    with pytest.raises(SystemExit) as exc:  # no behavior threshold: the file holds every score
+        main(["forward", str(good), "--beh-thresh", "0.5"])
+    assert exc.value.code == 2
     capsys.readouterr()
     # one NaN or Inf in the last frame of a clip longer than one block of windows
     for bad in (np.nan, np.inf):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from chimptrack import synth
 from chimptrack.geometry import (
     BoxRel,
     BoxXYXY,
     ImageSize,
-    abs_to_rel,
     area,
     giou,
     intersection,
@@ -60,31 +60,16 @@ def test_giou_zero_enclosing_area_raises():
         giou(a, b)
 
 
-def test_rel_abs_round_trip():
-    size = ImageSize(640, 480)
-    rng = Xoshiro256(5)
-    for _ in range(200):
-        cx = rng.uniform(0.2, 0.8)
-        cy = rng.uniform(0.2, 0.8)
-        h = rng.uniform(0.05, 0.3)
-        w = rng.uniform(0.05, 0.3)
-        rel = BoxRel(cx, cy, h, w)
-        back = abs_to_rel(rel_to_abs(rel, size), size)
-        for u, v in zip(rel, back):
-            assert abs(u - v) < 1e-9
+def test_rel_to_abs_matches_hand_computed_corners():
+    # (cx, cy, h, w) = (0.5, 0.25, 0.5, 0.25) on 640x480: x spans 0.375..0.625, y 0..0.5
+    assert rel_to_abs(BoxRel(0.5, 0.25, 0.5, 0.25), ImageSize(640, 480)) == BoxXYXY(240.0, 0.0, 400.0, 240.0)
+    # boxes leaving the frame keep their corners outside it
+    assert rel_to_abs(BoxRel(0.0, 1.0, 0.5, 0.5), ImageSize(64, 32)) == BoxXYXY(-16.0, 24.0, 16.0, 40.0)
 
 
 def test_rel_to_abs_rejects_bad_image_size():
     with pytest.raises(ValueError):
         rel_to_abs(BoxRel(0.5, 0.5, 0.2, 0.2), ImageSize(0, 480))
-
-
-def test_abs_to_rel_keeps_out_of_frame_boxes_invertible():
-    size = ImageSize(100, 100)
-    rel = abs_to_rel(BoxXYXY(-10.0, 10.0, 50.0, 120.0), size)
-    back = rel_to_abs(rel, size)
-    assert back.x1 == pytest.approx(-10.0)
-    assert back.y2 == pytest.approx(120.0)
 
 
 def test_box_rel_field_order_is_height_before_width():
@@ -94,7 +79,8 @@ def test_box_rel_field_order_is_height_before_width():
     assert y2 - y1 == pytest.approx(0.2)  # height
 
 
-def test_iou_matrix_matches_scalar():
+def _same_frame_box_sets():
+    """Pairs of box stacks: random, hand-built edge cases, and README-noise scenes per frame."""
     rng = Xoshiro256(7)
     a = []
     b = []
@@ -104,11 +90,36 @@ def test_iou_matrix_matches_scalar():
     for _ in range(4):
         x, y = rng.uniform(0, 50), rng.uniform(0, 50)
         b.append(BoxXYXY(x, y, x + rng.uniform(5, 20), y + rng.uniform(5, 20)))
-    mat = iou_matrix(np.array(a), np.array(b))
-    assert mat.shape == (6, 4)
-    for i in range(6):
-        for j in range(4):
-            assert mat[i, j] == pytest.approx(iou(a[i], b[j]), abs=1e-12)
+    yield a, b
+    edge_cases = [
+        BoxXYXY(0.0, 0.0, 2.0, 2.0),
+        BoxXYXY(2.0, 0.0, 4.0, 2.0),  # touches the first along an edge
+        BoxXYXY(2.0, 2.0, 4.0, 4.0),  # touches the first at a corner
+        BoxXYXY(1.0, 1.0, 1.0, 3.0),  # zero width
+        BoxXYXY(1.0, 1.0, 1.0, 1.0),  # a point
+        BoxXYXY(3.0, 3.0, 0.5, 0.5),  # flipped
+        BoxXYXY(9.0, 9.0, 10.0, 10.0),  # disjoint from the rest
+        BoxXYXY(0.5, 0.5, 1.5, 1.5),  # inside the first
+        BoxXYXY(0.1, 0.2, 0.7, 0.3),  # inexact decimals
+    ]
+    yield edge_cases, edge_cases
+    noise = synth.NoiseConfig(fn_rate=0.1, fp_rate=0.5, box_jitter=2.0, kp_jitter=1.0)
+    for seed in (9, 271828):  # synth's clean and noisy detections, as the synth command draws them
+        scene = synth.generate(synth.SceneConfig(agents=8, frames=250), seed)
+        noisy = synth.perturb_detections(scene.detections, scene.annotation.image_size, noise, seed + 1)
+        for frame, dets in scene.detections.items():
+            yield [d.box for d in dets], [d.box for d in noisy.get(frame, [])]
+
+
+def test_iou_matrix_matches_scalar():
+    # exact: AP flags compare IoU >= threshold, so one ulp could flip a match
+    pairs = 0
+    for a, b in _same_frame_box_sets():
+        mat = iou_matrix(np.array(a), np.array(b))
+        assert mat.shape == (len(a), len(b))
+        assert [[iou(p, q) for q in b] for p in a] == mat.tolist()
+        pairs += mat.size
+    assert pairs > 30_000
 
 
 def test_iou_matrix_empty_sides():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chimptrack.geometry import BoxRel, ImageSize, rel_to_abs
 from chimptrack.kernels import (
     PATCH_VALUES,
     WINDOW_BLOCK,
@@ -42,8 +43,6 @@ def test_model_dims_validation():
         ModelDims(frames=7)
     with pytest.raises(ValueError):
         ModelDims(height=50)
-    with pytest.raises(ValueError):
-        ModelDims(stages=3)
     with pytest.raises(ValueError):
         ModelDims(queries=400)  # more queries than tokens
 
@@ -342,20 +341,31 @@ def test_forward_rejects_wrong_video_shape():
         toy_forward(np.zeros((8, 32, 64, 3)), params, DIMS)
 
 
-def test_emit_detections_thresholds_and_unwrapping():
-    video = np.random.default_rng(17).normal(size=(8, 64, 64, 3))
-    params = init_params(DIMS, seed=2)
-    result = toy_forward(video, params, DIMS)
-    [dets] = emit_detections(result, cls_thresh=0.0)  # one list per window
-    assert len(dets) == 10
-    [unwrapped] = emit_detections(result.outputs, cls_thresh=0.0)
-    assert [(d.box, d.score, d.behaviors) for d in unwrapped] == [(d.box, d.score, d.behaviors) for d in dets]
-    assert emit_detections(result, cls_thresh=1.1) == [[]]
-    [dets] = emit_detections(result, cls_thresh=0.0, beh_thresh=0.5)
-    for det in dets:
-        assert det.behaviors == tuple(k for k, v in enumerate(det.behavior_scores) if v >= 0.5)
-    with pytest.raises(ValueError, match="windows, queries"):
-        emit_detections(head_forward(np.zeros((10, DIMS.channels)), params))  # no window axis
+def test_emit_detections_frame_keys_and_class_threshold():
+    video = np.random.default_rng(17).normal(size=(DIMS.frames + 4, 64, 64, 3))  # 5 windows
+    result = toy_forward(video, init_params(DIMS, seed=2), DIMS)
+    out = result.outputs
+    # the second-lowest window maximum: the lowest window keeps no query, and
+    # the threshold's own query is kept (the gate is inclusive)
+    thresh = float(np.sort(out.class_conf.max(axis=1))[1])
+    frames = emit_detections(result, DIMS, thresh)
+    assert list(frames) == [DIMS.frames - 1 + w for w in range(5)]  # one frame per window, the window's last
+    size = ImageSize(DIMS.width, DIMS.height)
+    for w, dets in enumerate(frames.values()):
+        kept = [q for q in range(DIMS.queries) if out.class_conf[w, q] >= thresh]  # query order
+        assert [(d.box, d.score, d.behavior_scores.tolist(), d.pose) for d in dets] == [
+            (
+                rel_to_abs(BoxRel(*out.boxes[w, q].tolist()), size),
+                float(out.class_conf[w, q]),
+                out.behavior_probs[w, q].tolist(),
+                None,
+            )
+            for q in kept
+        ]
+    assert sum(not dets for dets in frames.values()) >= 1
+    assert thresh in [d.score for dets in frames.values() for d in dets]
+    assert all(len(dets) == DIMS.queries for dets in emit_detections(result, DIMS, 0.0).values())
+    assert emit_detections(result, DIMS, 1.1) == {f: [] for f in frames}
 
 
 def _same_result(got: ForwardResult, want: ForwardResult):

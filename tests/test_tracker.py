@@ -3,7 +3,7 @@ import pytest
 
 from chimptrack import kernels, synth
 from chimptrack.dataio import DetectionRecord
-from chimptrack.geometry import BoxXYXY, ImageSize, iou, iou_matrix, rel_to_abs
+from chimptrack.geometry import BoxXYXY, iou, iou_matrix
 from chimptrack.oracles import _brute_gated, scalar_track
 from chimptrack.rng import Xoshiro256
 from chimptrack.tracker import (
@@ -285,12 +285,7 @@ def _readme_noise_scene():
 def _forward_detections():
     dims = kernels.ModelDims()
     video = np.random.default_rng(9).random((60, 64, 64, 3))
-    windows = kernels.emit_detections(kernels.toy_forward(video, kernels.init_params(dims, 0), dims))
-    size = ImageSize(dims.width, dims.height)
-    return {
-        start + dims.frames - 1: [DetectionRecord(rel_to_abs(d.box, size), d.score, d.behavior_scores) for d in dets]
-        for start, dets in enumerate(windows)
-    }
+    return kernels.emit_detections(kernels.toy_forward(video, kernels.init_params(dims, 0), dims), dims, 0.3)
 
 
 @pytest.mark.parametrize("scene", ["readme-noise", "forward", "gaps"])
