@@ -12,12 +12,14 @@ inputs yield min(rows, cols) pairs. The duals screen the tie candidates: a
 pair whose reduced cost exceeds the tolerance cannot lie in any optimum, so
 only tied pairs are checked, each with one shortest-path search.
 
-Gated matchings (the tracker's association stages, CLEAR's per-frame step,
-HOTA's per-alpha step and the pose pairing of the report) share one rule,
-gated_match: among matchings of valid pairs, the most pairs, then the largest
-summed benefit, then the lexicographically smallest pair list, where a
-matched row sorts before an unmatched one. Invalid pairs play no part, so a
-frame's unique result does not depend on rows or columns it cannot use.
+Gated matchings (the tracker's association stages, CLEAR's per-frame step
+and the pose pairing of the report) share one rule, gated_match: among
+matchings of valid pairs, the most pairs, then the largest summed benefit,
+then the lexicographically smallest pair list, where a matched row sorts
+before an unmatched one. Invalid pairs play no part, so a frame's unique
+result does not depend on rows or columns it cannot use. HOTA's per-frame
+matching and IDF1's identity bijection are max-sum matchings with no gate and
+call hungarian directly.
 """
 
 from __future__ import annotations

@@ -340,6 +340,13 @@ def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
         ):
             return False, f"detection AP divergence on trial {trial}"
         both_splits += not (math.isnan(slow_ap.ap_medium) or math.isnan(slow_ap.ap_large))
+
+        # each class is a gt mask over one IoU table: a mask the matcher ignores shows here
+        beh_pred, beh_gt = oracles.tiny_behavior_sets(rng, det_pred, det_gt)
+        fast_map = metrics.behavior_map(beh_pred, beh_gt)
+        slow_map = oracles.brute_behavior_map(beh_pred, beh_gt)
+        if not all(map(_close, (fast_map.map, *fast_map.per_class), (slow_map.map, *slow_map.per_class))):
+            return False, f"behavior mAP divergence on trial {trial}"
     if not both_splits:
         return False, "no instance fills both detection area splits"
     return True, "25 instances"

@@ -6,10 +6,11 @@ which frames to feed (the CLI restricts predictions to annotated frames).
 
 CLEAR, IDF1 and HOTA read one frame table (_pair_frames): ids re-indexed
 densely in ascending order, the boxes per id, and each frame's dense indices
-and IoU matrix. IDF1's identity overlap and HOTA's pair potential are both its
-overlaps(thresh) count. CLEAR's per-frame step and HOTA's per-alpha step use
-assign.gated_match, the one gated-matching rule (documented in the assign
-module).
+and IoU matrix. IDF1's identity overlap counts its frames at IoU >= MATCH_IOU.
+CLEAR's per-frame step uses assign.gated_match, the one gated-matching rule
+(documented in the assign module). HOTA follows its published definition
+(Luiten et al. 2021): one ungated max-sum assignment per frame, solved with
+assign.hungarian, serves every alpha of the grid.
 
 Detection AP, OKS AP and behavior mAP share one AP engine. Each metric call
 scores every same-frame (prediction, gt) pair once into one similarity table
@@ -44,6 +45,7 @@ MATCH_IOU = 0.5  # CLEAR's default gate, IDF1's overlap and behavior mAP's match
 MEDIUM_AREA = 32.0**2
 LARGE_AREA = 96.0**2
 KAPPA = 0.08
+EPS = np.finfo(float).eps  # HOTA's tolerance on the potential denominator and the alpha test, as in TrackEval
 
 
 @dataclass(frozen=True)
@@ -164,15 +166,6 @@ class _FrameTable:
     gt_counts: np.ndarray  # boxes per gt id
     pred_counts: np.ndarray  # boxes per prediction id
     frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    def overlaps(self, thresh: float) -> np.ndarray:
-        """Per (gt id, prediction id): the number of frames with IoU >= thresh."""
-        out = np.zeros((self.gt_counts.size, self.pred_counts.size))
-        for gi, pi, ious in self.frames:
-            hits = ious >= thresh
-            if hits.any():
-                out[np.ix_(gi, pi)] += hits
-        return out
 
 
 def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _FrameTable:
@@ -295,12 +288,13 @@ def idf1(gt: list[TrackedBox], pred: list[TrackedBox]) -> Idf1Metrics:
     of frames where both exist and overlap at IoU >= MATCH_IOU; IDTP is the
     maximum total benefit over bijections.
     """
-    overlap = _pair_frames(gt, pred, "IDF1").overlaps(MATCH_IOU)
+    table = _pair_frames(gt, pred, "IDF1")
+    overlap = np.zeros((table.gt_counts.size, table.pred_counts.size))
+    for gi, pi, ious in table.frames:
+        overlap[np.ix_(gi, pi)] += ious >= MATCH_IOU
     idtp = 0
     if overlap.size:
-        # a plain hungarian solve: on small scenes, where every CLEAR and HOTA
-        # component can be a lone pair, it is the only one of an evaluation,
-        # and perfbench/traced.py needs one to time the assign layer
+        # a max-sum bijection over all identity pairs, with no gate: hungarian, not gated_match
         result = assign.hungarian(-overlap)
         idtp = int(round(-result.total_cost))
     return _idf1_scores(idtp, len(pred) - idtp, len(gt) - idtp)
@@ -318,44 +312,48 @@ def merge_idf1(parts: list[Idf1Metrics]) -> Idf1Metrics:
 
 
 def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
-    """Higher-order tracking accuracy over the 19-point localization grid.
+    """Higher-order tracking accuracy (Luiten et al. 2021) over the 19-point alpha grid.
 
-    Per alpha: pair potentials count frames where a gt and predicted identity
-    overlap at IoU >= alpha; the association affinity is the Jaccard ratio
-    potential / (n_gt + n_pred - potential); per-frame TPs come from the
-    gated matching restricted to pairs at IoU >= alpha with that affinity as
-    benefit. DetA = TP / (TP + FN + FP); AssA averages TPA / (TPA + FNA +
-    FPA) over TPs; HOTA_alpha = sqrt(DetA * AssA); headline numbers are means
-    over the grid, scaled to 100.
+    With S a frame's gt x prediction IoU matrix and n the boxes per id:
+    - every frame adds S / (rowsum(S) + colsum(S) - S), where that
+      denominator is > EPS, to the potential of its (gt id, prediction id)
+      pairs;
+    - the global alignment score is GAS = potential / (n_gt + n_pred - potential);
+    - every frame with gt and predictions is solved once, with
+      assign.hungarian on -GAS * S: a plain max-sum matching of
+      min(rows, cols) pairs, not the cardinality-first gated_match, with ties
+      going to the lexicographically smallest pair list;
+    - per alpha, the matched pairs with S >= alpha - EPS are the TPs.
+
+    DetA = TP / (TP + FN + FP); AssA averages TPA / (TPA + FNA + FPA) over
+    TPs, with TPA a TP's (gt id, prediction id) TP count at that alpha;
+    HOTA_alpha = sqrt(DetA * AssA); headline numbers are means over the grid,
+    scaled to 100.
     """
     table = _pair_frames(gt, pred, "HOTA")
     n_g = table.gt_counts[:, None]
     n_p = table.pred_counts[None, :]
+    frames = [(gi, pi, ious) for gi, pi, ious in table.frames if gi.size and pi.size]
+    potential = np.zeros((n_g.size, n_p.size))
+    for gi, pi, ious in frames:
+        denom = ious.sum(axis=1, keepdims=True) + ious.sum(axis=0) - ious
+        potential[np.ix_(gi, pi)] += np.divide(ious, denom, out=np.zeros_like(ious), where=denom > EPS)
+    gas = potential / (n_g + n_p - potential)
+
+    cells, sims = [np.zeros(0, dtype=int)], [np.zeros(0)]  # per matched pair: flat (gt id, pred id) cell and S
+    for gi, pi, ious in frames:
+        rows, cols = np.array(assign.hungarian(-gas[np.ix_(gi, pi)] * ious).pairs).T
+        cells.append(gi[rows] * n_p.size + pi[cols])
+        sims.append(ious[rows, cols])
+    cells, sims = np.concatenate(cells), np.concatenate(sims)
+
     tps = []
     numerators = []
-    for alpha in ALPHA_GRID:
-        potential = table.overlaps(alpha)
-        denom = n_g + n_p - potential
-        affinity = np.divide(potential, denom, out=np.zeros_like(potential), where=denom > 0)
-
-        tp = 0
-        match_counts = np.zeros_like(potential)
-        for gi, pi, ious in table.frames:
-            if gi.size == 0 or pi.size == 0:
-                continue
-            benefit = affinity[np.ix_(gi, pi)]
-            for r, c in assign.gated_match(benefit, ious >= alpha):
-                tp += 1
-                match_counts[gi[r], pi[c]] += 1.0
-
-        numerator = 0.0
-        if tp:
-            pair_denom = n_g + n_p - match_counts
-            ass_ratio = np.divide(match_counts, pair_denom, out=np.zeros_like(match_counts), where=pair_denom > 0)
-            numerator = float((match_counts * ass_ratio).sum())
-        tps.append(tp)
-        numerators.append(numerator)
-
+    for hits in sims >= ALPHA_GRID[:, None] - EPS:
+        match_counts = np.bincount(cells[hits], minlength=potential.size).reshape(potential.shape)
+        # every id has a box, so n_gt + n_pred - match_count >= 1
+        numerators.append(float((match_counts * (match_counts / (n_g + n_p - match_counts))).sum()))
+        tps.append(int(hits.sum()))
     return _hota_scores(tuple(tps), tuple(numerators), len(gt), len(pred))
 
 
@@ -388,10 +386,10 @@ def _hota_scores(tps: tuple[int, ...], numerators: tuple[float, ...], gt_total: 
 
 
 def merge_hota(parts: list[HotaMetrics]) -> HotaMetrics:
-    """HOTA over the concatenation: pair potentials, affinities and matches are
-    block-diagonal by sequence, so per alpha TP, the gt and prediction totals
-    and the AssA numerator add up. AssA and HOTA differ from the concatenation
-    only by the summation order of the numerators."""
+    """HOTA over the concatenation: pair potentials, alignment scores and
+    matches are block-diagonal by sequence, so per alpha TP, the gt and
+    prediction totals and the AssA numerator add up. AssA and HOTA differ from
+    the concatenation only by the summation order of the numerators."""
     return _hota_scores(
         tuple(sum(tp) for tp in zip(*(p.tp for p in parts))),
         tuple(sum(num) for num in zip(*(p.assa_numerator for p in parts))),

@@ -8,8 +8,8 @@ string-joining writer, and local re-derivations of IoU and the loss
 formulas instead of calls into the production code paths. The only shared
 pieces are plain data containers. These oracles are exponential and guarded
 against large inputs; they exist to check the fast implementations on small
-instances, not to be fast. tiny_tracks draws such instances for the tests and
-the selfcheck.
+instances, not to be fast. tiny_tracks and tiny_behavior_sets draw such
+instances for the tests and the selfcheck.
 
 Two references check batching rather than an algorithm, so they reuse the
 production steps and undo only the batching: window_forward runs the toy
@@ -33,7 +33,7 @@ from .assign import Assignment
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .geometry import BoxXYXY, iou_matrix
 from .loss import LossWeights
-from .metrics import ALPHA_GRID, IOU_THRESHOLDS, RECALL_POINTS, BehaviorMAP, DetectionAP
+from .metrics import ALPHA_GRID, IOU_THRESHOLDS, KAPPA, MATCH_IOU, RECALL_POINTS, BehaviorMAP, DetectionAP
 from .rng import Xoshiro256
 
 _ENUM_LIMIT = 5_000_000
@@ -127,8 +127,8 @@ def _frame_table(tracks: list[TrackedBox]) -> dict[int, list[TrackedBox]]:
     return table
 
 
-def brute_clear(gt, pred, iou_thresh: float = 0.5, motp_mode: str = "iou") -> dict:
-    """CLEAR protocol replicated with exhaustive matching; returns raw fields."""
+def brute_clear(gt, pred) -> dict:
+    """CLEAR protocol (gate MATCH_IOU, MOTP as mean IoU) replicated with exhaustive matching; returns raw fields."""
     gt_frames = _frame_table(gt)
     pred_frames = _frame_table(pred)
     gt_total = sum(len(v) for v in gt_frames.values())
@@ -144,7 +144,7 @@ def brute_clear(gt, pred, iou_thresh: float = 0.5, motp_mode: str = "iou") -> di
         for gi, g in enumerate(g_items):
             p_id = carry.get(g.track_id)
             pi = next((i for i, p in enumerate(p_items) if p.track_id == p_id), None)
-            if pi is not None and _iou(g.box, p_items[pi].box) >= iou_thresh:
+            if pi is not None and _iou(g.box, p_items[pi].box) >= MATCH_IOU:
                 pairs[g.track_id] = p_id
                 used_g.add(gi)
                 used_p.add(pi)
@@ -155,7 +155,7 @@ def brute_clear(gt, pred, iou_thresh: float = 0.5, motp_mode: str = "iou") -> di
             benefit = np.array(
                 [[_iou(g_items[i].box, p_items[j].box) for j in rest_p] for i in rest_g]
             )
-            for r, c in _brute_gated(benefit, benefit >= iou_thresh):
+            for r, c in _brute_gated(benefit, benefit >= MATCH_IOU):
                 pairs[g_items[rest_g[r]].track_id] = p_items[rest_p[c]].track_id
                 iou_sum += float(benefit[r, c])
         matched += len(pairs)
@@ -172,7 +172,7 @@ def brute_clear(gt, pred, iou_thresh: float = 0.5, motp_mode: str = "iou") -> di
     mean_iou = iou_sum / matched if matched else 0.0
     return {
         "mota": 100.0 - n_fp - n_fn - n_ids,
-        "motp": 100.0 * mean_iou if motp_mode == "iou" else 100.0 * (1.0 - mean_iou),
+        "motp": 100.0 * mean_iou,
         "n_fp": n_fp,
         "n_fn": n_fn,
         "n_ids": n_ids,
@@ -183,7 +183,7 @@ def brute_clear(gt, pred, iou_thresh: float = 0.5, motp_mode: str = "iou") -> di
     }
 
 
-def brute_idf1(gt, pred, iou_thresh: float = 0.5) -> dict:
+def brute_idf1(gt, pred) -> dict:
     gt_frames = _frame_table(gt)
     pred_frames = _frame_table(pred)
     gt_total = sum(len(v) for v in gt_frames.values())
@@ -194,7 +194,7 @@ def brute_idf1(gt, pred, iou_thresh: float = 0.5) -> dict:
     for frame in set(gt_frames) & set(pred_frames):
         for g in gt_frames[frame]:
             for p in pred_frames[frame]:
-                if _iou(g.box, p.box) >= iou_thresh:
+                if _iou(g.box, p.box) >= MATCH_IOU:
                     overlap[gt_ids.index(g.track_id), pred_ids.index(p.track_id)] += 1.0
     idtp = 0
     if overlap.size:
@@ -208,6 +208,14 @@ def brute_idf1(gt, pred, iou_thresh: float = 0.5) -> dict:
 
 
 def brute_hota(gt, pred) -> dict:
+    """HOTA from its published definition (see metrics.hota), with dicts and loops.
+
+    Each frame with gt and predictions is matched once by brute_assignment on
+    -GAS * S. Its tie rule, the lexicographically smallest pair list among
+    totals within 1e-9 (relative) of the optimum, is hungarian's and ours:
+    the published metric leaves ties to its solver.
+    """
+    eps = np.finfo(float).eps
     gt_frames = _frame_table(gt)
     pred_frames = _frame_table(pred)
     gt_total = sum(len(v) for v in gt_frames.values())
@@ -216,46 +224,39 @@ def brute_hota(gt, pred) -> dict:
     pred_ids = sorted({t.track_id for t in pred})
     n_g = {g: sum(1 for v in gt_frames.values() for t in v if t.track_id == g) for g in gt_ids}
     n_p = {p: sum(1 for v in pred_frames.values() for t in v if t.track_id == p) for p in pred_ids}
-    frames = sorted(set(gt_frames) | set(pred_frames))
+    frames = sorted(set(gt_frames) & set(pred_frames))
+    sims = {f: [[_iou(g.box, p.box) for p in pred_frames[f]] for g in gt_frames[f]] for f in frames}
+
+    potential: dict[tuple[int, int], float] = {}
+    for f in frames:
+        s = sims[f]
+        for r, g in enumerate(gt_frames[f]):
+            for c, p in enumerate(pred_frames[f]):
+                denom = sum(s[r]) + sum(row[c] for row in s) - s[r][c]
+                if denom > eps:
+                    key = (g.track_id, p.track_id)
+                    potential[key] = potential.get(key, 0.0) + s[r][c] / denom
+
+    def gas(g_id: int, p_id: int) -> float:
+        a = potential.get((g_id, p_id), 0.0)
+        return a / (n_g[g_id] + n_p[p_id] - a)
+
+    matched = []  # (gt id, prediction id, S) of every frame's assignment
+    for f in frames:
+        g_items, p_items, s = gt_frames[f], pred_frames[f], sims[f]
+        cost = [[-gas(g.track_id, p.track_id) * s[r][c] for c, p in enumerate(p_items)] for r, g in enumerate(g_items)]
+        for r, c in brute_assignment(cost).pairs:
+            matched.append((g_items[r].track_id, p_items[c].track_id, s[r][c]))
 
     hota_a, deta_a, assa_a = [], [], []
     for alpha in ALPHA_GRID:
-        potential: dict[tuple[int, int], int] = {}
-        for frame in frames:
-            for g in gt_frames.get(frame, []):
-                for p in pred_frames.get(frame, []):
-                    if _iou(g.box, p.box) >= alpha:
-                        key = (g.track_id, p.track_id)
-                        potential[key] = potential.get(key, 0) + 1
-
-        def affinity(g_id: int, p_id: int) -> float:
-            a = potential.get((g_id, p_id), 0)
-            return a / (n_g[g_id] + n_p[p_id] - a) if a else 0.0
-
-        tp = 0
-        match_counts: dict[tuple[int, int], int] = {}
-        for frame in frames:
-            g_items = gt_frames.get(frame, [])
-            p_items = pred_frames.get(frame, [])
-            if not g_items or not p_items:
-                continue
-            ious = np.array([[_iou(g.box, p.box) for p in p_items] for g in g_items])
-            benefit = np.array(
-                [[affinity(g.track_id, p.track_id) for p in p_items] for g in g_items]
-            )
-            for r, c in _brute_gated(benefit, ious >= alpha):
-                tp += 1
-                key = (g_items[r].track_id, p_items[c].track_id)
-                match_counts[key] = match_counts.get(key, 0) + 1
-
-        deta = tp / (tp + (gt_total - tp) + (pred_total - tp)) if gt_total + pred_total else 0.0
-        if tp:
-            total = 0.0
-            for (g_id, p_id), m in match_counts.items():
-                total += m * (m / (n_g[g_id] + n_p[p_id] - m))
-            assa = total / tp
-        else:
-            assa = 0.0
+        counts: dict[tuple[int, int], int] = {}
+        for g_id, p_id, sim in matched:
+            if sim >= alpha - eps:
+                counts[(g_id, p_id)] = counts.get((g_id, p_id), 0) + 1
+        tp = sum(counts.values())
+        deta = tp / (gt_total + pred_total - tp) if gt_total + pred_total else 0.0
+        assa = sum(m * m / (n_g[g] + n_p[p] - m) for (g, p), m in counts.items()) / tp if tp else 0.0
         deta_a.append(deta)
         assa_a.append(assa)
         hota_a.append(math.sqrt(deta * assa))
@@ -364,17 +365,17 @@ def brute_detection_ap(preds, gts) -> DetectionAP:
     return _naive_ap_summary(splits, lambda p, g: _iou(p[1], g[1]))
 
 
-def _oks(pred_pose, gt_pose, gt_box, kappa: float) -> float:
+def _oks(pred_pose, gt_pose, gt_box) -> float:
     sims = [
-        math.exp(-((px - gx) ** 2 + (py - gy) ** 2) / (2.0 * _area(gt_box) * kappa * kappa))
+        math.exp(-((px - gx) ** 2 + (py - gy) ** 2) / (2.0 * _area(gt_box) * KAPPA * KAPPA))
         for (px, py), (gx, gy, vis) in zip(pred_pose, gt_pose)
         if vis > 0
     ]
     return sum(sims) / len(sims)
 
 
-def brute_keypoint_ap(preds, gts, kappa: float = 0.08) -> DetectionAP:
-    """Naive OKS AP with one kappa for every joint; same containers as keypoint_ap.
+def brute_keypoint_ap(preds, gts) -> DetectionAP:
+    """Naive OKS AP with one kappa, KAPPA, for every joint; same containers as keypoint_ap.
 
     Ground truths without labeled joints are dropped; the area splits filter
     ground truth by its box and keep every prediction.
@@ -385,10 +386,10 @@ def brute_keypoint_ap(preds, gts, kappa: float = 0.08) -> DetectionAP:
         return preds, [g for g in gts if lo <= _area(g[2]) < hi]
 
     splits = ((preds, gts), within(32.0**2, 96.0**2), within(96.0**2, math.inf))
-    return _naive_ap_summary(splits, lambda p, g: _oks(p[1], g[1], g[2], kappa))
+    return _naive_ap_summary(splits, lambda p, g: _oks(p[1], g[1], g[2]))
 
 
-def brute_behavior_map(preds, gts, iou_thresh: float = 0.5) -> BehaviorMAP:
+def brute_behavior_map(preds, gts) -> BehaviorMAP:
     per_class = []
     counts = []
     for k in range(BEHAVIOR_COUNT):
@@ -398,7 +399,7 @@ def brute_behavior_map(preds, gts, iou_thresh: float = 0.5) -> BehaviorMAP:
             per_class.append(float("nan"))
             continue
         k_preds = [(p[0], p[1], float(p[2][k])) for p in preds]
-        flags = _naive_greedy(k_preds, k_gts, iou_thresh, lambda p, g: _iou(p[1], g[1]))
+        flags = _naive_greedy(k_preds, k_gts, MATCH_IOU, lambda p, g: _iou(p[1], g[1]))
         per_class.append(100.0 * _naive_ap_all(flags, len(k_gts)))
 
     def mean_over(idx):
@@ -734,3 +735,10 @@ def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):
     for t in pred:
         dedup[(t.frame, t.track_id)] = t
     return gt, list(dedup.values())
+
+
+def tiny_behavior_sets(rng: Xoshiro256, det_pred, det_gt):
+    """Behavior-mAP inputs on detection sets: each gt class on with probability 0.15, uniform prediction scores."""
+    beh_gt = [(f, box, np.array([rng.random() < 0.15 for _ in range(BEHAVIOR_COUNT)], dtype=int)) for f, box in det_gt]
+    beh_pred = [(f, box, np.array([rng.random() for _ in range(BEHAVIOR_COUNT)])) for f, box, _ in det_pred]
+    return beh_pred, beh_gt

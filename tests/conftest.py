@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chimptrack.oracles import tiny_tracks  # noqa: F401  re-exported for the test modules
+from chimptrack.oracles import tiny_behavior_sets, tiny_tracks  # noqa: F401  re-exported for the test modules
 from chimptrack.rng import Xoshiro256
 
 
@@ -17,21 +17,6 @@ def tiny_detection_sets(rng: Xoshiro256, gt_tracks, pred_tracks):
     det_gt = [(t.frame, t.box) for t in gt_tracks]
     det_pred = [(t.frame, t.box, rng.uniform(0.1, 0.99)) for t in pred_tracks]
     return det_pred, det_gt
-
-
-def tiny_behavior_sets(rng: Xoshiro256, det_pred, det_gt, classes: int = 23):
-    beh_gt = []
-    for frame, box in det_gt:
-        hot = np.zeros(classes, dtype=int)
-        for k in range(classes):
-            if rng.random() < 0.15:
-                hot[k] = 1
-        beh_gt.append((frame, box, hot))
-    beh_pred = [
-        (frame, box, np.array([rng.random() for _ in range(classes)]))
-        for frame, box, _ in det_pred
-    ]
-    return beh_pred, beh_gt
 
 
 def nan_equal(a: float, b: float, tol: float = 1e-9) -> bool:

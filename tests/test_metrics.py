@@ -174,6 +174,69 @@ def test_hota_identity_swap_halves_association():
     assert out.hota == pytest.approx(100.0 * math.sqrt(0.5))
 
 
+def test_hota_published_matching_differs_from_per_alpha_gating():
+    # gt A, x the prediction that tracks it: alone with IoU 1 on frames 0-3.
+    # Frame 4 adds gt B and prediction y, all boxes 10 high at y 0..10:
+    # A [10, 20], x [11, 21], y [5, 15], B [16, 26], so S(A, x) = 9/11,
+    # S(A, y) = S(B, x) = 5/15 = 1/3 and S(B, y) = 0.
+    # Potential: frames 0-3 give A-x 1 each; on frame 4 the row and column
+    # sums of A and x are 9/11 + 1/3 = 38/33, so A-x gains (27/33) / (49/33)
+    # = 27/49, and A-y, B-x gain (11/33) / (38/33) = 11/38 each.
+    # GAS(A, x) = (4 + 27/49) / (10 - 4 - 27/49) = 223/267 and
+    # GAS(A, y) = GAS(B, x) = (11/38) / (6 - 11/38) = 11/217, so frame 4's one
+    # max-sum matching is {A-x, B-y} (0.683 against 2/3 * 11/217 = 0.034).
+    # The TPs at every alpha are frames 0-3's A-x (S = 1) plus frame 4's A-x
+    # where alpha <= 9/11, i.e. the 16 alphas 0.05..0.80:
+    #   16 alphas: TP 5, FN 1, FP 1, DetA 5/7, AssA 5/(5 + 5 - 5) = 1;
+    #    3 alphas: TP 4, FN 2, FP 2, DetA 1/2, AssA 4/(5 + 5 - 4) = 2/3.
+    # The per-alpha gated variant maximises the pair count first, so at the 6
+    # alphas <= 1/3 it took A-y and B-x on frame 4 (DetA 1, AssA 23/45) and
+    # reported DetA 77.07, AssA 79.30, HOTA 76.17 against 68.05, 94.74, 80.29.
+    a, x = BoxXYXY(10.0, 0.0, 20.0, 10.0), BoxXYXY(11.0, 0.0, 21.0, 10.0)
+    gt = [track(f, 1, a) for f in range(5)] + [track(4, 2, BoxXYXY(16.0, 0.0, 26.0, 10.0))]
+    pred = [track(f, 1, a) for f in range(4)] + [track(4, 1, x), track(4, 2, BoxXYXY(5.0, 0.0, 15.0, 10.0))]
+    out = hota(gt, pred)
+    assert out.tp == (5,) * 16 + (4,) * 3
+    assert out.deta == pytest.approx(100.0 * (16 * 5 / 7 + 3 / 2) / 19, abs=1e-12)
+    assert out.assa == pytest.approx(100.0 * (16 + 3 * 2 / 3) / 19, abs=1e-12)
+    assert out.hota == pytest.approx(100.0 * (16 * math.sqrt(5 / 7) + 3 * math.sqrt(1 / 3)) / 19, abs=1e-12)
+    want = brute_hota(gt, pred)
+    assert all(nan_equal(getattr(out, k), want[k]) for k in ("hota", "deta", "assa"))
+
+
+def test_hota_alpha_test_allows_eps():
+    # S >= alpha - eps, with eps = np.finfo(float).eps as in TrackEval: IoU
+    # 0.3499999999999999 (one ulp below ALPHA_GRID[6] = 0.35) still counts at
+    # alpha 0.35, and 0.3499999999999997 (more than eps below) does not
+    for height, alphas in ((3.4999999999999996, 7), (3.4999999999999973, 6)):
+        out = hota([track(0, 1)], [track(0, 1, BoxXYXY(0.0, 0.0, 10.0, height))])
+        assert out.tp == (1,) * alphas + (0,) * (19 - alphas), height
+
+
+def test_hota_solves_each_frame_once_with_hungarian(monkeypatch):
+    # one assignment per frame with both gt and predictions serves all 19
+    # alphas; the gated matching plays no part
+    gt, pred = tiny_tracks(Xoshiro256(3007))
+    gt += [track(40, 1), track(41, 2)]
+    pred += [track(41, 5), track(42, 6)]
+    calls = []
+    real = metrics.assign.hungarian
+
+    def counting(cost):
+        calls.append(np.shape(cost))
+        return real(cost)
+
+    def forbidden(*args):
+        raise AssertionError("hota must not call gated_match")
+
+    monkeypatch.setattr(metrics.assign, "hungarian", counting)
+    monkeypatch.setattr(metrics.assign, "gated_match", forbidden)
+    hota(gt, pred)
+    frames = {t.frame for t in gt} & {t.frame for t in pred}
+    assert 41 in frames and 40 not in frames and 42 not in frames
+    assert calls == [(sum(t.frame == f for t in gt), sum(t.frame == f for t in pred)) for f in sorted(frames)]
+
+
 def test_hota_rejects_empty_gt():
     with pytest.raises(ValueError):
         hota([], [track(0, 1)])
@@ -510,7 +573,7 @@ def _iou_sim(p, g) -> float:
 
 
 def _oks_sim(p, g) -> float:
-    return _oks(p[1], g[1], g[2], 0.08)
+    return _oks(p[1], g[1], g[2])
 
 
 def _oracle_splits(preds, gts, pred_box, gt_box):
