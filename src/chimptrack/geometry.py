@@ -7,13 +7,14 @@ maps the detector's center form onto pixel corners.
 
 Areas follow half-open semantics: area = (x2 - x1) * (y2 - y1), so boxes that
 touch only along an edge have zero intersection.
+
+Only the array functions, iou_matrix and rel_to_corners, import NumPy, so
+the box types load without it (dataio and synth run NumPy-free).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 
 class BoxXYXY(NamedTuple):
@@ -109,6 +110,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns:
         (n, m) array of IoU values; rows or columns for zero-area boxes are 0.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float).reshape(-1, 4)
     b = np.asarray(b, dtype=float).reshape(-1, 4)
     ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
@@ -126,5 +129,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rel_to_corners(box) -> np.ndarray:
     """Center-form (cx, cy, h, w) to corner-form (x1, y1, x2, y2) on the unit frame."""
+    import numpy as np
+
     cx, cy, h, w = box
     return np.array([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], dtype=float)

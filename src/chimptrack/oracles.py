@@ -737,6 +737,24 @@ def tiny_tracks(rng: Xoshiro256, max_ids: int = 3, max_frames: int = 10):
     return gt, list(dedup.values())
 
 
+def hota_hand_case():
+    """A gt/pred track pair whose HOTA needs the max-sum matching on GAS * S.
+
+    gt A and prediction x coincide on frames 0-3; frame 4 adds gt B and
+    prediction y, with S(A, x) = 9/11, S(A, y) = S(B, x) = 1/3 and S(B, y) = 0.
+    The one max-sum matching takes A-x alone; a matching that maximises the
+    pair count first takes A-y and B-x. tiny_tracks instances do not separate
+    the two.
+    """
+    a = BoxXYXY(10.0, 0.0, 20.0, 10.0)
+    gt = [TrackedBox(f, 1, a) for f in range(5)] + [TrackedBox(4, 2, BoxXYXY(16.0, 0.0, 26.0, 10.0))]
+    pred = [TrackedBox(f, 1, a) for f in range(4)] + [
+        TrackedBox(4, 1, BoxXYXY(11.0, 0.0, 21.0, 10.0)),
+        TrackedBox(4, 2, BoxXYXY(5.0, 0.0, 15.0, 10.0)),
+    ]
+    return gt, pred
+
+
 def tiny_behavior_sets(rng: Xoshiro256, det_pred, det_gt):
     """Behavior-mAP inputs on detection sets: each gt class on with probability 0.15, uniform prediction scores."""
     beh_gt = [(f, box, np.array([rng.random() < 0.15 for _ in range(BEHAVIOR_COUNT)], dtype=int)) for f, box in det_gt]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from chimptrack import dataio
+from chimptrack import cli, dataio
 from chimptrack.cli import main
 from chimptrack.dataio import DetectionRecord
 from chimptrack.geometry import BoxRel, BoxXYXY, ImageSize, rel_to_abs
@@ -453,3 +453,51 @@ def test_no_command_imports_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_cli_loads_no_numerical_module():
+    # each command imports what it runs; the CLI module itself needs only the stdlib, dataio, geometry and rng
+    heavy = ["numpy"] + [
+        f"chimptrack.{m}" for m in ("tracker", "assign", "metrics", "report", "kernels", "loss", "oracles", "synth")
+    ]
+    script = f"import sys, chimptrack.cli\nprint([m for m in {heavy!r} if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_synth_runs_without_numpy(tmp_path):
+    # the README's noise plus keypoint jitter; `import numpy` raises ImportError in the child
+    noise = ["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0", "--kp-jitter", "1.0"]
+    plain = make_scene(tmp_path / "plain", extra=noise)
+    bare = tmp_path / "bare"
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from chimptrack.cli import main\n"
+        f"sys.exit(main({SYNTH_ARGS + noise + ['--out', str(bare)]!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("annotations.json", "detections_clean.json", "detections_noisy.json"):
+        assert (bare / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_bench_wrap_points_are_looked_up_per_call(tmp_path, monkeypatch):
+    # perfbench/traced.py times the tracker and the JSON writer by replacing these two cli globals
+    calls = {"run_tracker": 0, "dump_json": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    scene = make_scene(tmp_path)
+    assert main(["track", str(scene / "detections_noisy.json"), "--out", str(tmp_path / "pred.csv")]) == 0
+    assert calls == {"run_tracker": 1, "dump_json": 3}

@@ -31,6 +31,7 @@ from chimptrack.oracles import (
     brute_hota,
     brute_idf1,
     brute_keypoint_ap,
+    hota_hand_case,
 )
 from chimptrack.rng import Xoshiro256
 
@@ -192,9 +193,7 @@ def test_hota_published_matching_differs_from_per_alpha_gating():
     # The per-alpha gated variant maximises the pair count first, so at the 6
     # alphas <= 1/3 it took A-y and B-x on frame 4 (DetA 1, AssA 23/45) and
     # reported DetA 77.07, AssA 79.30, HOTA 76.17 against 68.05, 94.74, 80.29.
-    a, x = BoxXYXY(10.0, 0.0, 20.0, 10.0), BoxXYXY(11.0, 0.0, 21.0, 10.0)
-    gt = [track(f, 1, a) for f in range(5)] + [track(4, 2, BoxXYXY(16.0, 0.0, 26.0, 10.0))]
-    pred = [track(f, 1, a) for f in range(4)] + [track(4, 1, x), track(4, 2, BoxXYXY(5.0, 0.0, 15.0, 10.0))]
+    gt, pred = hota_hand_case()
     out = hota(gt, pred)
     assert out.tp == (5,) * 16 + (4,) * 3
     assert out.deta == pytest.approx(100.0 * (16 * 5 / 7 + 3 / 2) / 19, abs=1e-12)
