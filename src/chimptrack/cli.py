@@ -7,7 +7,8 @@ change results.
 
 evaluate over several sequences scores each once and adds an aggregate row,
 defined as one evaluation of the sequences' concatenation and computed by
-merging their per-sequence statistics.
+merging their per-sequence statistics. It writes the metrics sidecar, then
+prints it (--format json) or the same entries as a table (--format table).
 
 forward runs the toy detector over every stride-1 window of a clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -169,37 +170,6 @@ def _tracks_as_detections(tracks: list[TrackedBox]) -> dict[int, list[DetectionR
     return out
 
 
-def _json_for_task(rep: report.MetricsReport, task: str) -> dict:
-    from . import report
-
-    full = report.report_to_json(rep)
-    keep = {
-        "tracking": ("tracking", "detection"),
-        "detection": ("detection",),
-        "behavior": ("behavior",),
-        "pose": ("pose",),
-    }[task]
-    return {"sequence_id": full["sequence_id"], **{k: full[k] for k in keep}}
-
-
-def _render_for_task(labeled: list[tuple[str, report.MetricsReport]], task: str) -> str:
-    from . import report
-
-    if task == "tracking":
-        return report.render_tracking_table([report.tracking_row(n, r) for n, r in labeled])
-    if task == "behavior":
-        return report.render_behavior_table([report.behavior_row(n, r) for n, r in labeled])
-    if task == "pose":
-        rows = []
-        for n, r in labeled:
-            row = report.pose_row(n, r)
-            if row is None:
-                raise AnnotationError(n, "no pose annotations to evaluate")
-            rows.append(row)
-        return report.render_pose_table(rows)
-    return report.render_detection_table([n for n, _ in labeled], [r.detection for _, r in labeled])
-
-
 def _cmd_evaluate(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
@@ -236,12 +206,13 @@ def _cmd_evaluate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         futures = [pool.submit(report.evaluate_sequence, *item, motp_mode=args.motp_mode) for item in ordered]
         per_seq = [f.result() for f in futures]
-    aggregate = report.evaluate_sequences(per_seq, motp_mode=args.motp_mode)
+    entries = [report.sidecar_entry(r, args.task) for r in per_seq]
+    aggregate = report.sidecar_entry(report.evaluate_sequences(per_seq, motp_mode=args.motp_mode), args.task)
 
     sidecar = {
         "task": args.task,
-        "sequences": {r.sequence_id: _json_for_task(r, args.task) for r in per_seq},
-        "aggregate": _json_for_task(aggregate, args.task),
+        "sequences": {e["sequence_id"]: e for e in entries},
+        "aggregate": aggregate,
     }
     out = Path(args.out) if args.out else pred_path.with_name(pred_path.name + ".metrics.json")
     text = dump_json(sidecar)
@@ -250,10 +221,9 @@ def _cmd_evaluate(args) -> int:
     if args.format == "json":
         print(text, end="")
     else:
-        labeled = [(r.sequence_id, r) for r in per_seq]
-        if len(per_seq) > 1:
-            labeled.append(("aggregate", aggregate))
-        print(_render_for_task(labeled, args.task), end="")
+        # looked up on the module at call time, so a wrapper set on the renderer sees it
+        render = getattr(report, f"render_{args.task}_table")
+        print(render(entries + [aggregate] if len(entries) > 1 else entries), end="")
         print(f"metrics written to {out}")
     return 0
 
@@ -379,11 +349,16 @@ def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
             return False, f"behavior mAP divergence on trial {trial}"
     if not both_splits:
         return False, "no instance fills both detection area splits"
-    gt, pred = oracles.hota_hand_case()
-    fast_hota, slow_hota = metrics.hota(gt, pred), oracles.brute_hota(gt, pred)
-    if not all(_close(getattr(fast_hota, k), slow_hota[k]) for k in ("hota", "deta", "assa")):
-        return False, "HOTA divergence on the hand case"
-    return True, "25 instances and the HOTA hand case"
+    # IoU 0.3499999999999999, one ulp below alpha 0.35, counts at that alpha: the alpha test allows EPS
+    one_ulp_below = (
+        [TrackedBox(0, 1, BoxXYXY(0.0, 0.0, 10.0, 10.0))],
+        [TrackedBox(0, 1, BoxXYXY(0.0, 0.0, 10.0, 3.4999999999999996))],
+    )
+    for case, (gt, pred) in (("hand case", oracles.hota_hand_case()), ("one-ulp alpha case", one_ulp_below)):
+        fast_hota, slow_hota = metrics.hota(gt, pred), oracles.brute_hota(gt, pred)
+        if not all(_close(getattr(fast_hota, k), slow_hota[k]) for k in ("hota", "deta", "assa")):
+            return False, f"HOTA divergence on the {case}"
+    return True, "25 instances, the HOTA hand case and the one-ulp alpha case"
 
 
 def _check_shapes() -> tuple[bool, str]:

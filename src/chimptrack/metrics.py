@@ -194,14 +194,13 @@ def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _
 def clear_metrics(
     gt: list[TrackedBox],
     pred: list[TrackedBox],
-    iou_thresh: float = MATCH_IOU,
     motp_mode: str = "iou",
 ) -> ClearMetrics:
     """CLEAR multi-object tracking scores.
 
     Per frame, pairings carried over from the previous evaluated frame are
-    kept while both parties exist and still overlap at or above the
-    threshold; the remainder is matched by the gated assignment. An identity
+    kept while both parties exist and still overlap at IoU MATCH_IOU (0.5) or
+    above; the remainder is matched by the gated assignment at that gate. An identity
     switch is counted whenever a ground-truth track's matched id differs from
     its last known matched id. MOTA is computed as 100 - nFP - nFN - nIDs so
     the normalized identity holds exactly.
@@ -219,7 +218,7 @@ def clear_metrics(
     for gi, pi, ious in table.frames:
         gi, pi = gi.tolist(), pi.tolist()
         column = {p: c for c, p in enumerate(pi)}
-        valid = ious >= iou_thresh
+        valid = ious >= MATCH_IOU
         pairs: dict[int, int] = {}
         for r, g in enumerate(gi):
             c = column.get(carry.get(g))

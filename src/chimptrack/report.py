@@ -1,4 +1,4 @@
-"""Sequence evaluation drivers and report rendering.
+"""Sequence evaluation drivers, JSON export and table rendering.
 
 The aggregate row over several sequences is defined as one evaluation of
 their concatenation, with frames and ids shifted apart
@@ -6,8 +6,13 @@ their concatenation, with frames and ids shifted apart
 per-sequence statistics that every metric result carries, so no sequence is
 scored twice.
 
-Rendering is byte-stable: fixed one-decimal formatting, two-space column
-gutters, ASCII "-" for undefined (NaN) cells. JSON output maps NaN to null.
+report_to_json exports a report with undefined (NaN) values as null. One
+column table, COLUMNS, gives each evaluate task its columns as (header,
+sidecar section, key). A task's sidecar entry is the sequence id plus the
+sections its columns read (sidecar_entry), and its text table prints those
+same entries, one row each, named by their sequence id. Rendering is
+byte-stable: fixed one-decimal formatting, two-space column gutters, ASCII
+"-" for null cells.
 """
 
 from __future__ import annotations
@@ -177,141 +182,7 @@ def evaluate_sequences(reports: list[MetricsReport], motp_mode: str = "iou") -> 
     )
 
 
-# --- rendering ---
-
-
-@dataclass(frozen=True)
-class TrackingRow:
-    name: str
-    hota: float
-    mota: float
-    motp: float
-    idf1: float
-    det_map: float
-    n_fp: float
-    n_fn: float
-    n_ids: float
-
-
-@dataclass(frozen=True)
-class BehaviorRow:
-    name: str
-    map: float
-    map_locomotion: float
-    map_object: float
-    map_social: float
-
-
-@dataclass(frozen=True)
-class PoseRow:
-    name: str
-    pck05: float
-    pck10: float
-    ap: float
-    ap50: float
-    ap75: float
-    ap_medium: float
-    ap_large: float
-    ar: float
-
-
-TRACKING_COLUMNS = ("HOTA", "MOTA", "MOTP", "IDF1", "mAP", "nFP", "nFN", "nIDs")
-BEHAVIOR_COLUMNS = ("mAP", "mAP_L", "mAP_O", "mAP_S")
-POSE_COLUMNS = ("PCK@0.05", "PCK@0.1", "AP", "AP50", "AP75", "AP_M", "AP_L", "AR")
-
-
-def _cell(value: float) -> str:
-    if value is None or math.isnan(value):
-        return "-"
-    return f"{value:.1f}"
-
-
-def _render(columns: tuple[str, ...], names: list[str], values: list[list[float]]) -> str:
-    name_width = max(len("Method"), *(len(n) for n in names)) if names else len("Method")
-    cells = [[_cell(v) for v in row] for row in values]
-    widths = [
-        max(len(columns[j]), *(len(row[j]) for row in cells)) if cells else len(columns[j])
-        for j in range(len(columns))
-    ]
-    lines = ["Method".ljust(name_width) + "".join("  " + c.rjust(widths[j]) for j, c in enumerate(columns))]
-    for name, row in zip(names, cells):
-        lines.append(name.ljust(name_width) + "".join("  " + c.rjust(widths[j]) for j, c in enumerate(row)))
-    return "\n".join(lines) + "\n"
-
-
-def render_tracking_table(rows: list[TrackingRow]) -> str:
-    return _render(
-        TRACKING_COLUMNS,
-        [r.name for r in rows],
-        [[r.hota, r.mota, r.motp, r.idf1, r.det_map, r.n_fp, r.n_fn, r.n_ids] for r in rows],
-    )
-
-
-def render_behavior_table(rows: list[BehaviorRow]) -> str:
-    return _render(
-        BEHAVIOR_COLUMNS,
-        [r.name for r in rows],
-        [[r.map, r.map_locomotion, r.map_object, r.map_social] for r in rows],
-    )
-
-
-def render_pose_table(rows: list[PoseRow]) -> str:
-    return _render(
-        POSE_COLUMNS,
-        [r.name for r in rows],
-        [[r.pck05, r.pck10, r.ap, r.ap50, r.ap75, r.ap_medium, r.ap_large, r.ar] for r in rows],
-    )
-
-
-DETECTION_COLUMNS = ("AP", "AP50", "AP75", "AP_M", "AP_L", "AR")
-
-
-def render_detection_table(names: list[str], results: list[DetectionAP]) -> str:
-    return _render(
-        DETECTION_COLUMNS,
-        names,
-        [[d.ap, d.ap50, d.ap75, d.ap_medium, d.ap_large, d.ar] for d in results],
-    )
-
-
-def tracking_row(name: str, report: MetricsReport) -> TrackingRow:
-    return TrackingRow(
-        name,
-        report.hota.hota,
-        report.clear.mota,
-        report.clear.motp,
-        report.idf1.idf1,
-        report.detection.ap,
-        report.clear.n_fp,
-        report.clear.n_fn,
-        report.clear.n_ids,
-    )
-
-
-def behavior_row(name: str, report: MetricsReport) -> BehaviorRow:
-    b = report.behavior
-    return BehaviorRow(name, b.map, b.map_locomotion, b.map_object, b.map_social)
-
-
-def pose_row(name: str, report: MetricsReport) -> PoseRow | None:
-    if report.pose_ap is None:
-        return None
-    p = report.pose_ap
-    pck05 = report.pck05.mean if report.pck05 is not None else float("nan")
-    pck10 = report.pck10.mean if report.pck10 is not None else float("nan")
-    return PoseRow(name, pck05, pck10, p.ap, p.ap50, p.ap75, p.ap_medium, p.ap_large, p.ar)
-
-
-def render_report(report: MetricsReport, name: str | None = None) -> str:
-    label = name if name is not None else report.sequence_id
-    parts = [
-        "Tracking\n" + render_tracking_table([tracking_row(label, report)]),
-        "Behavior recognition\n" + render_behavior_table([behavior_row(label, report)]),
-    ]
-    prow = pose_row(label, report)
-    if prow is not None:
-        parts.append("Pose estimation\n" + render_pose_table([prow]))
-    return "\n".join(parts)
+# --- export and rendering ---
 
 
 def _num(value: float | None) -> float | None:
@@ -370,3 +241,65 @@ def report_to_json(report: MetricsReport) -> dict:
             "pck10": _num(report.pck10.mean) if report.pck10 else None,
         }
     return out
+
+
+_AP_KEYS = (("AP", "ap"), ("AP50", "ap50"), ("AP75", "ap75"), ("AP_M", "ap_medium"), ("AP_L", "ap_large"), ("AR", "ar"))
+
+# Each evaluate task's table, column by column: (header, sidecar section, key).
+COLUMNS = {
+    "tracking": (
+        ("HOTA", "tracking", "hota"),
+        ("MOTA", "tracking", "mota"),
+        ("MOTP", "tracking", "motp"),
+        ("IDF1", "tracking", "idf1"),
+        ("mAP", "detection", "ap"),
+        ("nFP", "tracking", "n_fp"),
+        ("nFN", "tracking", "n_fn"),
+        ("nIDs", "tracking", "n_ids"),
+    ),
+    "detection": tuple((header, "detection", key) for header, key in _AP_KEYS),
+    "behavior": (
+        ("mAP", "behavior", "map"),
+        ("mAP_L", "behavior", "map_locomotion"),
+        ("mAP_O", "behavior", "map_object"),
+        ("mAP_S", "behavior", "map_social"),
+    ),
+    "pose": (
+        ("PCK@0.05", "pose", "pck05"),
+        ("PCK@0.1", "pose", "pck10"),
+        *((header, "pose", key) for header, key in _AP_KEYS),
+    ),
+}
+
+
+def sidecar_entry(report: MetricsReport, task: str) -> dict:
+    """A task's entry in the metrics sidecar: sequence_id plus the sections its columns read."""
+    full = report_to_json(report)
+    return {"sequence_id": full["sequence_id"], **{section: full[section] for _, section, _ in COLUMNS[task]}}
+
+
+def _render_table(columns, entries: list[dict]) -> str:
+    """One row per sidecar entry, named by its sequence_id; a null value or section prints as "-"."""
+    rows = [["Method", *(header for header, _, _ in columns)]]
+    for entry in entries:
+        values = [None if entry[section] is None else entry[section][key] for _, section, key in columns]
+        rows.append([entry["sequence_id"], *("-" if v is None else f"{v:.1f}" for v in values)])
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    lines = ["  ".join([row[0].ljust(widths[0]), *(c.rjust(w) for c, w in zip(row[1:], widths[1:]))]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def render_tracking_table(entries: list[dict]) -> str:
+    return _render_table(COLUMNS["tracking"], entries)
+
+
+def render_detection_table(entries: list[dict]) -> str:
+    return _render_table(COLUMNS["detection"], entries)
+
+
+def render_behavior_table(entries: list[dict]) -> str:
+    return _render_table(COLUMNS["behavior"], entries)
+
+
+def render_pose_table(entries: list[dict]) -> str:
+    return _render_table(COLUMNS["pose"], entries)

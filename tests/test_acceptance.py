@@ -62,8 +62,6 @@ from chimptrack.oracles import (
     finite_difference,
 )
 from chimptrack.report import (
-    BehaviorRow,
-    TrackingRow,
     evaluate_sequence,
     render_behavior_table,
     render_tracking_table,
@@ -463,10 +461,16 @@ def test_criterion_09_desk_run_under_budget(tmp_path):
 
 
 def test_criterion_10_report_rendering_matches_goldens():
-    tracking = render_tracking_table(
-        [TrackingRow("reference", 56.3, 60.0, 21.6, 65.6, 75.2, 14.2, 25.1, 0.5)]
-    )
-    behavior = render_behavior_table([BehaviorRow("reference", 34.3, 50.3, 31.3, 29.3)])
+    # the sidecar entries the reference rows print from
+    tracking = render_tracking_table([{
+        "sequence_id": "reference",
+        "tracking": {"hota": 56.3, "mota": 60.0, "motp": 21.6, "idf1": 65.6, "n_fp": 14.2, "n_fn": 25.1, "n_ids": 0.5},
+        "detection": {"ap": 75.2},
+    }])
+    behavior = render_behavior_table([{
+        "sequence_id": "reference",
+        "behavior": {"map": 34.3, "map_locomotion": 50.3, "map_object": 31.3, "map_social": 29.3},
+    }])
     tracking_ok = tracking.encode() == (GOLDEN_DIR / "tracking_reference.txt").read_bytes()
     behavior_ok = behavior.encode() == (GOLDEN_DIR / "behavior_reference.txt").read_bytes()
     ok = tracking_ok and behavior_ok

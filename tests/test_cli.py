@@ -283,6 +283,89 @@ def test_evaluate_detection_behavior_and_pose_tasks(tmp_path, capsys):
     capsys.readouterr()
 
 
+def two_scene_dirs(tmp_path, strip_pose=()):
+    """gt/ and pred/ for seeds 1 and 2, pred/ holding each track CSV and noisy detections; strip_pose drops gt poses."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for seed in (1, 2):
+        scene = tmp_path / f"s{seed}"
+        argv = ["synth", "--seed", str(seed), "--agents", "2", "--frames", "20", "--fp-rate", "0.5", "--out", str(scene)]
+        assert main(argv) == 0
+        doc = json.loads((scene / "annotations.json").read_text())
+        if seed in strip_pose:
+            for frame in doc["frames"]:
+                for inst in frame["instances"]:
+                    del inst["pose"]
+        (gt_dir / f"synth-{seed}.json").write_text(json.dumps(doc))
+        (pred_dir / f"synth-{seed}.json").write_bytes((scene / "detections_noisy.json").read_bytes())
+        assert main(["track", str(scene / "detections_noisy.json"), "--out", str(pred_dir / f"synth-{seed}.csv")]) == 0
+    return gt_dir, pred_dir
+
+
+def test_evaluate_pose_without_pose_annotations_exits_0_in_both_formats(tmp_path, capsys):
+    # a sequence without pose ground truth prints a row of "-", as its sidecar entry is "pose": null
+    gt_dir, pred_dir = two_scene_dirs(tmp_path, strip_pose=(1,))
+    for gt, pred in ((gt_dir / "synth-1.json", pred_dir / "synth-1.json"), (gt_dir, pred_dir)):
+        sidecars = {fmt: tmp_path / f"{gt.stem}-{fmt}.json" for fmt in ("json", "table")}
+        printed = {}
+        for fmt, sidecar in sidecars.items():
+            capsys.readouterr()
+            argv = ["evaluate", "--task", "pose", "--gt", str(gt), "--pred", str(pred), "--format", fmt]
+            assert main(argv + ["--out", str(sidecar)]) == 0
+            printed[fmt] = capsys.readouterr().out
+        assert sidecars["table"].read_bytes() == sidecars["json"].read_bytes()
+        assert printed["json"] == sidecars["json"].read_text()
+        doc = json.loads(printed["json"])
+        assert doc["sequences"]["synth-1"]["pose"] is None
+        rows = [line.split() for line in printed["table"].split("\n")[1:-2]]
+        assert rows[0] == ["synth-1"] + ["-"] * 8
+        if gt == gt_dir:
+            assert doc["sequences"]["synth-2"]["pose"]["pck05"] is not None
+            assert [row[0] for row in rows] == ["synth-1", "synth-2", "aggregate"]
+            assert rows[1][1] != "-" and rows[2][1] != "-"
+        else:
+            assert len(rows) == 1 and doc["aggregate"]["pose"] is None
+
+
+# each table column and the sidecar value it prints, as "section.key"
+TABLE_CELLS = {
+    "tracking": (
+        "tracking.hota", "tracking.mota", "tracking.motp", "tracking.idf1",
+        "detection.ap", "tracking.n_fp", "tracking.n_fn", "tracking.n_ids",
+    ),
+    "detection": tuple(f"detection.{k}" for k in ("ap", "ap50", "ap75", "ap_medium", "ap_large", "ar")),
+    "behavior": ("behavior.map", "behavior.map_locomotion", "behavior.map_object", "behavior.map_social"),
+    "pose": tuple(f"pose.{k}" for k in ("pck05", "pck10", "ap", "ap50", "ap75", "ap_medium", "ap_large", "ar")),
+}
+
+
+def test_evaluate_tables_print_the_sidecar_values(tmp_path, capsys):
+    gt_dir, pred_dir = two_scene_dirs(tmp_path)
+    single = (gt_dir / "synth-1.json", pred_dir / "synth-1.csv", pred_dir / "synth-1.json")
+    for gt, tracks, dets in (single, (gt_dir, pred_dir, pred_dir)):
+        for task, cells in TABLE_CELLS.items():
+            sidecar = tmp_path / f"{task}-{gt.stem}.json"
+            capsys.readouterr()
+            pred = tracks if task == "tracking" else dets
+            argv = ["evaluate", "--task", task, "--gt", str(gt), "--pred", str(pred), "--out", str(sidecar)]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.split("\n")
+            assert lines[-2] == f"metrics written to {sidecar}" and lines[-1] == ""
+            doc = json.loads(sidecar.read_text())
+            entries = list(doc["sequences"].values())
+            entries += [doc["aggregate"]] if len(entries) > 1 else []
+            assert len(lines[0].split()) == len(cells) + 1
+            assert len(lines) - 3 == len(entries)
+            for line, entry in zip(lines[1:], entries):
+                row = line.split()
+                assert row[0] == entry["sequence_id"]
+                for cell, where in zip(row[1:], cells, strict=True):
+                    section, key = where.split(".")
+                    value = entry[section][key]
+                    assert cell == ("-" if value is None else f"{value:.1f}"), (task, entry["sequence_id"], where)
+
+
 def test_forward_window_layout_and_determinism(tmp_path, capsys):
     rng = np.random.default_rng(5)
     video = rng.normal(size=(12, 64, 64, 3))
@@ -501,3 +584,49 @@ def test_bench_wrap_points_are_looked_up_per_call(tmp_path, monkeypatch):
     scene = make_scene(tmp_path)
     assert main(["track", str(scene / "detections_noisy.json"), "--out", str(tmp_path / "pred.csv")]) == 0
     assert calls == {"run_tracker": 1, "dump_json": 3}
+
+
+def load_traced():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_wrap_points_resolve_to_callables():
+    # perfbench/traced.py wraps these names by attribute; deleting one breaks the traced bench
+    import importlib
+
+    traced = load_traced()
+    for module, dotted, *_ in traced.SPANNED + traced.COUNTED:
+        owner = importlib.import_module(f"chimptrack.{module}")
+        for part in dotted.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{module}.{dotted}"
+        assert callable(owner), f"{module}.{dotted}"
+
+
+def test_evaluate_calls_the_report_wrap_points_through_the_module(tmp_path, monkeypatch, capsys):
+    # the bench's report.render span wraps report_to_json and render_<task>_table on the report module
+    from chimptrack import report
+
+    calls = {"report_to_json": 0, "render_tracking_table": 0}
+
+    def counting(name):
+        original = getattr(report, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    gt_dir, pred_dir = two_scene_dirs(tmp_path)
+    for name in calls:
+        monkeypatch.setattr(report, name, counting(name))
+    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(tmp_path / "m.json")]) == 0
+    assert calls == {"report_to_json": 3, "render_tracking_table": 1}

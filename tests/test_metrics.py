@@ -111,10 +111,13 @@ def test_clear_motp_modes():
 
 
 def test_clear_threshold_is_inclusive_gate():
+    # CLEAR gates at MATCH_IOU = 0.5: IoU exactly 0.5 matches, one ulp below does not
     gt = [track(0, 1)]
-    pred = [TrackedBox(0, 1, BOX_IOU06)]
-    assert clear_metrics(gt, pred, iou_thresh=0.6).matched == 1
-    assert clear_metrics(gt, pred, iou_thresh=0.61).matched == 0
+    for height, matched in ((5.0, 1), (math.nextafter(5.0, 0.0), 0)):
+        pred = [track(0, 1, BoxXYXY(0.0, 0.0, 10.0, height))]
+        assert geometry.iou(BOX, pred[0].box) == (0.5 if matched else math.nextafter(0.5, 0.0))
+        assert clear_metrics(gt, pred).matched == matched
+        assert brute_clear(gt, pred)["matched"] == matched
 
 
 def test_clear_rejects_empty_gt_and_duplicates():

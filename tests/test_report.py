@@ -9,17 +9,14 @@ from chimptrack.dataio import DetectionRecord, SequenceAnnotation, TrackedBox
 from chimptrack.geometry import BoxXYXY
 from chimptrack.oracles import combine_sequences
 from chimptrack.report import (
-    BehaviorRow,
-    TrackingRow,
-    behavior_row,
+    COLUMNS,
     evaluate_sequence,
     evaluate_sequences,
-    pose_row,
     render_behavior_table,
-    render_report,
+    render_pose_table,
     render_tracking_table,
     report_to_json,
-    tracking_row,
+    sidecar_entry,
 )
 from chimptrack.synth import NoiseConfig, SceneConfig, generate, perturb_detections, perturb_tracks
 
@@ -247,8 +244,12 @@ def test_merged_aggregate_counts_pose_predictions_without_pose_ground_truth():
 
 
 def test_tracking_table_layout_and_nan_dash():
-    rows = [TrackingRow("a", 1.0, 2.0, float("nan"), 4.0, 5.0, 6.0, 7.0, 8.0)]
-    text = render_tracking_table(rows)
+    entry = {
+        "sequence_id": "a",
+        "tracking": {"hota": 1.0, "mota": 2.0, "motp": None, "idf1": 4.0, "n_fp": 6.0, "n_fn": 7.0, "n_ids": 8.0},
+        "detection": {"ap": 5.0},
+    }
+    text = render_tracking_table([entry])
     lines = text.split("\n")
     assert lines[0] == "Method  HOTA  MOTA  MOTP  IDF1  mAP  nFP  nFN  nIDs"
     assert lines[1] == "a        1.0   2.0     -   4.0  5.0  6.0  7.0   8.0"
@@ -256,11 +257,11 @@ def test_tracking_table_layout_and_nan_dash():
 
 
 def test_behavior_table_layout():
-    rows = [
-        BehaviorRow("x", 34.3, 50.3, 31.3, 29.3),
-        BehaviorRow("longer-name", 1.0, float("nan"), 2.0, 3.0),
-    ]
-    text = render_behavior_table(rows)
+    def entry(name, *values):
+        keys = ("map", "map_locomotion", "map_object", "map_social")
+        return {"sequence_id": name, "behavior": dict(zip(keys, values))}
+
+    text = render_behavior_table([entry("x", 34.3, 50.3, 31.3, 29.3), entry("longer-name", 1.0, None, 2.0, 3.0)])
     lines = text.split("\n")
     assert lines[0].startswith("Method")
     assert "mAP_L" in lines[0] and "mAP_O" in lines[0] and "mAP_S" in lines[0]
@@ -272,27 +273,33 @@ def test_behavior_table_layout():
 def test_rows_pull_from_report_fields():
     scene, dets, tracks = identity_inputs(seed=6)
     report = evaluate_sequence(scene.annotation, dets, tracks)
-    trow = tracking_row("ref", report)
-    assert trow.hota == report.hota.hota
-    assert trow.n_ids == report.clear.n_ids
-    brow = behavior_row("ref", report)
-    assert brow.map == report.behavior.map
-    prow = pose_row("ref", report)
-    assert prow is not None and prow.pck05 == report.pck05.mean
+    tracking = render_tracking_table([sidecar_entry(report, "tracking")]).split("\n")[1].split()
+    assert tracking[0] == scene.annotation.sequence_id
+    assert tracking[1] == f"{report.hota.hota:.1f}"
+    assert tracking[8] == f"{report.clear.n_ids:.1f}"
+    behavior = render_behavior_table([sidecar_entry(report, "behavior")]).split("\n")[1].split()
+    assert behavior[1] == f"{report.behavior.map:.1f}"
+    pose = render_pose_table([sidecar_entry(report, "pose")]).split("\n")[1].split()
+    assert pose[1] == f"{report.pck05.mean:.1f}"
 
 
-def test_render_report_sections():
+def test_sidecar_entry_keeps_the_sections_its_columns_read():
     scene, dets, tracks = identity_inputs(seed=7)
     report = evaluate_sequence(scene.annotation, dets, tracks)
-    text = render_report(report, name="run")
-    assert "Tracking\n" in text
-    assert "Behavior recognition\n" in text
-    assert "Pose estimation\n" in text
-    assert "run" in text
-    # no pose section when the annotation carries no poses
-    report2 = evaluate_sequence(strip_poses(scene.annotation), dets, tracks)
-    assert report2.pose_ap is None
-    assert "Pose estimation" not in render_report(report2)
+    full = report_to_json(report)
+    for task, sections in (
+        ("tracking", {"tracking", "detection"}),
+        ("detection", {"detection"}),
+        ("behavior", {"behavior"}),
+        ("pose", {"pose"}),
+    ):
+        assert {section for _, section, _ in COLUMNS[task]} == sections
+        assert sidecar_entry(report, task) == {"sequence_id": full["sequence_id"], **{s: full[s] for s in sections}}
+    # without pose annotations the pose section is null and its table row is all "-"
+    stripped = sidecar_entry(evaluate_sequence(strip_poses(scene.annotation), dets, tracks), "pose")
+    assert stripped["pose"] is None
+    row = render_pose_table([stripped]).split("\n")[1].split()
+    assert row == [scene.annotation.sequence_id] + ["-"] * len(COLUMNS["pose"])
 
 
 def test_report_to_json_nan_becomes_null():
