@@ -5,10 +5,12 @@ of the contract: 0 success, 1 selfcheck failure, 2 input or IO error, 3
 sequence pairing error. All randomness flows from --seed; --workers does not
 change results.
 
-evaluate over several sequences scores each once and adds an aggregate row,
-defined as one evaluation of the sequences' concatenation and computed by
-merging their per-sequence statistics. It writes the metrics sidecar, then
-prints it (--format json) or the same entries as a table (--format table).
+evaluate scores no detections file whose image size differs from its
+annotations'. Over several sequences it scores each once and adds an
+aggregate row, defined as one evaluation of the sequences' concatenation and
+computed by merging their per-sequence statistics. It writes the metrics
+sidecar, then prints it (--format json) or the same entries as a table
+(--format table).
 
 forward runs the toy detector over every stride-1 window of a clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -186,9 +188,16 @@ def _cmd_evaluate(args) -> int:
             if sid in preds
         }
     else:
-        dets = _load_pred_detections(pred_path)
-        preds = dets
-        items = {sid: (gt[sid], dets[sid][1], []) for sid in gt_ids if sid in dets}
+        preds = _load_pred_detections(pred_path)
+        items = {sid: (gt[sid], preds[sid][1], []) for sid in gt_ids if sid in preds}
+        for sid in items:
+            size, want = preds[sid][0], gt[sid].image_size
+            if size != want:
+                raise AnnotationError(
+                    "$.image_size",
+                    f"sequence {sid}: detections are {size.width}x{size.height}, "
+                    f"annotations are {want.width}x{want.height}",
+                )
 
     missing = [sid for sid in gt_ids if sid not in items]
     if missing:
@@ -204,10 +213,10 @@ def _cmd_evaluate(args) -> int:
 
     ordered = [items[sid] for sid in gt_ids]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(report.evaluate_sequence, *item, motp_mode=args.motp_mode) for item in ordered]
+        futures = [pool.submit(report.evaluate_sequence, *item) for item in ordered]
         per_seq = [f.result() for f in futures]
     entries = [report.sidecar_entry(r, args.task) for r in per_seq]
-    aggregate = report.sidecar_entry(report.evaluate_sequences(per_seq, motp_mode=args.motp_mode), args.task)
+    aggregate = report.sidecar_entry(report.evaluate_sequences(per_seq), args.task)
 
     sidecar = {
         "task": args.task,
@@ -316,16 +325,17 @@ def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
         gt, pred = oracles.tiny_tracks(rng, max_ids=3, max_frames=6)
         if not gt:
             continue
-        fast = metrics.clear_metrics(gt, pred)
+        table = metrics.pair_frames(gt, pred)
+        fast = metrics.clear_metrics(table)
         slow = oracles.brute_clear(gt, pred)
         if not all(
             _close(getattr(fast, k), slow[k])
             for k in ("mota", "motp", "n_fp", "n_fn", "n_ids")
         ):
             return False, f"CLEAR divergence on trial {trial}"
-        if not _close(metrics.idf1(gt, pred).idf1, oracles.brute_idf1(gt, pred)["idf1"]):
+        if not _close(metrics.idf1(table).idf1, oracles.brute_idf1(gt, pred)["idf1"]):
             return False, f"IDF1 divergence on trial {trial}"
-        if not _close(metrics.hota(gt, pred).hota, oracles.brute_hota(gt, pred)["hota"]):
+        if not _close(metrics.hota(table).hota, oracles.brute_hota(gt, pred)["hota"]):
             return False, f"HOTA divergence on trial {trial}"
 
         # tiny_tracks boxes are 10-30 px a side, all below the medium split; x4
@@ -355,7 +365,7 @@ def _check_metric_oracles(rng: Xoshiro256) -> tuple[bool, str]:
         [TrackedBox(0, 1, BoxXYXY(0.0, 0.0, 10.0, 3.4999999999999996))],
     )
     for case, (gt, pred) in (("hand case", oracles.hota_hand_case()), ("one-ulp alpha case", one_ulp_below)):
-        fast_hota, slow_hota = metrics.hota(gt, pred), oracles.brute_hota(gt, pred)
+        fast_hota, slow_hota = metrics.hota(metrics.pair_frames(gt, pred)), oracles.brute_hota(gt, pred)
         if not all(_close(getattr(fast_hota, k), slow_hota[k]) for k in ("hota", "deta", "assa")):
             return False, f"HOTA divergence on the {case}"
     return True, "25 instances, the HOTA hand case and the one-ulp alpha case"
@@ -476,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="annotations JSON file or directory")
     p.add_argument("--out", help="metrics JSON sidecar path")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--motp-mode", choices=("iou", "distance"), default="iou")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -156,17 +156,10 @@ def multilabel_focal(probs, targets, alpha: float = 0.25, gamma: float = 2.0) ->
     return total, grads
 
 
-def focal_positive_cost(p: float, alpha: float = 0.25, gamma: float = 2.0) -> float:
-    """Focal-style cost of declaring probability p a positive: alpha*(1-p)^gamma*(-log p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
-    return alpha * (1.0 - p) ** gamma * -np.log(p)
-
-
 def detr_cost(class_probs, pred_boxes, gt_boxes, weights: LossWeights = LossWeights()) -> np.ndarray:
     """Matching cost between predicted detections and ground-truth boxes.
 
-    entry(q, g) = w.cls * focal_positive_cost(p_q)
+    entry(q, g) = w.cls * w.alpha * (1 - p_q)^w.gamma * (-log p_q)
                 + w.l1 * ||b_q - t_g||_1
                 + w.giou * (1 - GIoU(b_q, t_g))
 

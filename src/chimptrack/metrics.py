@@ -4,13 +4,14 @@ Tracking inputs are flat lists of TrackedBox (0-based frame, 1-based id).
 Metrics evaluate exactly the frames present in the inputs; callers decide
 which frames to feed (the CLI restricts predictions to annotated frames).
 
-CLEAR, IDF1 and HOTA read one frame table (_pair_frames): ids re-indexed
-densely in ascending order, the boxes per id, and each frame's dense indices
-and IoU matrix. IDF1's identity overlap counts its frames at IoU >= MATCH_IOU.
-CLEAR's per-frame step uses assign.gated_match, the one gated-matching rule
-(documented in the assign module). HOTA follows its published definition
-(Luiten et al. 2021): one ungated max-sum assignment per frame, solved with
-assign.hungarian, serves every alpha of the grid.
+CLEAR, IDF1 and HOTA take one frame table (pair_frames), which the caller
+builds once per sequence: ids re-indexed densely in ascending order, the
+boxes per id, and each frame's dense indices and IoU matrix. IDF1's identity
+overlap counts its frames at IoU >= MATCH_IOU. CLEAR's per-frame step uses
+assign.gated_match, the one gated-matching rule (documented in the assign
+module); MOTP is 100 * mean matched IoU. HOTA follows its published
+definition (Luiten et al. 2021): one ungated max-sum assignment per frame,
+solved with assign.hungarian, serves every alpha of the grid.
 
 Detection AP, OKS AP and behavior mAP share one AP engine. Each metric call
 scores every same-frame (prediction, gt) pair once into one similarity table
@@ -155,7 +156,7 @@ def _by_frame(tracks: list[TrackedBox], label: str) -> dict[int, tuple[list[int]
 
 
 @dataclass(frozen=True)
-class _FrameTable:
+class FrameTable:
     """Ground truth and predictions paired per frame, ids re-indexed densely.
 
     frames holds, for every frame present on either side in ascending order,
@@ -168,11 +169,12 @@ class _FrameTable:
     frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _FrameTable:
+def pair_frames(gt: list[TrackedBox], pred: list[TrackedBox]) -> FrameTable:
+    """The frame table of CLEAR, IDF1 and HOTA; rejects an empty ground truth and duplicate (frame, id) entries."""
     gt_frames = _by_frame(gt, "ground-truth")
     pred_frames = _by_frame(pred, "prediction")
     if not gt_frames:
-        raise ValueError(f"{metric} needs at least one ground-truth box")
+        raise ValueError("tracking metrics need at least one ground-truth box")
     gt_ids = sorted({t.track_id for t in gt})
     pred_ids = sorted({t.track_id for t in pred})
     g_index = {g: i for i, g in enumerate(gt_ids)}
@@ -188,29 +190,23 @@ def _pair_frames(gt: list[TrackedBox], pred: list[TrackedBox], metric: str) -> _
         gt_counts[gi] += 1.0
         pred_counts[pi] += 1.0
         frames.append((gi, pi, iou_matrix(gt_boxes, pred_boxes)))
-    return _FrameTable(gt_counts, pred_counts, frames)
+    return FrameTable(gt_counts, pred_counts, frames)
 
 
-def clear_metrics(
-    gt: list[TrackedBox],
-    pred: list[TrackedBox],
-    motp_mode: str = "iou",
-) -> ClearMetrics:
+def clear_metrics(table: FrameTable) -> ClearMetrics:
     """CLEAR multi-object tracking scores.
 
     Per frame, pairings carried over from the previous evaluated frame are
     kept while both parties exist and still overlap at IoU MATCH_IOU (0.5) or
-    above; the remainder is matched by the gated assignment at that gate. An identity
-    switch is counted whenever a ground-truth track's matched id differs from
-    its last known matched id. MOTA is computed as 100 - nFP - nFN - nIDs so
-    the normalized identity holds exactly.
-
-    motp_mode "iou" reports 100 * mean matched IoU; "distance" reports
-    100 * mean (1 - IoU).
+    above; the remainder is matched by the gated assignment at that gate,
+    which takes the most pairs first and the largest IoU sum among those.
+    TrackEval instead takes the largest IoU sum over the valid pairs, so where
+    a larger matching has a smaller sum the two rules count different FP and
+    FN. An identity switch is counted whenever a ground-truth track's matched
+    id differs from its last known matched id. MOTA is computed as
+    100 - nFP - nFN - nIDs so the normalized identity holds exactly. MOTP is
+    100 * mean matched IoU.
     """
-    _check_motp_mode(motp_mode)
-    table = _pair_frames(gt, pred, "CLEAR")
-
     fp = fn = idsw = matched = 0
     iou_sum = 0.0
     carry: dict[int, int] = {}       # gt index -> pred index matched in the previous frame
@@ -240,35 +236,26 @@ def clear_metrics(
             last_match[g] = p
         carry = pairs
 
-    return _clear_scores(fp, fn, idsw, len(gt), matched, iou_sum, motp_mode)
+    return _clear_scores(fp, fn, idsw, int(table.gt_counts.sum()), matched, iou_sum)
 
 
-def _check_motp_mode(motp_mode: str) -> None:
-    if motp_mode not in ("iou", "distance"):
-        raise ValueError(f"motp_mode must be 'iou' or 'distance', got {motp_mode}")
-
-
-def _clear_scores(
-    fp: int, fn: int, idsw: int, gt_total: int, matched: int, iou_sum: float, motp_mode: str
-) -> ClearMetrics:
+def _clear_scores(fp: int, fn: int, idsw: int, gt_total: int, matched: int, iou_sum: float) -> ClearMetrics:
     n_fp = 100.0 * fp / gt_total
     n_fn = 100.0 * fn / gt_total
     n_ids = 100.0 * idsw / gt_total
-    mean_iou = iou_sum / matched if matched else 0.0
-    motp = 100.0 * mean_iou if motp_mode == "iou" else 100.0 * (1.0 - mean_iou)
+    motp = 100.0 * (iou_sum / matched) if matched else 0.0
     return ClearMetrics(
         100.0 - n_fp - n_fn - n_ids, motp, n_fp, n_fn, n_ids, fp, fn, idsw, gt_total, matched, iou_sum
     )
 
 
-def merge_clear(parts: list[ClearMetrics], motp_mode: str = "iou") -> ClearMetrics:
+def merge_clear(parts: list[ClearMetrics]) -> ClearMetrics:
     """CLEAR over the concatenation of the sequences that produced parts.
 
     Ground-truth ids are disjoint across sequences, so no pairing carries over
     and no identity switch spans two of them; every count adds up. MOTP differs
     from the concatenation only by the summation order of the matched IoUs.
     """
-    _check_motp_mode(motp_mode)
     return _clear_scores(
         sum(p.fp for p in parts),
         sum(p.fn for p in parts),
@@ -276,18 +263,16 @@ def merge_clear(parts: list[ClearMetrics], motp_mode: str = "iou") -> ClearMetri
         sum(p.gt_count for p in parts),
         sum(p.matched for p in parts),
         sum(p.iou_sum for p in parts),
-        motp_mode,
     )
 
 
-def idf1(gt: list[TrackedBox], pred: list[TrackedBox]) -> Idf1Metrics:
+def idf1(table: FrameTable) -> Idf1Metrics:
     """Identity F1: optimal global bijection between gt and predicted identities.
 
     The benefit between a gt identity and a predicted identity is the number
     of frames where both exist and overlap at IoU >= MATCH_IOU; IDTP is the
     maximum total benefit over bijections.
     """
-    table = _pair_frames(gt, pred, "IDF1")
     overlap = np.zeros((table.gt_counts.size, table.pred_counts.size))
     for gi, pi, ious in table.frames:
         overlap[np.ix_(gi, pi)] += ious >= MATCH_IOU
@@ -296,7 +281,7 @@ def idf1(gt: list[TrackedBox], pred: list[TrackedBox]) -> Idf1Metrics:
         # a max-sum bijection over all identity pairs, with no gate: hungarian, not gated_match
         result = assign.hungarian(-overlap)
         idtp = int(round(-result.total_cost))
-    return _idf1_scores(idtp, len(pred) - idtp, len(gt) - idtp)
+    return _idf1_scores(idtp, int(table.pred_counts.sum()) - idtp, int(table.gt_counts.sum()) - idtp)
 
 
 def _idf1_scores(idtp: int, idfp: int, idfn: int) -> Idf1Metrics:
@@ -310,7 +295,7 @@ def merge_idf1(parts: list[Idf1Metrics]) -> Idf1Metrics:
     return _idf1_scores(sum(p.idtp for p in parts), sum(p.idfp for p in parts), sum(p.idfn for p in parts))
 
 
-def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
+def hota(table: FrameTable) -> HotaMetrics:
     """Higher-order tracking accuracy (Luiten et al. 2021) over the 19-point alpha grid.
 
     With S a frame's gt x prediction IoU matrix and n the boxes per id:
@@ -329,7 +314,6 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
     HOTA_alpha = sqrt(DetA * AssA); headline numbers are means over the grid,
     scaled to 100.
     """
-    table = _pair_frames(gt, pred, "HOTA")
     n_g = table.gt_counts[:, None]
     n_p = table.pred_counts[None, :]
     frames = [(gi, pi, ious) for gi, pi, ious in table.frames if gi.size and pi.size]
@@ -353,7 +337,7 @@ def hota(gt: list[TrackedBox], pred: list[TrackedBox]) -> HotaMetrics:
         # every id has a box, so n_gt + n_pred - match_count >= 1
         numerators.append(float((match_counts * (match_counts / (n_g + n_p - match_counts))).sum()))
         tps.append(int(hits.sum()))
-    return _hota_scores(tuple(tps), tuple(numerators), len(gt), len(pred))
+    return _hota_scores(tuple(tps), tuple(numerators), int(n_g.sum()), int(n_p.sum()))
 
 
 def _hota_scores(tps: tuple[int, ...], numerators: tuple[float, ...], gt_total: int, pred_total: int) -> HotaMetrics:
@@ -649,7 +633,10 @@ def behavior_map(preds: list, gts: list) -> BehaviorMAP:
 
     Per class, every prediction competes with its class score; a prediction
     is a true positive when it overlaps (IoU >= MATCH_IOU) an unconsumed
-    ground truth whose multi-hot includes the class. AP is all-point
+    ground truth whose multi-hot includes the class, and it takes the
+    highest-IoU such gt. AVA's evaluator instead gives each prediction its
+    highest-IoU gt of the class, consumed or not, and counts a false positive
+    when that gt is already taken. AP is all-point
     interpolated. Classes without ground truth are excluded from the mean and
     from category means; an empty category is NaN. Ground truths with an
     empty multi-hot are dropped first; the IoU does not depend on the class,

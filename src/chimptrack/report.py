@@ -43,6 +43,7 @@ from .metrics import (
     merge_hota,
     merge_idf1,
     merge_pck,
+    pair_frames,
     pck,
 )
 from .geometry import iou_matrix
@@ -107,12 +108,11 @@ def evaluate_sequence(
     annotation: SequenceAnnotation,
     detections: dict[int, list[DetectionRecord]],
     tracks: list[TrackedBox],
-    motp_mode: str = "iou",
 ) -> MetricsReport:
     """Score one sequence on its annotated frames only.
 
     Predictions on frames without annotations are ignored; everything on an
-    annotated frame counts.
+    annotated frame counts. CLEAR, IDF1 and HOTA read one frame table.
     """
     annotated = set(annotation.frames)
     gt_tracks, det_gt, beh_gt, pose_gt = _gt_records(annotation)
@@ -129,11 +129,12 @@ def evaluate_sequence(
             if d.pose is not None:
                 pose_pred.append((frame, np.array(d.pose, dtype=float), d.score))
 
+    table = pair_frames(gt_tracks, pred_tracks)
     report = MetricsReport(
         sequence_id=annotation.sequence_id,
-        clear=clear_metrics(gt_tracks, pred_tracks, motp_mode=motp_mode),
-        idf1=idf1(gt_tracks, pred_tracks),
-        hota=hota(gt_tracks, pred_tracks),
+        clear=clear_metrics(table),
+        idf1=idf1(table),
+        hota=hota(table),
         detection=detection_ap(det_pred, det_gt),
         behavior=behavior_map(beh_pred, beh_gt),
     )
@@ -149,14 +150,13 @@ def evaluate_sequence(
     return report
 
 
-def evaluate_sequences(reports: list[MetricsReport], motp_mode: str = "iou") -> MetricsReport:
+def evaluate_sequences(reports: list[MetricsReport]) -> MetricsReport:
     """Aggregate the reports of several sequences, given in sequence order.
 
     The result equals evaluate_sequence on oracles.combine_sequences of the
     same inputs: exactly in every count, MOTA, IDF1, DetA, AP, AR, mAP and
-    PCK, and up to float summation order in MOTP, AssA and HOTA. motp_mode
-    must be the one the reports were computed with. A single report keeps its
-    sequence id; several are labeled "aggregate".
+    PCK, and up to float summation order in MOTP, AssA and HOTA. A single
+    report keeps its sequence id; several are labeled "aggregate".
     """
     if not reports:
         raise ValueError("nothing to aggregate")
@@ -171,7 +171,7 @@ def evaluate_sequences(reports: list[MetricsReport], motp_mode: str = "iou") -> 
 
     return MetricsReport(
         sequence_id=reports[0].sequence_id if len(reports) == 1 else "aggregate",
-        clear=merge_clear([r.clear for r in reports], motp_mode),
+        clear=merge_clear([r.clear for r in reports]),
         idf1=merge_idf1([r.idf1 for r in reports]),
         hota=merge_hota([r.hota for r in reports]),
         detection=merge_ap([r.detection for r in reports]),

@@ -50,7 +50,7 @@ from chimptrack.loss import (
     multilabel_focal,
     set_prediction_loss,
 )
-from chimptrack.metrics import behavior_map, clear_metrics, detection_ap, hota, idf1
+from chimptrack.metrics import behavior_map, clear_metrics, detection_ap, hota, idf1, pair_frames
 from chimptrack.oracles import (
     brute_assignment,
     brute_behavior_map,
@@ -203,19 +203,19 @@ def test_criterion_03_metrics_match_bruteforce_oracles():
     mismatches: list[tuple[str, int]] = []
 
     def clear_ok(gt, pred) -> bool:
-        got = clear_metrics(gt, pred)
+        got = clear_metrics(pair_frames(gt, pred))
         want = brute_clear(gt, pred)
         return all(
             nan_equal(getattr(got, k), want[k]) for k in ("mota", "motp", "n_fp", "n_fn", "n_ids")
         ) and all(getattr(got, k) == want[k] for k in ("fp", "fn", "idsw", "matched"))
 
     def idf1_ok(gt, pred) -> bool:
-        got = idf1(gt, pred)
+        got = idf1(pair_frames(gt, pred))
         want = brute_idf1(gt, pred)
         return nan_equal(got.idf1, want["idf1"]) and got.idtp == want["idtp"]
 
     def hota_ok(gt, pred) -> bool:
-        got = hota(gt, pred)
+        got = hota(pair_frames(gt, pred))
         want = brute_hota(gt, pred)
         return all(nan_equal(getattr(got, k), want[k]) for k in ("hota", "deta", "assa"))
 
@@ -325,7 +325,7 @@ def test_criterion_06_noise_sweeps_are_monotone():
         vals = []
         for s, scene in enumerate(scenes):
             tracks = perturb_tracks(scene.gt_tracks, size, NoiseConfig(fn_rate=rate), 7000 + s)
-            vals.append(clear_metrics(scene.gt_tracks, tracks).mota)
+            vals.append(clear_metrics(pair_frames(scene.gt_tracks, tracks)).mota)
         mota_means.append(sum(vals) / len(vals))
 
     gts = [[(t.frame, t.box) for t in scene.gt_tracks] for scene in scenes]

@@ -269,6 +269,37 @@ def test_evaluate_mixed_image_sizes_exits_2(tmp_path, capsys):
     assert "different image sizes" in capsys.readouterr().err
 
 
+def evaluate_detections_declaring(tmp_path, task, width, height):
+    """evaluate's argv and sidecar path for a 2 x 20 scene (640 x 480) whose noisy detections declare width x height."""
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--agents", "2", "--frames", "20", "--out", str(scene)]) == 0
+    dets = scene / "detections_noisy.json"
+    doc = json.loads(dets.read_text())
+    doc["image_size"] = {"width": width, "height": height}
+    dets.write_text(json.dumps(doc))
+    sidecar = tmp_path / "out.metrics.json"
+    argv = ["evaluate", "--task", task, "--gt", str(scene / "annotations.json"), "--pred", str(dets), "--out", str(sidecar)]
+    return argv, sidecar
+
+
+@pytest.mark.parametrize("task", ["detection", "pose", "behavior"])
+def test_evaluate_rejects_detections_of_another_image_size(tmp_path, capsys, task):
+    argv, sidecar = evaluate_detections_declaring(tmp_path, task, 64, 64)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: $.image_size: sequence synth-1: detections are 64x64, annotations are 640x480\n"
+    )
+    assert not sidecar.exists()
+
+
+def test_evaluate_accepts_detections_of_the_annotations_image_size(tmp_path, capsys):
+    argv, sidecar = evaluate_detections_declaring(tmp_path, "detection", 640, 480)
+    assert main(argv) == 0
+    assert json.loads(sidecar.read_text())["task"] == "detection"
+    capsys.readouterr()
+
+
 def test_evaluate_detection_behavior_and_pose_tasks(tmp_path, capsys):
     out = make_scene(tmp_path)
     gt = out / "annotations.json"

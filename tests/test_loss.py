@@ -9,7 +9,6 @@ from chimptrack.loss import (
     LossWeights,
     detr_cost,
     focal_loss,
-    focal_positive_cost,
     giou_loss,
     l1_box_loss,
     multilabel_focal,
@@ -217,15 +216,6 @@ def test_set_loss_agrees_with_exhaustive_oracle():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_focal_positive_cost_formula_and_domain():
-    p = 0.3
-    expected = 0.25 * (1.0 - p) ** 2.0 * -np.log(p)
-    assert focal_positive_cost(p) == pytest.approx(expected, rel=1e-12)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            focal_positive_cost(bad)
-
-
 def test_detr_cost_single_entry_matches_hand_formula():
     w = LossWeights()
     p = 0.7
@@ -248,5 +238,6 @@ def test_detr_cost_shape_and_validation():
     assert detr_cost(probs, pred, gt).shape == (4, 2)
     with pytest.raises(ValueError):
         detr_cost(probs[:3], pred, gt)
-    with pytest.raises(ValueError):
-        detr_cost(np.array([0.0, 0.5, 0.5, 0.5]), pred, gt)
+    for bad in (0.0, 1.0, -0.1, 1.1):
+        with pytest.raises(ValueError):
+            detr_cost(np.array([bad, 0.5, 0.5, 0.5]), pred, gt)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import nan_equal, tiny_behavior_sets, tiny_detection_sets, tiny_tracks
 
-from chimptrack import geometry, metrics
+from chimptrack import assign, geometry, metrics
 from chimptrack.dataio import TrackedBox
 from chimptrack.geometry import BoxXYXY
 from chimptrack.metrics import (
@@ -18,6 +18,7 @@ from chimptrack.metrics import (
     idf1,
     keypoint_ap,
     oks,
+    pair_frames,
     pck,
 )
 from chimptrack.oracles import (
@@ -51,7 +52,7 @@ def track(frame, tid, box=BOX):
 
 def test_clear_perfect_tracking():
     gt = [track(f, i) for f in range(3) for i in (1, 2)]
-    out = clear_metrics(gt, list(gt))
+    out = clear_metrics(pair_frames(gt, list(gt)))
     assert out.mota == 100.0
     assert out.motp == 100.0
     assert (out.fp, out.fn, out.idsw) == (0, 0, 0)
@@ -62,7 +63,7 @@ def test_clear_perfect_tracking():
 def test_clear_mota_is_identity_of_components():
     gt = [track(0, 1), track(1, 1)]
     pred = [track(0, 1), TrackedBox(1, 9, FAR)]
-    out = clear_metrics(gt, pred)
+    out = clear_metrics(pair_frames(gt, pred))
     assert (out.fp, out.fn, out.idsw) == (1, 1, 0)
     assert out.n_fp == 50.0 and out.n_fn == 50.0 and out.n_ids == 0.0
     assert out.mota == 100.0 - out.n_fp - out.n_fn - out.n_ids == 0.0
@@ -71,7 +72,7 @@ def test_clear_mota_is_identity_of_components():
 def test_clear_single_identity_swap_counts_once():
     gt = [track(f, 1) for f in range(10)]
     pred = [track(f, 1) for f in range(5)] + [track(f, 2) for f in range(5, 10)]
-    out = clear_metrics(gt, pred)
+    out = clear_metrics(pair_frames(gt, pred))
     assert out.idsw == 1
     assert (out.fp, out.fn) == (0, 0)
     assert out.mota == pytest.approx(90.0)
@@ -85,7 +86,7 @@ def test_clear_carryover_keeps_previous_pair():
         TrackedBox(1, 1, BOX_IOU06),
         TrackedBox(1, 2, BOX),  # IoU 1.0 but must not steal the match
     ]
-    out = clear_metrics(gt, pred)
+    out = clear_metrics(pair_frames(gt, pred))
     assert out.idsw == 0
     assert out.fp == 1
     assert out.matched == 2
@@ -96,18 +97,15 @@ def test_clear_carryover_keeps_previous_pair():
 def test_clear_idsw_compares_against_last_known_id():
     gt = [track(0, 1), track(1, 1), track(2, 1)]
     pred = [track(0, 1), track(2, 2)]  # gap at frame 1, then a new id
-    out = clear_metrics(gt, pred)
+    out = clear_metrics(pair_frames(gt, pred))
     assert out.fn == 1
     assert out.idsw == 1
 
 
-def test_clear_motp_modes():
+def test_clear_motp_is_mean_matched_iou():
     gt = [track(0, 1), track(1, 1)]
     pred = [TrackedBox(0, 1, BOX_IOU06), TrackedBox(1, 1, BOX_IOU06)]
-    assert clear_metrics(gt, pred, motp_mode="iou").motp == pytest.approx(60.0)
-    assert clear_metrics(gt, pred, motp_mode="distance").motp == pytest.approx(40.0)
-    with pytest.raises(ValueError):
-        clear_metrics(gt, pred, motp_mode="euclidean")
+    assert clear_metrics(pair_frames(gt, pred)).motp == pytest.approx(60.0)
 
 
 def test_clear_threshold_is_inclusive_gate():
@@ -116,17 +114,40 @@ def test_clear_threshold_is_inclusive_gate():
     for height, matched in ((5.0, 1), (math.nextafter(5.0, 0.0), 0)):
         pred = [track(0, 1, BoxXYXY(0.0, 0.0, 10.0, height))]
         assert geometry.iou(BOX, pred[0].box) == (0.5 if matched else math.nextafter(0.5, 0.0))
-        assert clear_metrics(gt, pred).matched == matched
+        assert clear_metrics(pair_frames(gt, pred)).matched == matched
         assert brute_clear(gt, pred)["matched"] == matched
 
 
+def test_clear_takes_most_pairs_where_trackeval_takes_largest_iou_sum():
+    # one frame, all boxes 10 high; the IoUs at or above the gate are
+    # g0-p0 19/33, g0-p1 12/13, g0-p2 23/29, g1-p2 15/29, g2-p1 19/35, g2-p2 3/4.
+    # The cardinality-first gated matching takes 3 pairs (IoU sum 1.636); the
+    # largest IoU sum over the valid pairs, TrackEval's rule, is 2 pairs
+    # g0-p1, g2-p2 (1.673) and would count fp = fn = 1
+    def strips(*spans):
+        return [track(0, i + 1, BoxXYXY(x1, 0.0, x2, 10.0)) for i, (x1, x2) in enumerate(spans)]
+
+    gt = strips((11, 24), (18, 27), (13.5, 28.5))
+    pred = strips((7.5, 20.5), (11, 23), (12.5, 25.5))
+    table = pair_frames(gt, pred)
+    ious = table.frames[0][2]
+    max_sum = assign.hungarian(-np.where(ious >= 0.5, ious, 0.0)).pairs
+    assert [(r, c) for r, c in max_sum if ious[r, c] >= 0.5] == [(0, 1), (2, 2)]
+    out = clear_metrics(table)
+    want = brute_clear(gt, pred)
+    assert (out.matched, out.fp, out.fn, out.idsw) == (3, 0, 0, 0)
+    assert (want["matched"], want["fp"], want["fn"], want["idsw"]) == (3, 0, 0, 0)
+    assert out.motp == pytest.approx(100.0 * (19 / 33 + 15 / 29 + 19 / 35) / 3, abs=1e-12)
+    assert nan_equal(out.motp, want["motp"])
+
+
 def test_clear_rejects_empty_gt_and_duplicates():
+    with pytest.raises(ValueError, match="^tracking metrics need at least one ground-truth box$"):
+        clear_metrics(pair_frames([], [track(0, 1)]))
     with pytest.raises(ValueError):
-        clear_metrics([], [track(0, 1)])
+        clear_metrics(pair_frames([track(0, 1), track(0, 1)], [track(0, 1)]))
     with pytest.raises(ValueError):
-        clear_metrics([track(0, 1), track(0, 1)], [track(0, 1)])
-    with pytest.raises(ValueError):
-        clear_metrics([track(0, 1)], [track(0, 2), track(0, 2)])
+        clear_metrics(pair_frames([track(0, 1)], [track(0, 2), track(0, 2)]))
 
 
 # --------------------------------------------------------------------- IDF1
@@ -134,7 +155,7 @@ def test_clear_rejects_empty_gt_and_duplicates():
 
 def test_idf1_perfect():
     gt = [track(f, i) for f in range(4) for i in (1, 2)]
-    out = idf1(gt, list(gt))
+    out = idf1(pair_frames(gt, list(gt)))
     assert out.idf1 == 100.0
     assert out.idtp == 8 and out.idfp == 0 and out.idfn == 0
 
@@ -142,7 +163,7 @@ def test_idf1_perfect():
 def test_idf1_half_split_identity():
     gt = [track(f, 1) for f in range(10)]
     pred = [track(f, 1) for f in range(5)] + [track(f, 2) for f in range(5, 10)]
-    out = idf1(gt, pred)
+    out = idf1(pair_frames(gt, pred))
     assert out.idtp == 5
     assert out.idfp == 5 and out.idfn == 5
     assert out.idf1 == pytest.approx(50.0)
@@ -152,7 +173,7 @@ def test_idf1_prefers_longest_joint_coverage():
     # pred id 7 covers gt 1 for 3 frames, pred id 8 covers it for 1 frame
     gt = [track(f, 1) for f in range(4)]
     pred = [track(0, 7), track(1, 7), track(2, 7), track(3, 8)]
-    out = idf1(gt, pred)
+    out = idf1(pair_frames(gt, pred))
     assert out.idtp == 3
 
 
@@ -161,7 +182,7 @@ def test_idf1_prefers_longest_joint_coverage():
 
 def test_hota_perfect():
     gt = [track(f, i) for f in range(5) for i in (1, 2)]
-    out = hota(gt, list(gt))
+    out = hota(pair_frames(gt, list(gt)))
     assert out.hota == pytest.approx(100.0)
     assert out.deta == pytest.approx(100.0)
     assert out.assa == pytest.approx(100.0)
@@ -172,7 +193,7 @@ def test_hota_perfect():
 def test_hota_identity_swap_halves_association():
     gt = [track(f, 1) for f in range(10)]
     pred = [track(f, 1) for f in range(5)] + [track(f, 2) for f in range(5, 10)]
-    out = hota(gt, pred)
+    out = hota(pair_frames(gt, pred))
     assert out.deta == pytest.approx(100.0)
     assert out.assa == pytest.approx(50.0)
     assert out.hota == pytest.approx(100.0 * math.sqrt(0.5))
@@ -197,7 +218,7 @@ def test_hota_published_matching_differs_from_per_alpha_gating():
     # alphas <= 1/3 it took A-y and B-x on frame 4 (DetA 1, AssA 23/45) and
     # reported DetA 77.07, AssA 79.30, HOTA 76.17 against 68.05, 94.74, 80.29.
     gt, pred = hota_hand_case()
-    out = hota(gt, pred)
+    out = hota(pair_frames(gt, pred))
     assert out.tp == (5,) * 16 + (4,) * 3
     assert out.deta == pytest.approx(100.0 * (16 * 5 / 7 + 3 / 2) / 19, abs=1e-12)
     assert out.assa == pytest.approx(100.0 * (16 + 3 * 2 / 3) / 19, abs=1e-12)
@@ -211,7 +232,7 @@ def test_hota_alpha_test_allows_eps():
     # 0.3499999999999999 (one ulp below ALPHA_GRID[6] = 0.35) still counts at
     # alpha 0.35, and 0.3499999999999997 (more than eps below) does not
     for height, alphas in ((3.4999999999999996, 7), (3.4999999999999973, 6)):
-        out = hota([track(0, 1)], [track(0, 1, BoxXYXY(0.0, 0.0, 10.0, height))])
+        out = hota(pair_frames([track(0, 1)], [track(0, 1, BoxXYXY(0.0, 0.0, 10.0, height))]))
         assert out.tp == (1,) * alphas + (0,) * (19 - alphas), height
 
 
@@ -233,7 +254,7 @@ def test_hota_solves_each_frame_once_with_hungarian(monkeypatch):
 
     monkeypatch.setattr(metrics.assign, "hungarian", counting)
     monkeypatch.setattr(metrics.assign, "gated_match", forbidden)
-    hota(gt, pred)
+    hota(pair_frames(gt, pred))
     frames = {t.frame for t in gt} & {t.frame for t in pred}
     assert 41 in frames and 40 not in frames and 42 not in frames
     assert calls == [(sum(t.frame == f for t in gt), sum(t.frame == f for t in pred)) for f in sorted(frames)]
@@ -241,7 +262,7 @@ def test_hota_solves_each_frame_once_with_hungarian(monkeypatch):
 
 def test_hota_rejects_empty_gt():
     with pytest.raises(ValueError):
-        hota([], [track(0, 1)])
+        hota(pair_frames([], [track(0, 1)]))
 
 
 # ------------------------------------------------------------- detection AP
@@ -433,6 +454,22 @@ def test_behavior_map_gt_consumed_once_per_class():
     assert flipped.per_class[0] == pytest.approx(100.0)
 
 
+def test_behavior_map_falls_back_to_next_free_gt_where_ava_counts_fp():
+    # both gts carry class 0. The first-ranked prediction takes gt A (IoU 1).
+    # The second's argmax-IoU gt is A too (9/11), already taken; gt B is free
+    # at IoU 17/23 >= 0.5, so it takes B and both are TPs (AP 100). AVA's
+    # evaluator counts it a false positive instead: TP, FP, AP 50
+    box_b = BoxXYXY(0.0, 2.5, 10.0, 12.5)
+    second = BoxXYXY(0.0, 1.0, 10.0, 11.0)
+    assert geometry.iou(second, BOX) == pytest.approx(9 / 11) and geometry.iou(second, box_b) == pytest.approx(17 / 23)
+    gts = [(0, BOX, multihot(0)), (0, box_b, multihot(0))]
+    preds = [(0, BOX, scores(c0=0.9)), (0, second, scores(c0=0.8))]
+    out = behavior_map(preds, gts)
+    assert out.classes[0].tp.tolist() == [[True, True]]
+    assert out.per_class[0] == 100.0
+    assert brute_behavior_map(preds, gts).per_class[0] == 100.0
+
+
 # ------------------------------------------------------- greedy AP matching
 
 
@@ -530,7 +567,7 @@ def test_clear_agrees_with_oracle():
         gt, pred = tiny_tracks(rng)
         if not gt:
             continue
-        got = clear_metrics(gt, pred)
+        got = clear_metrics(pair_frames(gt, pred))
         want = brute_clear(gt, pred)
         for key in ("mota", "motp", "n_fp", "n_fn", "n_ids"):
             assert nan_equal(getattr(got, key), want[key]), (seed, key)
@@ -544,7 +581,7 @@ def test_idf1_agrees_with_oracle():
         gt, pred = tiny_tracks(rng)
         if not gt:
             continue
-        got = idf1(gt, pred)
+        got = idf1(pair_frames(gt, pred))
         want = brute_idf1(gt, pred)
         assert nan_equal(got.idf1, want["idf1"]), seed
         assert got.idtp == want["idtp"]
@@ -556,7 +593,7 @@ def test_hota_agrees_with_oracle():
         gt, pred = tiny_tracks(rng)
         if not gt:
             continue
-        got = hota(gt, pred)
+        got = hota(pair_frames(gt, pred))
         want = brute_hota(gt, pred)
         assert nan_equal(got.hota, want["hota"]), seed
         assert nan_equal(got.deta, want["deta"]), seed

@@ -5,6 +5,7 @@ import math
 import pytest
 from conftest import nan_equal
 
+from chimptrack import metrics, tracker
 from chimptrack.dataio import DetectionRecord, SequenceAnnotation, TrackedBox
 from chimptrack.geometry import BoxXYXY
 from chimptrack.oracles import combine_sequences
@@ -177,6 +178,32 @@ def task_items(task: str, seeds=(11, 12, 13)):
             dets = {f: v for f, v in dets.items() if f not in (10, 30)}
         items.append((scene.annotation, dets, tracks))
     return items
+
+
+def test_one_frame_table_per_sequence(monkeypatch):
+    # CLEAR, IDF1 and HOTA read the one frame table evaluate_sequence builds,
+    # so metrics.iou_matrix runs once per annotated frame, for tracks and for
+    # detections alike (the README noise on 8 x 250 at seed 9)
+    scene = generate(SceneConfig(agents=8, frames=250), 9)
+    noisy = perturb_detections(scene.detections, scene.annotation.image_size, DET_NOISE, 10)
+    tracks = tracker.run(noisy, tracker.TrackerConfig())
+    track_dets = {}
+    for t in tracks:
+        track_dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score, t.behavior_scores))
+    calls = []
+    real = metrics.iou_matrix
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(metrics, "iou_matrix", counting)
+    per_frame_gt = [len(scene.annotation.frames[f]) for f in sorted(scene.annotation.frames)]
+    assert len(per_frame_gt) == 25
+    for dets, preds in ((track_dets, tracks), (noisy, [])):
+        calls.clear()
+        evaluate_sequence(scene.annotation, dets, preds)
+        assert calls == per_frame_gt
 
 
 def exact(a, b) -> bool:
