@@ -78,8 +78,6 @@ def run_tracker(detections, config):
 def _cmd_synth(args) -> int:
     from . import synth
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = synth.SceneConfig(
         agents=args.agents,
         frames=args.frames,
@@ -98,6 +96,8 @@ def _cmd_synth(args) -> int:
 
     sid = scene.annotation.sequence_id
     size = scene.annotation.image_size
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "annotations.json").write_text(dump_json(dataio.write_annotations(scene.annotation)))
     (out / "detections_clean.json").write_text(dump_json(dataio.write_detections(sid, size, scene.detections)))
     (out / "detections_noisy.json").write_text(dump_json(dataio.write_detections(sid, size, noisy)))
@@ -133,18 +133,29 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _gather_annotation_files(path: Path) -> list[Path]:
+class PairingError(Exception):
+    """Sequences that cannot be paired between annotations and predictions (exit 3)."""
+
+
+def _json_files(path: Path) -> list[Path]:
     if path.is_dir():
         return sorted(p for p in path.iterdir() if p.suffix == ".json")
     return [path]
 
 
-def _load_gt(path: Path) -> dict[str, dataio.SequenceAnnotation]:
-    out = {}
-    for f in _gather_annotation_files(path):
-        ann = dataio.parse_annotations(f)
-        out[ann.sequence_id] = ann
+def _by_sequence(entries) -> dict:
+    """{sequence_id: value} from (file, sequence_id, value) entries; an id in two files is a pairing error."""
+    out, source = {}, {}
+    for f, sid, value in entries:
+        if sid in source:
+            raise PairingError(f"sequence {sid} appears in two files: {source[sid]} and {f}")
+        out[sid], source[sid] = value, f
     return out
+
+
+def _load_gt(path: Path) -> dict[str, dataio.SequenceAnnotation]:
+    annotations = ((f, dataio.parse_annotations(f)) for f in _json_files(path))
+    return _by_sequence((f, ann.sequence_id, ann) for f, ann in annotations)
 
 
 def _load_pred_tracks(path: Path, gt_ids: list[str]) -> dict[str, list[TrackedBox]]:
@@ -157,12 +168,8 @@ def _load_pred_tracks(path: Path, gt_ids: list[str]) -> dict[str, list[TrackedBo
 
 
 def _load_pred_detections(path: Path) -> dict[str, tuple[ImageSize, dict[int, list[DetectionRecord]]]]:
-    files = sorted(p for p in path.iterdir() if p.suffix == ".json") if path.is_dir() else [path]
-    out = {}
-    for f in files:
-        sequence_id, size, dets = dataio.parse_detections(f)
-        out[sequence_id] = (size, dets)
-    return out
+    parsed = ((f, *dataio.parse_detections(f)) for f in _json_files(path))
+    return _by_sequence((f, sid, (size, dets)) for f, sid, size, dets in parsed)
 
 
 def _tracks_as_detections(tracks: list[TrackedBox]) -> dict[int, list[DetectionRecord]]:
@@ -201,15 +208,20 @@ def _cmd_evaluate(args) -> int:
 
     missing = [sid for sid in gt_ids if sid not in items]
     if missing:
-        print(f"missing predictions for sequences: {', '.join(missing)}", file=sys.stderr)
-        return 3
+        raise PairingError(f"missing predictions for sequences: {', '.join(missing)}")
     extra = set(preds) - set(gt_ids)
     if extra:
-        print(f"predictions without ground truth: {', '.join(sorted(extra))}", file=sys.stderr)
-        return 3
+        raise PairingError(f"predictions without ground truth: {', '.join(sorted(extra))}")
 
-    if len({gt[sid].image_size for sid in gt_ids}) > 1:
-        raise ValueError("cannot aggregate sequences with different image sizes")
+    # the aggregate is one evaluation of the concatenation, defined over one image size
+    for sid in gt_ids[1:]:
+        want, got = gt[gt_ids[0]].image_size, gt[sid].image_size
+        if got != want:
+            raise AnnotationError(
+                "$.image_size",
+                f"sequences {gt_ids[0]} ({want.width}x{want.height}) and {sid} "
+                f"({got.width}x{got.height}) differ; the aggregate needs one image size",
+            )
 
     ordered = [items[sid] for sid in gt_ids]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -515,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except PairingError as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except AnnotationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -3,13 +3,15 @@
 Two layouts are used throughout: corner form ``BoxXYXY`` (x1, y1, x2, y2) in
 absolute pixels and center form ``BoxRel`` (cx, cy, h, w) normalized to the
 unit square. Note the center form orders height before width. rel_to_abs
-maps the detector's center form onto pixel corners.
+maps the detector's center form onto pixel corners; on ImageSize(1, 1) it
+gives the unit-frame corners that loss.giou_loss scores.
 
 Areas follow half-open semantics: area = (x2 - x1) * (y2 - y1), so boxes that
 touch only along an edge have zero intersection.
 
-Only the array functions, iou_matrix and rel_to_corners, import NumPy, so
-the box types load without it (dataio and synth run NumPy-free).
+Only the array function, iou_matrix, imports NumPy, so the box types load
+without it (dataio and synth run NumPy-free). GIoU lives with the loss that
+uses it (loss.giou_loss).
 """
 
 from __future__ import annotations
@@ -66,26 +68,6 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def giou(a, b) -> float:
-    """Generalized IoU: IoU minus the non-covered fraction of the enclosing box.
-
-    Ranges over (-1, 1]. Raises ValueError when the enclosing box is
-    degenerate (both inputs collapse onto a shared point or axis line),
-    which would divide by zero.
-    """
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    cw = max(ax2, bx2) - min(ax1, bx1)
-    ch = max(ay2, by2) - min(ay1, by1)
-    enclose = cw * ch
-    if enclose <= 0.0:
-        raise ValueError("giou undefined: enclosing box has zero area")
-    inter = intersection(a, b)
-    union = area(a) + area(b) - inter
-    iou_term = inter / union if union > 0.0 else 0.0
-    return iou_term - (enclose - union) / enclose
-
-
 def rel_to_abs(box: BoxRel, size: ImageSize) -> BoxXYXY:
     """Map a normalized center-form box onto pixel corners for an image size."""
     cx, cy, h, w = box
@@ -125,11 +107,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
-
-
-def rel_to_corners(box) -> np.ndarray:
-    """Center-form (cx, cy, h, w) to corner-form (x1, y1, x2, y2) on the unit frame."""
-    import numpy as np
-
-    cx, cy, h, w = box
-    return np.array([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], dtype=float)

@@ -389,7 +389,10 @@ def emit_detections(result: ForwardResult, dims: ModelDims, cls_thresh: float) -
     Window w scores its last frame, w + dims.frames - 1, and every window has
     a frame, empty when no query passes. Queries keep their order; boxes go to
     pixel corners of the dims.width x dims.height image through rel_to_abs.
+    cls_thresh must lie in [0, 1].
     """
+    if not 0.0 <= cls_thresh <= 1.0:
+        raise ValueError(f"cls_thresh must lie in [0, 1], got {cls_thresh}")
     out = result.outputs
     size = ImageSize(dims.width, dims.height)
     first = dims.frames - 1

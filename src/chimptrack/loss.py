@@ -3,9 +3,14 @@
 Scalar kernels return (value, gradient) pairs. Classification gradients are
 taken with respect to the pre-sigmoid logit of the given probability; box
 gradients with respect to the normalized center-form parameters (cx, cy, h, w).
-Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs. The
-matching cost that pairs queries with ground truth (detr_cost) uses the same
-LossWeights as the loss terms.
+Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before logs.
+
+The weights are constants: CLS_WEIGHT 2, L1_WEIGHT 5 and GIOU_WEIGHT 2 weigh
+both the matching cost (detr_cost) and the loss terms, as in Deformable DETR
+(Zhu et al. 2021); every focal term uses FOCAL_ALPHA 0.25 and FOCAL_GAMMA 2
+(Lin et al. 2017). GIoU is Rezatofighi et al. (2019). The matching and the
+loss read one (query, gt) table of L1 and giou_loss values, so the loss
+charges exactly the GIoU the matching minimized.
 """
 
 from __future__ import annotations
@@ -15,20 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assign
-from .geometry import giou, rel_to_corners
+from .geometry import BoxRel, ImageSize, rel_to_abs
 
 CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Term weights for the set loss; also used as the matching-cost weights."""
-
-    cls: float = 2.0
-    l1: float = 5.0
-    giou: float = 2.0
-    alpha: float = 0.25
-    gamma: float = 2.0
+CLS_WEIGHT = 2.0
+L1_WEIGHT = 5.0
+GIOU_WEIGHT = 2.0
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+_UNIT = ImageSize(1, 1)
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,14 @@ class LossBreakdown:
     pairs: tuple[tuple[int, int], ...]
 
 
-def focal_loss(p: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> tuple[float, float]:
+def focal_loss(p: float, target: int) -> tuple[float, float]:
     """Binary focal loss and its derivative with respect to the logit of p.
 
     target 1: -alpha * (1-p)^gamma * log(p)
     target 0: -(1-alpha) * p^gamma * log(1-p)
+    with alpha = FOCAL_ALPHA and gamma = FOCAL_GAMMA.
     """
+    alpha, gamma = FOCAL_ALPHA, FOCAL_GAMMA
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target}")
     p = float(np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS))
@@ -124,7 +126,7 @@ def giou_loss(pred, gt) -> tuple[float, np.ndarray]:
     gt = np.asarray(gt, dtype=float).reshape(4)
     if pred[2] <= 0.0 or pred[3] <= 0.0 or gt[2] <= 0.0 or gt[3] <= 0.0:
         raise ValueError("giou_loss requires boxes with positive height and width")
-    value, d_corners = _corner_partials(rel_to_corners(pred), rel_to_corners(gt))
+    value, d_corners = _corner_partials(rel_to_abs(BoxRel(*pred), _UNIT), rel_to_abs(BoxRel(*gt), _UNIT))
     dx1, dy1, dx2, dy2 = d_corners
     grad = -np.array([
         dx1 + dx2,                # cx
@@ -135,7 +137,7 @@ def giou_loss(pred, gt) -> tuple[float, np.ndarray]:
     return 1.0 - value, grad
 
 
-def multilabel_focal(probs, targets, alpha: float = 0.25, gamma: float = 2.0) -> tuple[float, np.ndarray]:
+def multilabel_focal(probs, targets) -> tuple[float, np.ndarray]:
     """Sum of per-class binary focal losses over a multi-hot target vector.
 
     Returns the summed value and per-class gradients with respect to each
@@ -150,21 +152,37 @@ def multilabel_focal(probs, targets, alpha: float = 0.25, gamma: float = 2.0) ->
     total = 0.0
     grads = np.empty_like(probs)
     for k in range(probs.shape[0]):
-        v, g = focal_loss(probs[k], int(targets[k]), alpha, gamma)
+        v, g = focal_loss(probs[k], int(targets[k]))
         total += v
         grads[k] = g
     return total, grads
 
 
-def detr_cost(class_probs, pred_boxes, gt_boxes, weights: LossWeights = LossWeights()) -> np.ndarray:
+def _cost_table(class_probs, pred_boxes, gt_boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """detr_cost and the (Q, G) tables of L1 and giou_loss values it is assembled from."""
+    p = np.asarray(class_probs, dtype=float).reshape(-1)
+    pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
+    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
+    if pred.shape[0] != p.shape[0]:
+        raise ValueError("class_probs and pred_boxes disagree on the number of queries")
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("class probabilities must lie strictly inside (0, 1)")
+
+    cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * -np.log(p)
+    l1 = np.abs(pred[:, None, :] - gt[None, :, :]).sum(axis=2)
+    giou = np.array([[giou_loss(b, t)[0] for t in gt] for b in pred]).reshape(l1.shape)
+    return CLS_WEIGHT * cls_cost[:, None] + L1_WEIGHT * l1 + GIOU_WEIGHT * giou, l1, giou
+
+
+def detr_cost(class_probs, pred_boxes, gt_boxes) -> np.ndarray:
     """Matching cost between predicted detections and ground-truth boxes.
 
-    entry(q, g) = w.cls * w.alpha * (1 - p_q)^w.gamma * (-log p_q)
-                + w.l1 * ||b_q - t_g||_1
-                + w.giou * (1 - GIoU(b_q, t_g))
+    entry(q, g) = CLS_WEIGHT * FOCAL_ALPHA * (1 - p_q)^FOCAL_GAMMA * (-log p_q)
+                + L1_WEIGHT * ||b_q - t_g||_1
+                + GIOU_WEIGHT * giou_loss(b_q, t_g)
 
-    Boxes are normalized center-form (cx, cy, h, w). Behavior scores do not
-    enter the matching cost.
+    Boxes are normalized center-form (cx, cy, h, w) with positive height and
+    width. Behavior scores do not enter the matching cost.
 
     Args:
         class_probs: (Q,) class probabilities, each strictly inside (0, 1).
@@ -174,39 +192,19 @@ def detr_cost(class_probs, pred_boxes, gt_boxes, weights: LossWeights = LossWeig
     Returns:
         (Q, G) cost matrix.
     """
-    p = np.asarray(class_probs, dtype=float).reshape(-1)
-    pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
-    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-    if pred.shape[0] != p.shape[0]:
-        raise ValueError("class_probs and pred_boxes disagree on the number of queries")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("class probabilities must lie strictly inside (0, 1)")
-
-    cls_cost = weights.alpha * (1.0 - p) ** weights.gamma * -np.log(p)
-    l1 = np.abs(pred[:, None, :] - gt[None, :, :]).sum(axis=2)
-    out = np.empty((pred.shape[0], gt.shape[0]), dtype=float)
-    for q in range(pred.shape[0]):
-        bq = rel_to_corners(pred[q])
-        for g in range(gt.shape[0]):
-            out[q, g] = 1.0 - giou(bq, rel_to_corners(gt[g]))
-    return weights.cls * cls_cost[:, None] + weights.l1 * l1 + weights.giou * out
+    return _cost_table(class_probs, pred_boxes, gt_boxes)[0]
 
 
-def set_prediction_loss(
-    class_probs,
-    pred_boxes,
-    behavior_probs,
-    gt_boxes,
-    gt_behaviors,
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
+def set_prediction_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behaviors) -> LossBreakdown:
     """Matching-based loss over a fixed query set.
 
     Queries are matched one-to-one to ground truth by the Hungarian algorithm
-    on the detection matching cost. Each matched query contributes
-    w.cls * focal(p, 1) + w.l1 * L1 + w.giou * (1 - GIoU) plus an unweighted
-    multi-label behavior focal term; every unmatched query contributes
-    w.cls * focal(p, 0). Term fields hold the raw (unweighted) sums.
+    on detr_cost. Each matched query contributes
+    CLS_WEIGHT * focal(p, 1) + L1_WEIGHT * L1 + GIOU_WEIGHT * giou_loss, with
+    L1 and giou_loss the entries of the table the matching read, plus an
+    unweighted multi-label behavior focal term; every unmatched query
+    contributes CLS_WEIGHT * focal(p, 0). Term fields hold the raw
+    (unweighted) sums.
 
     Raises ValueError when there are more ground-truth boxes than queries.
     """
@@ -219,10 +217,10 @@ def set_prediction_loss(
     if n_g > n_q:
         raise ValueError(f"more ground-truth boxes ({n_g}) than queries ({n_q})")
 
+    pairs = ()
     if n_g:
-        pairs = assign.hungarian(detr_cost(p, pred, gt, weights)).pairs
-    else:
-        pairs = ()
+        cost, l1, giou = _cost_table(p, pred, gt)
+        pairs = assign.hungarian(cost).pairs
 
     matched = {q for q, _ in pairs}
     cls_term = 0.0
@@ -230,18 +228,13 @@ def set_prediction_loss(
     giou_term = 0.0
     behavior_term = 0.0
     for q, g in pairs:
-        cls_term += focal_loss(p[q], 1, weights.alpha, weights.gamma)[0]
-        l1_term += l1_box_loss(pred[q], gt[g])[0]
-        giou_term += giou_loss(pred[q], gt[g])[0]
-        behavior_term += multilabel_focal(beh[q], gt_beh[g], weights.alpha, weights.gamma)[0]
+        cls_term += focal_loss(p[q], 1)[0]
+        l1_term += float(l1[q, g])
+        giou_term += float(giou[q, g])
+        behavior_term += multilabel_focal(beh[q], gt_beh[g])[0]
     for q in range(n_q):
         if q not in matched:
-            cls_term += focal_loss(p[q], 0, weights.alpha, weights.gamma)[0]
+            cls_term += focal_loss(p[q], 0)[0]
 
-    total = (
-        weights.cls * cls_term
-        + weights.l1 * l1_term
-        + weights.giou * giou_term
-        + behavior_term
-    )
+    total = CLS_WEIGHT * cls_term + L1_WEIGHT * l1_term + GIOU_WEIGHT * giou_term + behavior_term
     return LossBreakdown(total, cls_term, l1_term, giou_term, behavior_term, pairs)

@@ -32,7 +32,7 @@ from . import assign, kernels, tracker
 from .assign import Assignment
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .geometry import BoxXYXY, iou_matrix
-from .loss import LossWeights
+from .loss import CLS_WEIGHT, FOCAL_ALPHA, FOCAL_GAMMA, GIOU_WEIGHT, L1_WEIGHT
 from .metrics import ALPHA_GRID, IOU_THRESHOLDS, KAPPA, MATCH_IOU, RECALL_POINTS, BehaviorMAP, DetectionAP
 from .rng import Xoshiro256
 
@@ -486,12 +486,13 @@ def _giou_value(a, b) -> float:
     return inter / union - (hull - union) / hull
 
 
-def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behaviors, weights: LossWeights = LossWeights()) -> float:
+def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behaviors) -> float:
     """Set-prediction loss with the matching found by exhaustive search.
 
     The matching minimizes the detection matching cost (classification +
     box terms; behaviors excluded); the loss then scores matched pairs with
-    focal/L1/GIoU/behavior terms and unmatched queries as pure negatives.
+    focal/L1/GIoU/behavior terms and unmatched queries as pure negatives,
+    with the loss module's weight and focal constants.
     """
     p = np.asarray(class_probs, dtype=float)
     boxes = np.asarray(pred_boxes, dtype=float)
@@ -499,7 +500,7 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
     gts = np.asarray(gt_boxes, dtype=float)
     targets = np.asarray(gt_behaviors, dtype=float)
     n_q, n_g = p.shape[0], gts.shape[0]
-    a, gmm = weights.alpha, weights.gamma
+    a, gmm = FOCAL_ALPHA, FOCAL_GAMMA
 
     cost = np.zeros((n_q, n_g))
     for q in range(n_q):
@@ -507,7 +508,7 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
             cls = a * (1.0 - p[q]) ** gmm * -math.log(p[q])
             l1 = float(np.abs(boxes[q] - gts[g]).sum())
             giou = _giou_value(_corners(boxes[q]), _corners(gts[g]))
-            cost[q, g] = weights.cls * cls + weights.l1 * l1 + weights.giou * (1.0 - giou)
+            cost[q, g] = CLS_WEIGHT * cls + L1_WEIGHT * l1 + GIOU_WEIGHT * (1.0 - giou)
     # rows are queries, columns ground truths; every gt ends up matched
     match = {int(q): int(g) for q, g in brute_assignment(cost).pairs} if n_g else {}
 
@@ -519,9 +520,9 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
         pq = clamp(p[q])
         if q in match:
             g = match[q]
-            total += weights.cls * (a * (1.0 - pq) ** gmm * -math.log(pq))
-            total += weights.l1 * float(np.abs(boxes[q] - gts[g]).sum())
-            total += weights.giou * (1.0 - _giou_value(_corners(boxes[q]), _corners(gts[g])))
+            total += CLS_WEIGHT * (a * (1.0 - pq) ** gmm * -math.log(pq))
+            total += L1_WEIGHT * float(np.abs(boxes[q] - gts[g]).sum())
+            total += GIOU_WEIGHT * (1.0 - _giou_value(_corners(boxes[q]), _corners(gts[g])))
             for k in range(targets.shape[1]):
                 pk = clamp(beh[q, k])
                 if targets[g, k]:
@@ -529,7 +530,7 @@ def brute_set_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_behavio
                 else:
                     total += (1.0 - a) * pk**gmm * -math.log(1.0 - pk)
         else:
-            total += weights.cls * ((1.0 - a) * pq**gmm * -math.log(1.0 - pq))
+            total += CLS_WEIGHT * ((1.0 - a) * pq**gmm * -math.log(1.0 - pq))
     return total
 
 

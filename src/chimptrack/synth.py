@@ -21,7 +21,7 @@ one swap uniform per frame plus two index draws per triggered swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dataio import (
     BEHAVIOR_COUNT,
@@ -99,6 +99,10 @@ class NoiseConfig:
     id_swap_rate: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.box_jitter < 0.0 or self.kp_jitter < 0.0:
             raise ValueError("jitter scales must be non-negative")
         for name in ("fn_rate", "id_swap_rate"):

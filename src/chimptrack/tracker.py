@@ -46,6 +46,8 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError(f"iou_gate must lie in [0, 1], got {self.iou_gate}")
+        if not 0.0 <= self.conf_split <= 1.0:
+            raise ValueError(f"conf_split must lie in [0, 1], got {self.conf_split}")
         if self.max_misses < 0 or self.min_hits < 1:
             raise ValueError("max_misses must be >= 0 and min_hits >= 1")
 

@@ -43,7 +43,7 @@ from chimptrack.dataio import (
 from chimptrack.geometry import BoxXYXY, ImageSize
 from chimptrack.kernels import ModelDims, init_params, query_select, toy_forward
 from chimptrack.loss import (
-    LossWeights,
+    CLS_WEIGHT,
     focal_loss,
     giou_loss,
     l1_box_loss,
@@ -404,13 +404,12 @@ def test_criterion_08_set_loss_sanity():
     perfect = set_prediction_loss(probs, boxes, beh, gt, gt_beh).total
     perfect_ok = perfect < 1e-3
 
-    w = LossWeights()
     p_neg = np.array([0.3, 0.8, 0.55])
     empty = set_prediction_loss(
         p_neg, np.tile(np.array([0.5, 0.5, 0.2, 0.2]), (3, 1)), np.full((3, 5), 0.5),
-        np.zeros((0, 4)), np.zeros((0, 5)), w,
+        np.zeros((0, 4)), np.zeros((0, 5)),
     ).total
-    closed = w.cls * sum(focal_loss(p, 0)[0] for p in p_neg)
+    closed = CLS_WEIGHT * sum(focal_loss(p, 0)[0] for p in p_neg)
     empty_gap = abs(empty - closed)
     empty_ok = empty_gap <= 1e-9
 

@@ -60,6 +60,34 @@ def test_synth_invalid_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("synth", "--box-jitter", "nan", "box_jitter must be finite, got nan"),
+        ("synth", "--kp-jitter", "nan", "kp_jitter must be finite, got nan"),
+        ("synth", "--box-jitter", "inf", "box_jitter must be finite, got inf"),
+        ("synth", "--fp-rate", "inf", "fp_rate must be finite, got inf"),
+        ("track", "--conf-split", "nan", "conf_split must lie in [0, 1], got nan"),
+        ("forward", "--cls-thresh", "nan", "cls_thresh must lie in [0, 1], got nan"),
+    ],
+)
+def test_non_finite_option_values_exit_2(tmp_path, capsys, command, option, value, message):
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--agents", "2", "--frames", "20", "--out", str(scene)]) == 0
+    clip = tmp_path / "clip.npy"
+    np.save(clip, np.random.default_rng(0).random((10, 64, 64, 3)))
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--seed", "1", "--agents", "2", "--frames", "20", "--out", str(out)],
+        "track": ["track", str(scene / "detections_clean.json"), "--two-stage", "--out", str(out)],
+        "forward": ["forward", str(clip), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + [option, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_track_produces_csv_with_default_path(tmp_path, capsys):
     out = make_scene(tmp_path)
     dets = out / "detections_clean.json"
@@ -266,7 +294,45 @@ def test_evaluate_mixed_image_sizes_exits_2(tmp_path, capsys):
         (pred_dir / f"synth-{seed}.json").write_bytes((tmp_path / f"s{seed}" / "detections_clean.json").read_bytes())
     capsys.readouterr()
     assert main(["evaluate", "--task", "detection", "--gt", str(gt_dir), "--pred", str(pred_dir)]) == 2
-    assert "different image sizes" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "input error: $.image_size: sequences synth-1 (640x480) and synth-2 (320x480) differ; "
+        "the aggregate needs one image size\n"
+    )
+    assert not (tmp_path / "pred.metrics.json").exists()
+
+
+def two_scenes_with_one_id(tmp_path):
+    """Scenes a (2 x 20) and b (3 x 20) of synth --seed 1, both with sequence id synth-1."""
+    for name, agents in (("a", "2"), ("b", "3")):
+        assert main(["synth", "--seed", "1", "--agents", agents, "--frames", "20", "--out", str(tmp_path / name)]) == 0
+    return tmp_path / "a", tmp_path / "b"
+
+
+def test_evaluate_gt_directory_with_a_duplicated_sequence_id_exits_3(tmp_path, capsys):
+    a, b = two_scenes_with_one_id(tmp_path)
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    (gt_dir / "a.json").write_bytes((a / "annotations.json").read_bytes())
+    (gt_dir / "b.json").write_bytes((b / "annotations.json").read_bytes())
+    pred = a / "detections_clean.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--task", "detection", "--gt", str(gt_dir), "--pred", str(pred)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"sequence synth-1 appears in two files: {gt_dir / 'a.json'} and {gt_dir / 'b.json'}\n"
+    assert not (a / "detections_clean.json.metrics.json").exists()
+
+
+def test_evaluate_pred_directory_with_a_duplicated_sequence_id_exits_3(tmp_path, capsys):
+    a, b = two_scenes_with_one_id(tmp_path)
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    (pred_dir / "a.json").write_bytes((a / "detections_clean.json").read_bytes())
+    (pred_dir / "b.json").write_bytes((b / "detections_noisy.json").read_bytes())
+    capsys.readouterr()
+    assert main(["evaluate", "--task", "detection", "--gt", str(a / "annotations.json"), "--pred", str(pred_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"sequence synth-1 appears in two files: {pred_dir / 'a.json'} and {pred_dir / 'b.json'}\n"
+    assert not (tmp_path / "pred.metrics.json").exists()
 
 
 def evaluate_detections_declaring(tmp_path, task, width, height):

@@ -7,12 +7,10 @@ from chimptrack.geometry import (
     BoxXYXY,
     ImageSize,
     area,
-    giou,
     intersection,
     iou,
     iou_matrix,
     rel_to_abs,
-    rel_to_corners,
 )
 from chimptrack.rng import Xoshiro256
 
@@ -40,26 +38,6 @@ def test_iou_known_values():
     assert iou(a, half) == pytest.approx(2.0 / 6.0)
 
 
-def test_giou_reduces_to_iou_when_hull_is_union():
-    a = BoxXYXY(0.0, 0.0, 2.0, 2.0)
-    b = BoxXYXY(1.0, 0.0, 3.0, 2.0)  # same height, adjacent: hull area == union
-    assert giou(a, b) == pytest.approx(iou(a, b))
-
-
-def test_giou_disjoint_is_negative_and_bounded():
-    a = BoxXYXY(0.0, 0.0, 1.0, 1.0)
-    b = BoxXYXY(9.0, 9.0, 10.0, 10.0)
-    g = giou(a, b)
-    assert -1.0 <= g < 0.0
-
-
-def test_giou_zero_enclosing_area_raises():
-    a = BoxXYXY(0.0, 1.0, 2.0, 1.0)  # zero height
-    b = BoxXYXY(3.0, 1.0, 5.0, 1.0)
-    with pytest.raises(ValueError):
-        giou(a, b)
-
-
 def test_rel_to_abs_matches_hand_computed_corners():
     # (cx, cy, h, w) = (0.5, 0.25, 0.5, 0.25) on 640x480: x spans 0.375..0.625, y 0..0.5
     assert rel_to_abs(BoxRel(0.5, 0.25, 0.5, 0.25), ImageSize(640, 480)) == BoxXYXY(240.0, 0.0, 400.0, 240.0)
@@ -73,8 +51,7 @@ def test_rel_to_abs_rejects_bad_image_size():
 
 
 def test_box_rel_field_order_is_height_before_width():
-    corners = rel_to_corners(BoxRel(0.5, 0.5, 0.2, 0.6))
-    x1, y1, x2, y2 = corners
+    x1, y1, x2, y2 = rel_to_abs(BoxRel(0.5, 0.5, 0.2, 0.6), ImageSize(1, 1))
     assert x2 - x1 == pytest.approx(0.6)  # width
     assert y2 - y1 == pytest.approx(0.2)  # height
 

@@ -365,7 +365,11 @@ def test_emit_detections_frame_keys_and_class_threshold():
     assert sum(not dets for dets in frames.values()) >= 1
     assert thresh in [d.score for dets in frames.values() for d in dets]
     assert all(len(dets) == DIMS.queries for dets in emit_detections(result, DIMS, 0.0).values())
-    assert emit_detections(result, DIMS, 1.1) == {f: [] for f in frames}
+    above = float(np.nextafter(out.class_conf.max(), np.inf))  # one ulp above every score, still <= 1
+    assert emit_detections(result, DIMS, above) == {f: [] for f in frames}
+    for bad in (1.1, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="cls_thresh must lie in"):
+            emit_detections(result, DIMS, bad)
 
 
 def _same_result(got: ForwardResult, want: ForwardResult):

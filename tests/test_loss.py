@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from chimptrack.geometry import giou, rel_to_corners
+from chimptrack.geometry import BoxRel, ImageSize, iou, rel_to_abs
 from chimptrack.loss import (
     CLAMP_EPS,
-    LossWeights,
+    CLS_WEIGHT,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
+    GIOU_WEIGHT,
+    L1_WEIGHT,
     detr_cost,
     focal_loss,
     giou_loss,
@@ -107,6 +111,25 @@ def test_giou_loss_disjoint_boxes_still_differentiable():
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
 
+def test_giou_loss_reduces_to_iou_loss_when_hull_is_union():
+    a = np.array([0.25, 0.5, 0.5, 0.5])
+    b = np.array([0.5, 0.5, 0.5, 0.5])  # same height, overlapping along x: hull area == union
+    unit = ImageSize(1, 1)
+    want = 1.0 - iou(rel_to_abs(BoxRel(*a), unit), rel_to_abs(BoxRel(*b), unit))
+    assert giou_loss(a, b)[0] == pytest.approx(want)
+
+
+def test_giou_loss_disjoint_exceeds_one_and_is_bounded():
+    value, _ = giou_loss(np.array([0.05, 0.05, 0.1, 0.1]), np.array([0.95, 0.95, 0.1, 0.1]))
+    assert 1.0 < value <= 2.0
+
+
+def test_giou_loss_zero_enclosing_area_raises():
+    # two zero-height boxes on one line: their enclosing box has no area
+    with pytest.raises(ValueError):
+        giou_loss(np.array([0.2, 0.5, 0.0, 0.2]), np.array([0.6, 0.5, 0.0, 0.2]))
+
+
 def test_giou_loss_rejects_degenerate_boxes():
     with pytest.raises(ValueError):
         giou_loss(np.array([0.5, 0.5, 0.0, 0.2]), np.array([0.5, 0.5, 0.2, 0.2]))
@@ -131,16 +154,15 @@ def test_multilabel_focal_validation():
 
 
 def test_set_loss_empty_gt_closed_form():
-    w = LossWeights()
     probs = np.array([0.3, 0.8, 0.55])
     boxes = np.tile(np.array([0.5, 0.5, 0.2, 0.2]), (3, 1))
     beh = np.full((3, 5), 0.5)
-    out = set_prediction_loss(probs, boxes, beh, np.zeros((0, 4)), np.zeros((0, 5)), w)
+    out = set_prediction_loss(probs, boxes, beh, np.zeros((0, 4)), np.zeros((0, 5)))
     want = sum(focal_loss(p, 0)[0] for p in probs)
     assert out.pairs == ()
     assert out.cls_term == pytest.approx(want, rel=1e-12)
     assert out.l1_term == 0.0 and out.giou_term == 0.0 and out.behavior_term == 0.0
-    assert out.total == pytest.approx(w.cls * want, rel=1e-12)
+    assert out.total == pytest.approx(CLS_WEIGHT * want, rel=1e-12)
 
 
 def test_set_loss_perfect_predictions_near_zero():
@@ -168,18 +190,15 @@ def test_set_loss_rejects_more_gt_than_queries():
 
 
 def test_set_loss_total_combines_terms_with_weights():
-    w = LossWeights(cls=3.0, l1=1.5, giou=0.5)
     rng = Xoshiro256(29)
     probs = np.array([rng.uniform(0.05, 0.95) for _ in range(4)])
     boxes = np.array([[rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3)] for _ in range(4)])
     beh = np.array([[rng.uniform(0.05, 0.95) for _ in range(5)] for _ in range(4)])
     gt = np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]])
     gt_beh = np.array([[1, 0, 0, 0, 1], [0, 0, 1, 0, 0]], dtype=float)
-    out = set_prediction_loss(probs, boxes, beh, gt, gt_beh, w)
-    assert out.total == pytest.approx(
-        w.cls * out.cls_term + w.l1 * out.l1_term + w.giou * out.giou_term + out.behavior_term,
-        rel=1e-12,
-    )
+    out = set_prediction_loss(probs, boxes, beh, gt, gt_beh)
+    assert (CLS_WEIGHT, L1_WEIGHT, GIOU_WEIGHT) == (2.0, 5.0, 2.0)  # Deformable DETR's weights
+    assert out.total == CLS_WEIGHT * out.cls_term + L1_WEIGHT * out.l1_term + GIOU_WEIGHT * out.giou_term + out.behavior_term
 
 
 def test_set_loss_behaviors_do_not_steer_matching():
@@ -217,17 +236,41 @@ def test_set_loss_agrees_with_exhaustive_oracle():
 
 
 def test_detr_cost_single_entry_matches_hand_formula():
-    w = LossWeights()
     p = 0.7
     pred = np.array([[0.5, 0.5, 0.2, 0.3]])
     gt = np.array([[0.55, 0.45, 0.25, 0.2]])
-    cost = detr_cost(np.array([p]), pred, gt, w)
+    cost = detr_cost(np.array([p]), pred, gt)
     assert cost.shape == (1, 1)
-    cls_term = w.alpha * (1.0 - p) ** w.gamma * -np.log(p)
-    l1_term = float(np.abs(pred[0] - gt[0]).sum())
-    giou_term = 1.0 - giou(rel_to_corners(pred[0]), rel_to_corners(gt[0]))
-    want = w.cls * cls_term + w.l1 * l1_term + w.giou * giou_term
+    cls_term = 0.25 * (1.0 - p) ** 2 * -np.log(p)
+    l1_term = 0.05 + 0.05 + 0.05 + 0.1
+    # pred spans x 0.35..0.65, y 0.4..0.6; gt x 0.45..0.65, y 0.325..0.575; hull x 0.35..0.65, y 0.325..0.6
+    inter, union, hull = 0.2 * 0.175, 0.06 + 0.05 - 0.2 * 0.175, 0.3 * 0.275
+    giou_term = 1.0 - (inter / union - (hull - union) / hull)
+    want = 2.0 * cls_term + 5.0 * l1_term + 2.0 * giou_term
     assert cost[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+def test_detr_cost_is_assembled_from_giou_loss_exactly():
+    # exact: the set loss charges giou_loss on each matched pair, so the
+    # matching must minimize that same value
+    rng = Xoshiro256(41)
+    n_q, n_g = 20, 20
+
+    def box():
+        return [rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.01, 0.6), rng.uniform(0.01, 0.6)]
+
+    probs = np.array([rng.uniform(0.01, 0.99) for _ in range(n_q)])
+    pred = np.array([box() for _ in range(n_q)])
+    gt = np.array([box() for _ in range(n_g)])
+    cls_cost = FOCAL_ALPHA * (1.0 - probs) ** FOCAL_GAMMA * -np.log(probs)
+    want = [
+        [
+            CLS_WEIGHT * cls_cost[q] + L1_WEIGHT * l1_box_loss(pred[q], gt[g])[0] + GIOU_WEIGHT * giou_loss(pred[q], gt[g])[0]
+            for g in range(n_g)
+        ]
+        for q in range(n_q)
+    ]
+    assert detr_cost(probs, pred, gt).tolist() == want
 
 
 def test_detr_cost_shape_and_validation():
@@ -241,3 +284,7 @@ def test_detr_cost_shape_and_validation():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             detr_cost(np.array([bad, 0.5, 0.5, 0.5]), pred, gt)
+    zero_width = pred.copy()
+    zero_width[1, 3] = 0.0
+    with pytest.raises(ValueError, match="positive height and width"):
+        detr_cost(probs, zero_width, gt)
