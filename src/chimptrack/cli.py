@@ -14,7 +14,8 @@ sidecar, then prints it (--format json) or the same entries as a table
 
 forward runs the toy detector over every stride-1 window of a clip and
 writes one detections frame per window (kernels.emit_detections): the
-window's last frame, holding its queries at or above --cls-thresh.
+window's last frame, holding its queries at or above --cls-thresh, at the
+clip's image size. track's --conf-split alone turns on a second stage.
 
 Each command imports only the modules it runs: importing this module loads
 neither NumPy nor the numerical modules, and synth (synth, rng, dataio)
@@ -48,12 +49,14 @@ def _mark(ok: bool) -> str:
     return f"\x1b[32m{text}\x1b[0m" if ok else f"\x1b[31m{text}\x1b[0m"
 
 
-def _parse_dims(spec: str | None) -> kernels.ModelDims:
-    """Parse comma-separated key=value overrides onto the default dims."""
+def _parse_dims(spec: str | None, clip_shape: tuple[int, ...]) -> kernels.ModelDims:
+    """Parse comma-separated key=value overrides onto the default dims, at the clip's image size."""
     from . import kernels
 
-    field_names = {f.name for f in dataclasses.fields(kernels.ModelDims)}
-    values = {}
+    if len(clip_shape) != 4:
+        raise ValueError(f"video must be (frames, height, width, 3), got shape {clip_shape}")
+    field_names = {f.name for f in dataclasses.fields(kernels.ModelDims)} - {"height", "width"}
+    values = {"height": clip_shape[1], "width": clip_shape[2]}
     if spec:
         for part in spec.split(","):
             part = part.strip()
@@ -123,7 +126,6 @@ def _cmd_track(args) -> int:
         iou_gate=args.iou_gate,
         max_misses=args.max_misses,
         min_hits=args.min_hits,
-        two_stage=args.two_stage,
         conf_split=args.conf_split,
     )
     tracks = run_tracker(detections, config)
@@ -254,8 +256,9 @@ def _cmd_forward(args) -> int:
 
     from . import kernels
 
-    dims = _parse_dims(args.dims)
+    kernels.check_cls_thresh(args.cls_thresh)
     video = np.load(Path(args.video))
+    dims = _parse_dims(args.dims, video.shape)
     if args.params:
         params = kernels.load_params(Path(args.params))
     else:
@@ -396,7 +399,7 @@ def _check_shapes() -> tuple[bool, str]:
     checks = [
         out.boxes.shape == (1, dims.queries, 4),
         out.class_conf.shape == (1, dims.queries),
-        out.behavior_probs.shape == (1, dims.queries, dims.behavior_classes),
+        out.behavior_probs.shape == (1, dims.queries, dataio.BEHAVIOR_COUNT),
         bool(((out.boxes >= 0.0) & (out.boxes <= 1.0)).all()),
         bool(((out.class_conf >= 0.0) & (out.class_conf <= 1.0)).all()),
         bool(((out.behavior_probs >= 0.0) & (out.behavior_probs <= 1.0)).all()),
@@ -488,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou-gate", type=float, default=0.3)
     p.add_argument("--max-misses", type=int, default=30)
     p.add_argument("--min-hits", type=int, default=3)
-    p.add_argument("--two-stage", action="store_true")
-    p.add_argument("--conf-split", type=float, default=0.5)
+    p.add_argument("--conf-split", type=float, default=0.0, help="scores below it only extend unmatched tracks")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("evaluate", help="score predictions against annotations")
@@ -504,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="run the toy detector over a video tensor")
     p.add_argument("video", help=".npy array of shape (frames, height, width, 3)")
     p.add_argument("--params", help="parameter JSON; omitted means seeded random init")
-    p.add_argument("--dims", help="comma-separated ModelDims overrides, e.g. frames=8,queries=10")
+    p.add_argument("--dims", help="comma-separated ModelDims overrides other than height and width, e.g. frames=8,queries=10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cls-thresh", type=float, default=0.3)
     p.add_argument("--seq-id", default="forward")

@@ -6,8 +6,8 @@ whose merges halve resolution and double channels, a temporal merge collapsing
 the clip to one step, per-scale channel standardization, scale-major token
 flattening, confidence-based query selection with cell-center anchors,
 reference-point bilinear sampling, and three MLP heads (box / class /
-behavior). Attention itself is replaced by the sampling step; shapes, not
-accuracy, are the contract.
+behavior, the last dataio.BEHAVIOR_COUNT wide). Attention itself is replaced
+by the sampling step; shapes, not accuracy, are the contract.
 
 All arithmetic is float64 numpy, so identical inputs give bit-identical
 outputs across runs and processes.
@@ -33,8 +33,8 @@ are bit-identical to a one-point-at-a-time loop (chimptrack.oracles keeps
 that loop as the reference).
 
 emit_detections turns a ForwardResult into the frames of the detections
-file: window w's queries at or above the class threshold go on frame
-w + F - 1, the window's last, with their boxes in pixels.
+file: window w's queries at or above the class threshold (check_cls_thresh
+has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import DetectionRecord, dump_json
+from .dataio import BEHAVIOR_COUNT, DetectionRecord, dump_json
 from .geometry import BoxRel, ImageSize, rel_to_abs
 
 PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
@@ -73,7 +73,6 @@ class ModelDims:
     merge_dim: int = 16
     channels: int = 32
     queries: int = 10
-    behavior_classes: int = 23
     ref_points: int = 4
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class ModelDims:
             raise ValueError(f"frames must be even and >= 2, got {self.frames}")
         if self.height % 32 != 0 or self.width % 32 != 0 or self.height <= 0 or self.width <= 0:
             raise ValueError(f"height and width must be positive multiples of 32, got {self.height}x{self.width}")
-        for name in ("c_in", "merge_dim", "channels", "queries", "behavior_classes", "ref_points"):
+        for name in ("c_in", "merge_dim", "channels", "queries", "ref_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.queries > self.token_count:
@@ -383,16 +382,20 @@ def head_forward(feats: np.ndarray, params: dict) -> HeadOutputs:
     return HeadOutputs(boxes, cls, beh)
 
 
+def check_cls_thresh(cls_thresh: float) -> None:
+    if not 0.0 <= cls_thresh <= 1.0:
+        raise ValueError(f"cls_thresh must lie in [0, 1], got {cls_thresh}")
+
+
 def emit_detections(result: ForwardResult, dims: ModelDims, cls_thresh: float) -> dict[int, list[DetectionRecord]]:
     """The frames of the detections file: each window's queries at or above cls_thresh.
 
     Window w scores its last frame, w + dims.frames - 1, and every window has
     a frame, empty when no query passes. Queries keep their order; boxes go to
     pixel corners of the dims.width x dims.height image through rel_to_abs.
-    cls_thresh must lie in [0, 1].
+    cls_thresh must lie in [0, 1] (check_cls_thresh).
     """
-    if not 0.0 <= cls_thresh <= 1.0:
-        raise ValueError(f"cls_thresh must lie in [0, 1], got {cls_thresh}")
+    check_cls_thresh(cls_thresh)
     out = result.outputs
     size = ImageSize(dims.width, dims.height)
     first = dims.frames - 1
@@ -417,7 +420,7 @@ def param_spec(dims: ModelDims) -> dict[str, tuple[int, ...]]:
         spec[f"channel_map_{i}"] = (chans[i - 1], dims.channels)
     spec["deform_offsets"] = (4, dims.ref_points, 2)
     spec["deform_weights"] = (4, dims.ref_points)
-    heads = {"box": 4, "cls": 1, "beh": dims.behavior_classes}
+    heads = {"box": 4, "cls": 1, "beh": BEHAVIOR_COUNT}
     for head, out in heads.items():
         spec[f"head_{head}_w1"] = (dims.channels, dims.channels)
         spec[f"head_{head}_b1"] = (dims.channels,)

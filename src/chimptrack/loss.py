@@ -206,7 +206,8 @@ def set_prediction_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_be
     contributes CLS_WEIGHT * focal(p, 0). Term fields hold the raw
     (unweighted) sums.
 
-    Raises ValueError when there are more ground-truth boxes than queries.
+    Raises ValueError when there are more ground-truth boxes than queries,
+    and on queries that detr_cost rejects, with or without ground truth.
     """
     p = np.asarray(class_probs, dtype=float).reshape(-1)
     pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
@@ -217,10 +218,8 @@ def set_prediction_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_be
     if n_g > n_q:
         raise ValueError(f"more ground-truth boxes ({n_g}) than queries ({n_q})")
 
-    pairs = ()
-    if n_g:
-        cost, l1, giou = _cost_table(p, pred, gt)
-        pairs = assign.hungarian(cost).pairs
+    cost, l1, giou = _cost_table(p, pred, gt)  # checks the queries on every call, gt or none
+    pairs = assign.hungarian(cost).pairs
 
     matched = {q for q, _ in pairs}
     cls_term = 0.0

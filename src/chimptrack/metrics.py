@@ -18,8 +18,8 @@ scores every same-frame (prediction, gt) pair once into one similarity table
 (_score_pairs), and the greedy matcher (_rank_and_match) runs area splits,
 behavior classes and thresholds as masks over that one table.
 
-IDF1 and behavior mAP match at IoU >= MATCH_IOU (0.5), where CLEAR gates by
-default; OKS uses one kappa, KAPPA, for every joint.
+IDF1, behavior mAP and PCK's pose pairing match at IoU >= MATCH_IOU (0.5),
+where CLEAR gates; OKS uses one kappa, KAPPA, for every joint.
 
 Every result also carries, in fields excluded from comparison, the statistics
 needed to merge it with the results of other sequences (the merge_* functions).
@@ -42,7 +42,7 @@ from .geometry import iou_matrix
 ALPHA_GRID = np.linspace(0.05, 0.95, 19)
 IOU_THRESHOLDS = np.linspace(0.5, 0.95, 10)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-MATCH_IOU = 0.5  # CLEAR's default gate, IDF1's overlap and behavior mAP's match threshold
+MATCH_IOU = 0.5  # CLEAR's gate, IDF1's overlap, behavior mAP's and PCK pose pairing's match threshold
 MEDIUM_AREA = 32.0**2
 LARGE_AREA = 96.0**2
 KAPPA = 0.08

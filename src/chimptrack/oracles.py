@@ -653,11 +653,8 @@ def scalar_track(frames, config: tracker.TrackerConfig = tracker.TrackerConfig()
             t.mean = F @ t.mean
             cov = F @ t.cov @ F.T + Q
             t.cov = (cov + cov.T) / 2.0
-        if config.two_stage:
-            high = [d for d in detections if d.score >= config.conf_split]
-            low = [d for d in detections if d.score < config.conf_split]
-        else:
-            high, low = list(detections), []
+        high = [d for d in detections if d.score >= config.conf_split]
+        low = [d for d in detections if d.score < config.conf_split]
         pairs, unmatched_t = associate(tracks, high)
         updates = [(tracks[r], high[c]) for r, c in pairs]
         unmatched_d = [i for i in range(len(high)) if i not in {c for _, c in pairs}]

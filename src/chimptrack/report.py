@@ -25,6 +25,7 @@ import numpy as np
 from . import assign
 from .dataio import BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .metrics import (
+    MATCH_IOU,
     BehaviorMAP,
     ClearMetrics,
     DetectionAP,
@@ -84,7 +85,7 @@ def _gt_records(annotation: SequenceAnnotation):
 
 
 def _paired_poses(annotation: SequenceAnnotation, detections: dict[int, list[DetectionRecord]]):
-    """Pair predicted and ground-truth poses per frame by box IoU at 0.5."""
+    """Pair predicted and ground-truth poses per frame by box IoU at MATCH_IOU."""
     pred_poses = []
     gt_poses = []
     gt_boxes = []
@@ -97,7 +98,7 @@ def _paired_poses(annotation: SequenceAnnotation, detections: dict[int, list[Det
             np.array([i.box for i in insts], dtype=float),
             np.array([d.box for d in dets], dtype=float),
         )
-        for r, c in assign.gated_match(ious, ious >= 0.5):
+        for r, c in assign.gated_match(ious, ious >= MATCH_IOU):
             pred_poses.append(np.array(dets[c].pose, dtype=float))
             gt_poses.append(np.array(insts[r].pose, dtype=float))
             gt_boxes.append(insts[r].box)

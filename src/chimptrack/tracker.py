@@ -5,9 +5,10 @@ components (aspect ratio is assumed constant), a 7-dim mean with full
 covariance. Each association stage is assign.gated_match on the IoU between
 predicted track boxes and detections, with pairs below the IoU gate invalid:
 it maximizes the number of pairs at or above the gate, then their summed
-IoU, and no accepted pair falls below the gate. An optional second stage
-(ByteTrack-style) re-associates low-confidence detections to still-unmatched
-tracks before they coast.
+IoU, and no accepted pair falls below the gate. Detections scoring below
+conf_split go to a second stage (ByteTrack-style) that matches them to the
+tracks still unmatched; they never seed tracks. The default split, 0, makes
+one stage.
 
 Track ids start at 1 and are never reused. Tentative tracks (hits below
 min_hits) do not emit, except during the warm-up window at the start of a
@@ -40,8 +41,7 @@ class TrackerConfig:
     iou_gate: float = 0.3       # minimum IoU for any accepted association
     max_misses: int = 30        # drop a track after this many consecutive misses
     min_hits: int = 3           # confirmations required before emitting
-    two_stage: bool = False     # ByteTrack-style low-confidence second pass
-    conf_split: float = 0.5     # high/low confidence boundary for two_stage
+    conf_split: float = 0.0     # lower scores only extend unmatched tracks (second stage)
 
     def __post_init__(self):
         if not 0.0 <= self.iou_gate <= 1.0:
@@ -162,11 +162,8 @@ class Tracker:
         warm_up = self.frame_count <= self.config.min_hits
         self.means, self.covs = kalman_predict(self.means, self.covs)
 
-        if self.config.two_stage:
-            high = [d for d in detections if d.score >= self.config.conf_split]
-            low = [d for d in detections if d.score < self.config.conf_split]
-        else:
-            high, low = list(detections), []
+        high = [d for d in detections if d.score >= self.config.conf_split]
+        low = [d for d in detections if d.score < self.config.conf_split]
 
         boxes = measurement_to_box(self.means)
         pairs, unmatched_t, unmatched_d = self._associate(boxes, high)

@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from chimptrack import cli, dataio
+from chimptrack import cli, dataio, kernels
 from chimptrack.cli import main
 from chimptrack.dataio import DetectionRecord
 from chimptrack.geometry import BoxRel, BoxXYXY, ImageSize, rel_to_abs
 from chimptrack.kernels import WINDOW_BLOCK, ModelDims, init_params, save_params
 from chimptrack.oracles import window_forward
+from chimptrack.tracker import TrackerConfig, run
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--agents", "3", "--frames", "30", "--stride", "10"]
 
@@ -79,13 +80,55 @@ def test_non_finite_option_values_exit_2(tmp_path, capsys, command, option, valu
     out = tmp_path / "out"
     argv = {
         "synth": ["synth", "--seed", "1", "--agents", "2", "--frames", "20", "--out", str(out)],
-        "track": ["track", str(scene / "detections_clean.json"), "--two-stage", "--out", str(out)],
+        "track": ["track", str(scene / "detections_clean.json"), "--out", str(out)],
         "forward": ["forward", str(clip), "--out", str(out)],
     }[command]
     capsys.readouterr()
     assert main(argv + [option, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_forward_checks_cls_thresh_before_the_forward_pass(tmp_path, capsys, monkeypatch):
+    clip = tmp_path / "clip.npy"
+    np.save(clip, np.zeros((8, 64, 64, 3)))
+
+    def no_forward(*args):
+        raise AssertionError("toy_forward ran")
+
+    monkeypatch.setattr(kernels, "toy_forward", no_forward)
+    assert main(["forward", str(clip), "--cls-thresh", "nan", "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: cls_thresh must lie in [0, 1], got nan\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_removed_settings_exit_2(tmp_path, capsys):
+    scene = make_scene(tmp_path)
+    with pytest.raises(SystemExit) as exc:  # --conf-split alone turns on the second stage
+        main(["track", str(scene / "detections_noisy.json"), "--two-stage"])
+    assert exc.value.code == 2
+    clip = tmp_path / "clip.npy"
+    np.save(clip, np.zeros((8, 64, 64, 3)))
+    capsys.readouterr()
+    # the behavior head is as wide as the ethogram, and the image size is the clip's
+    for field in ("behavior_classes=5", "height=64", "width=64"):
+        assert main(["forward", str(clip), "--dims", field, "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"error: unknown dims field {field.split('=')[0]!r}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_track_conf_split_turns_on_the_second_stage(tmp_path, capsys):
+    scene = make_scene(tmp_path, extra=["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0"])
+    noisy = scene / "detections_noisy.json"
+    _, _, detections = dataio.parse_detections(noisy)
+    for split in ("0", "0.5"):
+        out = tmp_path / f"split-{split}.csv"
+        assert main(["track", str(noisy), "--conf-split", split, "--out", str(out)]) == 0
+        assert out.read_text() == dataio.write_mot_csv(run(detections, TrackerConfig(conf_split=float(split))))
+    assert main(["track", str(noisy), "--out", str(tmp_path / "default.csv")]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "split-0.csv").read_bytes()
+    assert (tmp_path / "split-0.5.csv").read_bytes() != (tmp_path / "split-0.csv").read_bytes()
+    capsys.readouterr()
 
 
 def test_track_produces_csv_with_default_path(tmp_path, capsys):
@@ -507,8 +550,15 @@ def test_forward_errors_exit_2(tmp_path, capsys):
     np.save(short, np.zeros((4, 64, 64, 3)))
     assert main(["forward", str(short)]) == 2
     wrong = tmp_path / "wrong.npy"
-    np.save(wrong, np.zeros((8, 32, 32, 3)))
+    np.save(wrong, np.zeros((8, 48, 48, 3)))  # sides must be multiples of 32
     assert main(["forward", str(wrong)]) == 2
+    for bad_shape in ((8, 64, 64), (8, 64, 64, 1)):
+        np.save(wrong, np.zeros(bad_shape))
+        assert main(["forward", str(wrong)]) == 2
+    small = tmp_path / "small.npy"
+    np.save(small, np.zeros((8, 32, 32, 3)))
+    assert main(["forward", str(small), "--out", str(tmp_path / "small.json")]) == 0
+    assert dataio.parse_detections(tmp_path / "small.json")[1] == ImageSize(32, 32)
     good = tmp_path / "good.npy"
     np.save(good, np.zeros((8, 64, 64, 3)))
     assert main(["forward", str(good), "--dims", "bogus=3"]) == 2
@@ -527,6 +577,21 @@ def test_forward_errors_exit_2(tmp_path, capsys):
         assert main(["forward", str(clip), "--out", str(tmp_path / "bad.json")]) == 2
         assert capsys.readouterr().err == "error: video contains non-finite values\n"
         assert not (tmp_path / "bad.json").exists()
+
+
+def test_forward_takes_the_image_size_from_the_clip(tmp_path, capsys):
+    # a 32 x 96 clip runs at ModelDims(height=32, width=96), and track reads its output
+    video = np.random.default_rng(3).random((10, 32, 96, 3))
+    clip, out, csv = tmp_path / "clip.npy", tmp_path / "clip.json", tmp_path / "clip.csv"
+    np.save(clip, video)
+    assert main(["forward", str(clip), "--cls-thresh", "0", "--out", str(out)]) == 0
+    dims = ModelDims(height=32, width=96)
+    want = kernels.emit_detections(window_forward(video, init_params(dims, 0), dims), dims, 0.0)
+    assert out.read_text() == dataio.dump_json(dataio.write_detections("forward", ImageSize(96, 32), want))
+    assert sorted(want) == [7, 8, 9] and all(len(v) == dims.queries for v in want.values())
+    assert main(["track", str(out), "--out", str(csv)]) == 0
+    assert len(dataio.parse_mot_csv(csv.read_text())) > 0
+    capsys.readouterr()
 
 
 def test_forward_detections_match_the_window_oracle_byte_for_byte(tmp_path, capsys):

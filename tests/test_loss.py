@@ -165,6 +165,18 @@ def test_set_loss_empty_gt_closed_form():
     assert out.total == pytest.approx(CLS_WEIGHT * want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_gt", [0, 1])
+def test_set_loss_checks_its_queries_with_or_without_gt(n_gt):
+    # the checks detr_cost makes run on every call, not only when there is gt to match
+    box = np.array([[0.5, 0.5, 0.2, 0.2]])
+    gt, gt_beh = np.tile(box, (n_gt, 1)), np.zeros((n_gt, 5))
+    beh = np.full((3, 5), 0.5)
+    with pytest.raises(ValueError, match="disagree on the number of queries"):
+        set_prediction_loss(np.array([2.0, 0.5, 0.3]), box, beh, gt, gt_beh)  # one box for three probabilities
+    with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+        set_prediction_loss(np.array([2.0, 0.5, 0.3]), np.tile(box, (3, 1)), beh, gt, gt_beh)
+
+
 def test_set_loss_perfect_predictions_near_zero():
     rng = Xoshiro256(23)
     gt = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.6, 0.15, 0.25]])

@@ -10,6 +10,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import numpy as np
+
+from chimptrack.cli import main
 from chimptrack.dataio import write_annotations, write_detections
 from chimptrack.synth import SceneConfig, generate
 
@@ -32,6 +35,18 @@ def test_written_annotations_validate(scene):
 def test_written_detections_validate(scene):
     schema = load_schema("detections.schema.json")
     jsonschema.validate(write_detections(scene.annotation.sequence_id, scene.annotation.image_size, scene.detections), schema)
+
+
+@pytest.mark.parametrize("height, width", [(64, 64), (32, 96)])
+def test_forward_detections_validate(tmp_path, capsys, height, width):
+    clip, out = tmp_path / "clip.npy", tmp_path / "clip.json"
+    np.save(clip, np.random.default_rng(1).random((9, height, width, 3)))
+    assert main(["forward", str(clip), "--cls-thresh", "0.4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["image_size"] == {"width": width, "height": height}
+    assert any(frame["detections"] for frame in doc["frames"])
+    jsonschema.validate(doc, load_schema("detections.schema.json"))
 
 
 def test_schemas_reject_malformed_documents(scene):

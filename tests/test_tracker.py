@@ -131,10 +131,10 @@ def test_two_stage_recovers_low_confidence_detections():
     for f in range(14):
         score = 0.2 if 6 <= f <= 8 else 0.9  # confidence dips mid-sequence
         frames[f] = [det(100.0 + 3.0 * f, 100.0, score=score)]
-    single = run(frames, TrackerConfig(two_stage=False, min_hits=1, max_misses=1))
-    double = run(frames, TrackerConfig(two_stage=True, conf_split=0.5, min_hits=1, max_misses=1))
-    # two-stage keeps one identity; single-stage drops the track in the dip
-    # (low-confidence detections still seed tracks in single-stage mode)
+    single = run(frames, TrackerConfig(min_hits=1, max_misses=1))
+    double = run(frames, TrackerConfig(conf_split=0.5, min_hits=1, max_misses=1))
+    # the 0.5 split keeps one identity; the default split (one stage) drops the
+    # track in the dip (low-confidence detections still seed tracks in one stage)
     assert len({t.track_id for t in double}) == 1
     assert {t.frame for t in double} == set(range(14))
     assert len({t.track_id for t in single}) == 1
@@ -142,7 +142,7 @@ def test_two_stage_recovers_low_confidence_detections():
 
 def test_two_stage_low_conf_cannot_seed_tracks():
     frames = {f: [det(100.0, 100.0, score=0.2)] for f in range(6)}
-    tracks = run(frames, TrackerConfig(two_stage=True, conf_split=0.5, min_hits=1))
+    tracks = run(frames, TrackerConfig(conf_split=0.5, min_hits=1))
     assert tracks == []
 
 
@@ -192,7 +192,7 @@ def test_association_matches_brute_force_gated_matching():
     # Both stages of a two-stage tracker, checked call by call against the
     # exhaustive gated matching on random frames of up to 6 x 6 boxes.
     gate = 0.3
-    config = TrackerConfig(iou_gate=gate, two_stage=True, conf_split=0.5, min_hits=1)
+    config = TrackerConfig(iou_gate=gate, conf_split=0.5, min_hits=1)
     rng = Xoshiro256(2024)
 
     def random_dets(n):
@@ -291,9 +291,9 @@ def _forward_detections():
 @pytest.mark.parametrize("scene", ["readme-noise", "forward", "gaps"])
 @pytest.mark.parametrize("config", [
     TrackerConfig(),
-    TrackerConfig(two_stage=True),
+    TrackerConfig(conf_split=0.5),
     TrackerConfig(min_hits=1),
-    TrackerConfig(max_misses=2, two_stage=True, conf_split=0.6),
+    TrackerConfig(max_misses=2, conf_split=0.6),
 ], ids=["default", "two-stage", "min-hits-1", "short-memory"])
 def test_stacked_tracker_matches_scalar_oracle_exactly(scene, config):
     if scene == "forward":
