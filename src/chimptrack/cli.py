@@ -160,13 +160,20 @@ def _load_gt(path: Path) -> dict[str, dataio.SequenceAnnotation]:
     return _by_sequence((f, ann.sequence_id, ann) for f, ann in annotations)
 
 
-def _load_pred_tracks(path: Path, gt_ids: list[str]) -> dict[str, list[TrackedBox]]:
+def _load_pred_tracks(path: Path, gt: dict[str, dataio.SequenceAnnotation]) -> dict[str, list[TrackedBox]]:
+    """Each sequence's tracks on its annotated frames, the only ones scored.
+
+    Every row of every file is checked; a file whose id has no ground truth
+    keeps no tracks, so its parse errors still come before the pairing error.
+    """
+
+    def parse(f: Path, sid: str) -> list[TrackedBox]:
+        return dataio.parse_mot_csv(f.read_text(), gt[sid].frames if sid in gt else set())
+
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".csv")
-        return {f.stem: dataio.parse_mot_csv(f.read_text()) for f in files}
-    if len(gt_ids) == 1:
-        return {gt_ids[0]: dataio.parse_mot_csv(path.read_text())}
-    return {path.stem: dataio.parse_mot_csv(path.read_text())}
+        return {f.stem: parse(f, f.stem) for f in sorted(p for p in path.iterdir() if p.suffix == ".csv")}
+    sid = next(iter(gt)) if len(gt) == 1 else path.stem
+    return {sid: parse(path, sid)}
 
 
 def _load_pred_detections(path: Path) -> dict[str, tuple[ImageSize, dict[int, list[DetectionRecord]]]]:
@@ -190,7 +197,7 @@ def _cmd_evaluate(args) -> int:
     gt_ids = sorted(gt)
     pred_path = Path(args.pred)
     if args.task == "tracking":
-        preds = _load_pred_tracks(pred_path, gt_ids)
+        preds = _load_pred_tracks(pred_path, gt)
         items = {
             sid: (gt[sid], _tracks_as_detections(preds[sid]), preds[sid])
             for sid in gt_ids

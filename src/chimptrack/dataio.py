@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -274,6 +275,37 @@ def _frame_entries(data: dict, items: str, stride: int = 1, frame_count: int | N
         yield fpath, frame, entry[items]
 
 
+def _as_pose(joints: list, path: str) -> tuple[tuple[float, float, int], ...]:
+    """Each [x, y, visibility] joint as a tuple; a pose of [finite float, finite float, 0|1|2] rows is kept as is.
+
+    At the first other row, every joint is checked from the first one, so the
+    diagnostic is the first bad value's.
+    """
+    for item in joints:
+        if type(item) is not list or len(item) != 3:
+            break
+        x, y, v = item
+        # nan - nan and inf - inf are nan
+        if type(x) is not float or type(y) is not float or x - x != 0.0 or y - y != 0.0:
+            break
+        if type(v) is not int or not 0 <= v <= 2:
+            break
+    else:
+        return tuple(map(tuple, joints))
+    checked = []
+    for j, item in enumerate(joints):
+        jpath = f"{path}[{j}]"
+        if not isinstance(item, list) or len(item) != 3:
+            raise AnnotationError(jpath, "expected [x, y, visibility]")
+        x = _as_number(item[0], jpath, 0)
+        y = _as_number(item[1], jpath, 1)
+        v = _as_int(item[2], f"{jpath}[2]")
+        if v not in (0, 1, 2):
+            raise AnnotationError(f"{jpath}[2]", f"visibility must be 0, 1, or 2, got {v}")
+        checked.append((x, y, v))
+    return tuple(checked)
+
+
 def _parse_instance(obj, path: str) -> InstanceAnnotation:
     _check_keys(
         obj,
@@ -304,18 +336,7 @@ def _parse_instance(obj, path: str) -> InstanceAnnotation:
         raw_pose = obj["pose"]
         if not isinstance(raw_pose, list) or len(raw_pose) != KEYPOINT_COUNT:
             raise AnnotationError(f"{path}.pose", f"expected {KEYPOINT_COUNT} joints")
-        joints = []
-        for j, item in enumerate(raw_pose):
-            jpath = f"{path}.pose[{j}]"
-            if not isinstance(item, list) or len(item) != 3:
-                raise AnnotationError(jpath, "expected [x, y, visibility]")
-            x = _as_number(item[0], jpath, 0)
-            y = _as_number(item[1], jpath, 1)
-            v = _as_int(item[2], f"{jpath}[2]")
-            if v not in (0, 1, 2):
-                raise AnnotationError(f"{jpath}[2]", f"visibility must be 0, 1, or 2, got {v}")
-            joints.append((x, y, v))
-        pose = tuple(joints)
+        pose = _as_pose(raw_pose, f"{path}.pose")
     identity = obj.get("identity")
     if identity is not None and not isinstance(identity, str):
         raise AnnotationError(f"{path}.identity", f"expected a string, got {identity!r}")
@@ -456,9 +477,16 @@ def write_mot_csv(tracks: list[TrackedBox]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_mot_csv(text: str) -> list[TrackedBox]:
-    """Inverse of write_mot_csv; exact for 6-decimal-representable values."""
+def parse_mot_csv(text: str, frames: Container[int] | None = None) -> list[TrackedBox]:
+    """Inverse of write_mot_csv; exact for 6-decimal-representable values.
+
+    Every row is checked, in order, and the first bad one raises ValueError
+    with its 1-based line number. With frames given, only the rows on those
+    0-based frames become TrackedBoxes, in file order; the rest are checked
+    and dropped.
+    """
     tracks = []
+    isfinite = math.isfinite
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -468,10 +496,10 @@ def parse_mot_csv(text: str) -> list[TrackedBox]:
         try:
             frame = int(parts[0])
             track_id = int(parts[1])
-            x, y, w, h, conf = (float(p) for p in parts[2:7])
+            x, y, w, h, conf = map(float, parts[2:7])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h) and isfinite(conf)):
             raise ValueError(f"line {lineno}: non-finite value in {line!r}")
         if frame < 1:
             raise ValueError(f"line {lineno}: frames are 1-based, got {frame}")
@@ -479,7 +507,8 @@ def parse_mot_csv(text: str) -> list[TrackedBox]:
             raise ValueError(f"line {lineno}: track ids are 1-based, got {track_id}")
         if w <= 0 or h <= 0:
             raise ValueError(f"line {lineno}: degenerate box {w}x{h}")
-        tracks.append(TrackedBox(frame - 1, track_id, BoxXYXY(x, y, x + w, y + h), conf))
+        if frames is None or frame - 1 in frames:
+            tracks.append(TrackedBox(frame - 1, track_id, BoxXYXY(x, y, x + w, y + h), conf))
     return tracks
 
 

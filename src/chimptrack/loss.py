@@ -208,17 +208,20 @@ def set_prediction_loss(class_probs, pred_boxes, behavior_probs, gt_boxes, gt_be
 
     Raises ValueError when there are more ground-truth boxes than queries,
     and on queries that detr_cost rejects, with or without ground truth.
+    Without queries (and so without ground truth) every term is 0.
     """
     p = np.asarray(class_probs, dtype=float).reshape(-1)
     pred = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
-    beh = np.asarray(behavior_probs, dtype=float).reshape(p.shape[0], -1)
     gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-    gt_beh = np.asarray(gt_behaviors, dtype=float).reshape(gt.shape[0], -1) if gt.size else np.zeros((0, beh.shape[1]))
     n_q, n_g = p.shape[0], gt.shape[0]
     if n_g > n_q:
         raise ValueError(f"more ground-truth boxes ({n_g}) than queries ({n_q})")
-
     cost, l1, giou = _cost_table(p, pred, gt)  # checks the queries on every call, gt or none
+    if not n_q:
+        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, ())
+    beh = np.asarray(behavior_probs, dtype=float).reshape(n_q, -1)
+    gt_beh = np.asarray(gt_behaviors, dtype=float).reshape(n_g, -1) if n_g else np.zeros((0, beh.shape[1]))
+
     pairs = assign.hungarian(cost).pairs
 
     matched = {q for q, _ in pairs}

@@ -16,7 +16,13 @@ solved with assign.hungarian, serves every alpha of the grid.
 Detection AP, OKS AP and behavior mAP share one AP engine. Each metric call
 scores every same-frame (prediction, gt) pair once into one similarity table
 (_score_pairs), and the greedy matcher (_rank_and_match) runs area splits,
-behavior classes and thresholds as masks over that one table.
+behavior classes and thresholds as masks over that one table. The greedy
+matching is per frame, as in COCO's per-image evaluation: a prediction only
+competes for the gts of its own frame, so its match depends on nothing but the
+predictions ranked above it in that frame. The matcher therefore steps across
+frames, matching the k-th ranked prediction of every frame at once, and the
+result is exactly that of matching one prediction at a time in global rank
+order (oracles.scalar_rank_and_match).
 
 IDF1, behavior mAP and PCK's pose pairing match at IoU >= MATCH_IOU (0.5),
 where CLEAR gates; OKS uses one kappa, KAPPA, for every joint.
@@ -430,29 +436,75 @@ def _rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray
     A pair is matchable at similarity >= threshold; in rank order the
     highest-similarity unconsumed gt of the same frame with keep_gt set wins
     (ties: the lowest gt index), and each gt is consumed at most once. Nothing
-    is rescored: splits, classes and thresholds are masks over one table.
+    is rescored: splits, classes and thresholds are masks over one table. The
+    rows of one frame share its gt indices, and no gt index is in two frames.
+
+    A frame's matches depend only on its own predictions in rank order, so
+    step k matches the k-th ranked prediction of every frame at once, over
+    (frame, threshold, gt) arrays padded with -inf: the loop runs as many
+    steps as the deepest frame has predictions. oracles.scalar_rank_and_match
+    matches one prediction at a time and must give the same result.
     """
-    # score descending; ties by frame then position, so ranking is total
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], frames[i], i))
     thresholds = np.asarray(thresholds, dtype=float)
-    tp = np.zeros((thresholds.size, len(order)), dtype=bool)
-    consumed = np.zeros((thresholds.size, keep_gt.size), dtype=bool)
-    kept_by_frame: dict[int, tuple | None] = {}  # decided once per frame: (keep mask, kept gt indices) or None
-    for rank, i in enumerate(order):
-        gi, sims = table[i]
-        if frames[i] not in kept_by_frame:
-            kept = keep_gt[gi]
-            kept_by_frame[frames[i]] = (kept, gi[kept]) if kept.any() else None
-        if kept_by_frame[frames[i]] is None:
-            continue
-        kept, candidates = kept_by_frame[frames[i]]
-        sims = sims[kept]
-        free = ~consumed[:, candidates] & (sims >= thresholds[:, None])
-        hit = free.any(axis=1)
-        best = np.where(free, sims, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
-        consumed[hit, candidates[best[hit]]] = True
-        tp[:, rank] = hit
-    return RankedMatches(np.array([scores[i] for i in order], dtype=float), tp, int(keep_gt.sum()))
+    score, frames = np.array(scores, dtype=float), np.array(frames)
+    n = score.size
+    # score descending; ties by frame then position (lexsort is stable), so ranking is total
+    order = np.lexsort((frames, -score))
+    tp = np.zeros((thresholds.size, n + 1), dtype=bool)  # column n collects the padded steps
+    if n:
+        sims, rank_at = _frame_steps(table, frames[order], order, keep_gt)
+        consumed = np.zeros((sims.shape[0], thresholds.size, sims.shape[2]), dtype=bool)
+        for k in range(sims.shape[1]):
+            s = sims[:, k, None, :]
+            free = ~consumed & (s >= thresholds[:, None])
+            hit = free.any(axis=2)
+            best = np.where(free, s, -np.inf).argmax(axis=2)  # first maximum: lowest gt index
+            f, t = np.nonzero(hit)
+            consumed[f, t, best[f, t]] = True
+            tp[:, rank_at[:, k]] = hit.T
+    return RankedMatches(score[order], tp[:, :n], int(keep_gt.sum()))
+
+
+def _frame_steps(table: list, ranked_frames: np.ndarray, order: np.ndarray, keep_gt: np.ndarray):
+    """The ranked rows of _rank_and_match laid out by frame and depth.
+
+    Returns sims, (frames, steps, kept gts): the similarities of each frame's
+    depth-th ranked prediction to the frame's kept gts in gt order, -inf where
+    padded; and rank_at, (frames, steps): that prediction's rank, n where
+    padded. steps is the largest prediction count of a frame that keeps a gt.
+    """
+    n = order.size
+    _, slot = np.unique(ranked_frames, return_inverse=True)  # each rank's frame, numbered densely
+    counts = np.bincount(slot)
+    starts = np.cumsum(counts) - counts
+    by_frame = np.argsort(slot, kind="stable")  # ranks grouped by frame, rank order inside
+    depth = np.empty(n, dtype=int)
+    depth[by_frame] = np.arange(n) - np.repeat(starts, counts)
+
+    # kept[f, j]: whether frame f keeps its j-th gt, read from its first-ranked row
+    gts = [table[order[r]][0] for r in by_frame[starts]]
+    kept = np.zeros((counts.size, max(len(g) for g in gts)), dtype=bool)
+    for f, g in enumerate(gts):
+        kept[f, : len(g)] = keep_gt[g]
+    column = np.cumsum(kept, axis=1) - 1  # a kept gt's place among its frame's kept gts
+
+    # every ranked row's similarities, flat, with each entry's rank and place in its row
+    rows = [table[i][1] for i in order]
+    lengths = np.array([len(r) for r in rows])
+    flat = np.concatenate(rows)
+    rank = np.repeat(np.arange(n), lengths)
+    place = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    use = kept[slot[rank], place]
+    rank, place = rank[use], place[use]
+    f = slot[rank]
+
+    steps = int(depth[rank].max()) + 1 if rank.size else 0
+    sims = np.full((counts.size, steps, int(kept.sum(axis=1).max())), -np.inf)
+    sims[f, depth[rank], column[f, place]] = flat[use]
+    rank_at = np.full((counts.size, steps), n)
+    shallow = depth < steps
+    rank_at[slot[shallow], depth[shallow]] = np.flatnonzero(shallow)
+    return sims, rank_at
 
 
 def _merge_matches(parts: tuple[RankedMatches, ...]) -> RankedMatches:
@@ -569,7 +621,8 @@ def keypoint_ap(preds: list, gts: list) -> DetectionAP:
     scored. Area splits mask ground truth by box area; every prediction stays
     in (predictions carry no box of their own).
     """
-    gts = [g for g in gts if np.asarray(g[1]).reshape(KEYPOINT_COUNT, 3)[:, 2].max() > 0]
+    labeled = np.array([g[1] for g in gts], dtype=float).reshape(-1, KEYPOINT_COUNT, 3)[:, :, 2].max(axis=1) > 0
+    gts = [gts[j] for j in np.flatnonzero(labeled)]
     table = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2]))
     frames, scores = [p[0] for p in preds], [p[2] for p in preds]
     return _ap_scores(

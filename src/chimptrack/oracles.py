@@ -11,11 +11,12 @@ against large inputs; they exist to check the fast implementations on small
 instances, not to be fast. tiny_tracks and tiny_behavior_sets draw such
 instances for the tests and the selfcheck.
 
-Two references check batching rather than an algorithm, so they reuse the
+Three references check batching rather than an algorithm, so they reuse the
 production steps and undo only the batching: window_forward runs the toy
-detector one window at a time, every window from its own frames, and
+detector one window at a time, every window from its own frames,
 scalar_track runs the tracker one track at a time with its own 7-dim Kalman
-filter. The batched code must match them bit for bit.
+filter, and scalar_rank_and_match runs the AP engine's greedy matcher one
+ranked prediction at a time. The batched code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .assign import Assignment
 from .dataio import BEHAVIOR_CATEGORIES, BEHAVIOR_COUNT, DetectionRecord, SequenceAnnotation, TrackedBox
 from .geometry import BoxXYXY, iou_matrix
 from .loss import CLS_WEIGHT, FOCAL_ALPHA, FOCAL_GAMMA, GIOU_WEIGHT, L1_WEIGHT
-from .metrics import ALPHA_GRID, IOU_THRESHOLDS, KAPPA, MATCH_IOU, RECALL_POINTS, BehaviorMAP, DetectionAP
+from .metrics import ALPHA_GRID, IOU_THRESHOLDS, KAPPA, MATCH_IOU, RECALL_POINTS, BehaviorMAP, DetectionAP, RankedMatches
 from .rng import Xoshiro256
 
 _ENUM_LIMIT = 5_000_000
@@ -415,6 +416,34 @@ def brute_behavior_map(preds, gts) -> BehaviorMAP:
         tuple(per_class),
         tuple(counts),
     )
+
+
+def scalar_rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray, thresholds) -> RankedMatches:
+    """metrics._rank_and_match one ranked prediction at a time, over all thresholds at once.
+
+    Same arguments, ranking and result; each frame's kept gts are decided once,
+    from its first-ranked row.
+    """
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], frames[i], i))
+    thresholds = np.asarray(thresholds, dtype=float)
+    tp = np.zeros((thresholds.size, len(order)), dtype=bool)
+    consumed = np.zeros((thresholds.size, keep_gt.size), dtype=bool)
+    kept_by_frame: dict[int, tuple | None] = {}  # (keep mask, kept gt indices) or None
+    for rank, i in enumerate(order):
+        gi, sims = table[i]
+        if frames[i] not in kept_by_frame:
+            kept = keep_gt[gi]
+            kept_by_frame[frames[i]] = (kept, gi[kept]) if kept.any() else None
+        if kept_by_frame[frames[i]] is None:
+            continue
+        kept, candidates = kept_by_frame[frames[i]]
+        sims = sims[kept]
+        free = ~consumed[:, candidates] & (sims >= thresholds[:, None])
+        hit = free.any(axis=1)
+        best = np.where(free, sims, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
+        consumed[hit, candidates[best[hit]]] = True
+        tp[:, rank] = hit
+    return RankedMatches(np.array([scores[i] for i in order], dtype=float), tp, int(keep_gt.sum()))
 
 
 def combine_sequences(

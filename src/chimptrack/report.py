@@ -113,7 +113,10 @@ def evaluate_sequence(
     """Score one sequence on its annotated frames only.
 
     Predictions on frames without annotations are ignored; everything on an
-    annotated frame counts. CLEAR, IDF1 and HOTA read one frame table.
+    annotated frame counts. So a caller may pass only the annotated frames'
+    tracks and detections: evaluate builds its tracks with
+    parse_mot_csv(text, annotation.frames). CLEAR, IDF1 and HOTA read one
+    frame table.
     """
     annotated = set(annotation.frames)
     gt_tracks, det_gt, beh_gt, pose_gt = _gt_records(annotation)

@@ -234,6 +234,37 @@ def test_integer_numbers_parse_to_the_same_floats():
     assert all(type(x) is float and type(y) is float for x, y, _ in parsed_seq.frames[0][0].pose)
 
 
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ({5: [5, 6, 1]}, None),
+        ({0: [10, 20.0, 2], 15: [25.0, 35, 0]}, None),
+        ({3: [1.0, 2.0, True]}, "pose[3][2]: expected an integer, got True"),
+        ({3: [1.0, 2.0]}, "pose[3]: expected [x, y, visibility]"),
+        ({3: ["1.0", 2.0, 2]}, "pose[3][0]: expected a number, got '1.0'"),
+        ({3: [1.0, math.nan, 2]}, "pose[3][1]: expected a finite number, got nan"),
+        ({3: [1.0, 2.0, 3]}, "pose[3][2]: visibility must be 0, 1, or 2, got 3"),
+        ({2: [1, 2, 1], 9: [math.inf, 2.0, 1]}, "pose[9][0]: expected a finite number, got inf"),
+    ],
+    ids=["int-coords", "int-first-and-last", "true-visibility", "two-values", "string-x", "nan-y", "visibility-3", "inf-after-int"],
+)
+def test_annotation_pose_rows_parse_or_fail_at_their_first_bad_value(rows, error):
+    # a pose of [float, float, 0|1|2] rows is kept as is; any other row sends
+    # the whole pose through the per-value checks from joint 0
+    doc = write_annotations(sample_sequence())
+    pose = doc["frames"][0]["instances"][0]["pose"]
+    for j, row in rows.items():
+        pose[j] = row
+    if error is not None:
+        with pytest.raises(AnnotationError) as info:
+            parse_annotations(doc)
+        assert str(info.value) == f"$.frames[0].instances[0].{error}"
+        return
+    got = parse_annotations(doc).frames[0][0].pose
+    assert got == tuple((float(x), float(y), v) for x, y, v in pose)
+    assert all(type(x) is float and type(y) is float and type(v) is int for x, y, v in got)
+
+
 def test_parse_detections_requires_increasing_frames():
     doc = write_detections("s", ImageSize(10, 10), sample_detections())
     doc["frames"] = list(reversed(doc["frames"]))
@@ -275,6 +306,40 @@ def test_mot_csv_sorts_rows_and_handles_empty():
     assert write_mot_csv([]) == ""
     assert parse_mot_csv("") == []
     assert parse_mot_csv("\n  \n") == []
+
+
+def test_mot_csv_frames_keep_only_their_rows_in_file_order():
+    rng = Xoshiro256(61)
+    tracks = [
+        TrackedBox(rng.randint(30), 1 + rng.randint(5), BoxXYXY(1.0, 2.0, 3.0 + rng.randint(9), 4.0), 0.5)
+        for _ in range(200)
+    ]
+    text = write_mot_csv(tracks)
+    everything = parse_mot_csv(text)
+    for frames in (set(), {0}, set(range(0, 30, 10)), set(range(0, 30, 3)), set(range(30)), {29, 100}):
+        assert parse_mot_csv(text, frames) == [t for t in everything if t.frame in frames], frames
+    annotated = {0: (), 10: (), 20: ()}  # SequenceAnnotation.frames, as evaluate passes it
+    assert parse_mot_csv(text, annotated) == [t for t in everything if t.frame in annotated]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("6,1,0,0,5,5,1", "expected 10 comma-separated fields, got 7"),
+        ("6,1,x,0,5,5,1,-1,-1,-1", "could not convert string to float: 'x'"),
+        ("6,1,0,0,inf,5,1,-1,-1,-1", "non-finite value in '6,1,0,0,inf,5,1,-1,-1,-1'"),
+        ("0,1,0,0,5,5,1,-1,-1,-1", "frames are 1-based, got 0"),
+        ("6,0,0,0,5,5,1,-1,-1,-1", "track ids are 1-based, got 0"),
+        ("6,1,0,0,0,5,1,-1,-1,-1", "degenerate box 0.0x5.0"),
+    ],
+    ids=["field-count", "not-a-number", "non-finite", "frame-0", "id-0", "degenerate"],
+)
+def test_mot_csv_rows_outside_frames_are_still_checked(row, message):
+    text = f"1,1,0,0,5,5,1,-1,-1,-1\n{row}\n"
+    for frames in (None, {0}, set()):
+        with pytest.raises(ValueError) as info:
+            parse_mot_csv(text, frames)
+        assert str(info.value) == f"line 2: {message}", frames
 
 
 def test_mot_csv_validation_errors():

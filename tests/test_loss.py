@@ -11,6 +11,7 @@ from chimptrack.loss import (
     FOCAL_GAMMA,
     GIOU_WEIGHT,
     L1_WEIGHT,
+    LossBreakdown,
     detr_cost,
     focal_loss,
     giou_loss,
@@ -163,6 +164,12 @@ def test_set_loss_empty_gt_closed_form():
     assert out.cls_term == pytest.approx(want, rel=1e-12)
     assert out.l1_term == 0.0 and out.giou_term == 0.0 and out.behavior_term == 0.0
     assert out.total == pytest.approx(CLS_WEIGHT * want, rel=1e-12)
+
+
+def test_set_loss_without_queries_or_gt_is_zero():
+    args = ([], np.zeros((0, 4)), np.zeros((0, 23)), [], [])
+    assert set_prediction_loss(*args) == LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, ())
+    assert brute_set_loss(*args) == 0.0
 
 
 @pytest.mark.parametrize("n_gt", [0, 1])

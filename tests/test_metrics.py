@@ -33,6 +33,7 @@ from chimptrack.oracles import (
     brute_idf1,
     brute_keypoint_ap,
     hota_hand_case,
+    scalar_rank_and_match,
 )
 from chimptrack.rng import Xoshiro256
 
@@ -556,6 +557,65 @@ def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
         assert out.n_gt == sum(keep)
         assert out.tp[:, 0].all(), (keep, lone_gt)
         assert (out.tp[:, 1] == pred1_hits).all(), (keep, lone_gt)
+
+
+def _random_match_table(rng, columns: int):
+    """A _rank_and_match input as _score_pairs lays it out, with many ties.
+
+    Up to 6 frames, in shuffled order, hold 0-4 gts and 0-6 predictions;
+    similarities and scores come from small grids, and each of `columns`
+    (score, keep) columns keeps about 70% of the gts. Returns the table, the
+    frames, a (predictions, columns) score array and a (gts, columns) keep array.
+    """
+    table, frames, n_gt = [], [], 0
+    for frame in rng.permutation(20)[: rng.integers(1, 7)]:
+        ng = int(rng.integers(0, 5))
+        gi = np.arange(n_gt, n_gt + ng)
+        n_gt += ng
+        for _ in range(rng.integers(0, 7)):
+            table.append((gi, rng.choice([0.0, 0.3, 0.5, 0.5, 0.75, 0.9, 0.9, 1.0], size=ng)))
+            frames.append(int(frame))
+    order = rng.permutation(len(table))
+    scores = rng.choice([0.1, 0.5, 0.5, 0.9], size=(len(table), columns))
+    keep = rng.random((n_gt, columns)) < 0.7
+    return [table[i] for i in order], [frames[i] for i in order], scores[order], keep
+
+
+def _assert_same_matches(got, want, label):
+    assert got.n_gt == want.n_gt, label
+    assert got.score.tolist() == want.score.tolist(), label
+    assert got.tp.shape == want.tp.shape and (got.tp == want.tp).all(), label
+
+
+def test_stepped_matcher_equals_the_scalar_matcher():
+    # ties in score and similarity, unkept gts, frames with no (kept) gt and
+    # tables without predictions, at 1 and at 10 thresholds
+    seen = {"tied scores": 0, "frame without kept gt": 0, "no predictions": 0, "hits": 0}
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        table, frames, scores, keep = _random_match_table(rng, 1)
+        thresholds = IOU_THRESHOLDS if seed % 2 else (0.5,)
+        got = _rank_and_match(table, frames, scores[:, 0].tolist(), keep[:, 0], thresholds)
+        want = scalar_rank_and_match(table, frames, scores[:, 0].tolist(), keep[:, 0], thresholds)
+        _assert_same_matches(got, want, seed)
+        seen["tied scores"] += len(set(scores[:, 0].tolist())) < len(table)
+        seen["frame without kept gt"] += any(not keep[gi, 0].any() for gi, _ in table)
+        seen["no predictions"] += not table
+        seen["hits"] += int(got.tp.sum())
+    assert min(seen.values()) >= 10, seen
+    empty = _rank_and_match([], [], [], np.ones(3, dtype=bool), IOU_THRESHOLDS)
+    assert (empty.score.shape, empty.tp.shape, empty.n_gt) == ((0,), (10, 0), 3)
+
+
+def test_stepped_matcher_equals_the_scalar_matcher_on_23_behavior_columns():
+    # behavior mAP's layout: one table, one (score, multi-hot) column per class
+    for seed in range(40):
+        rng = np.random.default_rng(10_000 + seed)
+        table, frames, scores, keep = _random_match_table(rng, 23)
+        for k in range(23):
+            got = _rank_and_match(table, frames, scores[:, k].tolist(), keep[:, k], (0.5,))
+            want = scalar_rank_and_match(table, frames, scores[:, k].tolist(), keep[:, k], (0.5,))
+            _assert_same_matches(got, want, (seed, k))
 
 
 # -------------------------------------------------- oracle agreement sweeps
