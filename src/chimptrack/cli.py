@@ -156,7 +156,10 @@ def _by_sequence(entries) -> dict:
 
 
 def _load_gt(path: Path) -> dict[str, dataio.SequenceAnnotation]:
-    annotations = ((f, dataio.parse_annotations(f)) for f in _json_files(path))
+    files = _json_files(path)
+    if not files:
+        raise ValueError(f"no .json annotation file in {path}")
+    annotations = ((f, dataio.parse_annotations(f)) for f in files)
     return _by_sequence((f, ann.sequence_id, ann) for f, ann in annotations)
 
 

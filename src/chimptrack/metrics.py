@@ -15,14 +15,16 @@ solved with assign.hungarian, serves every alpha of the grid.
 
 Detection AP, OKS AP and behavior mAP share one AP engine. Each metric call
 scores every same-frame (prediction, gt) pair once into one similarity table
-(_score_pairs), and the greedy matcher (_rank_and_match) runs area splits,
-behavior classes and thresholds as masks over that one table. The greedy
-matching is per frame, as in COCO's per-image evaluation: a prediction only
-competes for the gts of its own frame, so its match depends on nothing but the
-predictions ranked above it in that frame. The matcher therefore steps across
-frames, matching the k-th ranked prediction of every frame at once, and the
-result is exactly that of matching one prediction at a time in global rank
-order (oracles.scalar_rank_and_match).
+laid out by frame (_score_pairs): a (frames, predictions, gts) block padded
+with -inf, and each prediction's and gt's (frame, place) in it. The greedy
+matcher (_rank_and_match) runs prediction and gt masks (area splits, behavior
+classes) and thresholds over that one table. The greedy matching is per frame,
+as in COCO's per-image evaluation: a prediction only competes for the gts of
+its own frame, so its match depends on nothing but the predictions ranked
+above it in that frame. The matcher therefore steps across frames, gathering
+the k-th ranked kept prediction of every frame into one step, and the result
+is exactly that of matching one prediction at a time in global rank order
+(oracles.scalar_rank_and_match).
 
 IDF1, behavior mAP and PCK's pose pairing match at IoU >= MATCH_IOU (0.5),
 where CLEAR gates; OKS uses one kappa, KAPPA, for every joint.
@@ -415,47 +417,74 @@ def _ap_all_points(tp_flags: np.ndarray, n_gt: int) -> float:
     return math.fsum(np.diff(recall, prepend=0.0) * precision)
 
 
-def _score_pairs(preds: list, gts: list, similarity) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per prediction (entries (frame, ...)): its frame's gt indices in input order and their similarities.
+def _score_pairs(preds: list, gts: list, similarity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-frame (prediction, gt) similarity, laid out by frame: (sims, pred_at, gt_at).
 
-    similarity(pred, gt) runs once for each same-frame pair and nowhere else.
+    Frames present on either side are numbered densely in ascending order.
+    pred_at (predictions, 2) and gt_at (gts, 2) give each entry's (frame,
+    place), in input order; place counts the frame's entries of that side in
+    input order. sims[f, p, g] is the similarity of frame f's p-th prediction
+    to its g-th gt, a (frames, most predictions, most gts) array padded with
+    -inf. Entries are (frame, ...); similarity(pred, gt) runs once for each
+    same-frame pair and nowhere else.
     """
-    by_frame: dict[int, list[int]] = {}
-    for j, g in enumerate(gts):
-        by_frame.setdefault(g[0], []).append(j)
-    indices = {frame: np.array(js) for frame, js in by_frame.items()}  # shared by the frame's predictions
-    return [
-        (indices.get(p[0], np.zeros(0, dtype=int)), np.array([similarity(p, gts[j]) for j in by_frame.get(p[0], ())]))
-        for p in preds
-    ]
+    slot = {frame: f for f, frame in enumerate(sorted({p[0] for p in preds} | {g[0] for g in gts}))}
+
+    def _places(items: list) -> tuple[np.ndarray, list[list]]:
+        by_frame: list[list] = [[] for _ in slot]
+        at = []
+        for item in items:
+            f = slot[item[0]]
+            at.append((f, len(by_frame[f])))
+            by_frame[f].append(item)
+        return np.array(at, dtype=int).reshape(-1, 2), by_frame
+
+    (pred_at, frame_preds), (gt_at, frame_gts) = _places(preds), _places(gts)
+    sims = np.full((len(slot), max(map(len, frame_preds), default=0), max(map(len, frame_gts), default=0)), -np.inf)
+    for p, (f, place) in zip(preds, pred_at.tolist()):
+        sims[f, place, : len(frame_gts[f])] = [similarity(p, g) for g in frame_gts[f]]
+    return sims, pred_at, gt_at
 
 
-def _rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray, thresholds) -> RankedMatches:
-    """Rank predictions (their _score_pairs rows, frames and scores) and match them greedily per threshold.
+def _rank_and_match(pairs: tuple, scores, keep_pred: np.ndarray, keep_gt: np.ndarray, thresholds) -> RankedMatches:
+    """Rank the kept predictions by score and match them greedily per threshold.
 
-    A pair is matchable at similarity >= threshold; in rank order the
-    highest-similarity unconsumed gt of the same frame with keep_gt set wins
-    (ties: the lowest gt index), and each gt is consumed at most once. Nothing
-    is rescored: splits, classes and thresholds are masks over one table. The
-    rows of one frame share its gt indices, and no gt index is in two frames.
+    pairs is _score_pairs' (sims, pred_at, gt_at); scores, keep_pred and
+    keep_gt are in input order. A pair is matchable at similarity >=
+    threshold; in rank order the highest-similarity unconsumed gt of the same
+    frame with keep_gt set wins (ties: the lowest gt index), and each gt is
+    consumed at most once. Nothing is rescored: splits, classes and thresholds
+    are masks over one table.
 
     A frame's matches depend only on its own predictions in rank order, so
-    step k matches the k-th ranked prediction of every frame at once, over
-    (frame, threshold, gt) arrays padded with -inf: the loop runs as many
-    steps as the deepest frame has predictions. oracles.scalar_rank_and_match
-    matches one prediction at a time and must give the same result.
+    step k matches the k-th ranked prediction of every frame at once: each
+    rank's row of its frame's block is gathered into (frame, step, gt), with
+    unkept gts at -inf, and the loop runs as many steps as the deepest frame
+    has kept predictions. oracles.scalar_rank_and_match matches one
+    prediction at a time and must give the same result.
     """
+    sims, pred_at, gt_at = pairs
     thresholds = np.asarray(thresholds, dtype=float)
-    score, frames = np.array(scores, dtype=float), np.array(frames)
-    n = score.size
+    kept = np.flatnonzero(keep_pred)
+    score, (frame, place) = np.asarray(scores, dtype=float)[kept], pred_at[kept].T
+    n = kept.size
     # score descending; ties by frame then position (lexsort is stable), so ranking is total
-    order = np.lexsort((frames, -score))
-    tp = np.zeros((thresholds.size, n + 1), dtype=bool)  # column n collects the padded steps
-    if n:
-        sims, rank_at = _frame_steps(table, frames[order], order, keep_gt)
-        consumed = np.zeros((sims.shape[0], thresholds.size, sims.shape[2]), dtype=bool)
-        for k in range(sims.shape[1]):
-            s = sims[:, k, None, :]
+    order = np.lexsort((frame, -score))
+    tp = np.zeros((thresholds.size, n + 1), dtype=bool)  # column n collects the steps past a frame's last rank
+    if n and keep_gt.any():
+        frame, place = frame[order], place[order]
+        by_frame = np.argsort(frame, kind="stable")  # ranks grouped by frame, rank order inside
+        depth = np.empty(n, dtype=int)
+        depth[by_frame] = np.arange(n) - np.searchsorted(frame[by_frame], frame[by_frame])
+        kept_gt = np.zeros(sims.shape[::2], dtype=bool)
+        kept_gt[gt_at[:, 0], gt_at[:, 1]] = keep_gt
+        stepped = np.full((sims.shape[0], depth.max() + 1, sims.shape[2]), -np.inf)
+        stepped[frame, depth] = np.where(kept_gt[frame], sims[frame, place], -np.inf)
+        rank_at = np.full(stepped.shape[:2], n)
+        rank_at[frame, depth] = np.arange(n)
+        consumed = np.zeros((stepped.shape[0], thresholds.size, stepped.shape[2]), dtype=bool)
+        for k in range(stepped.shape[1]):
+            s = stepped[:, k, None, :]
             free = ~consumed & (s >= thresholds[:, None])
             hit = free.any(axis=2)
             best = np.where(free, s, -np.inf).argmax(axis=2)  # first maximum: lowest gt index
@@ -463,48 +492,6 @@ def _rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray
             consumed[f, t, best[f, t]] = True
             tp[:, rank_at[:, k]] = hit.T
     return RankedMatches(score[order], tp[:, :n], int(keep_gt.sum()))
-
-
-def _frame_steps(table: list, ranked_frames: np.ndarray, order: np.ndarray, keep_gt: np.ndarray):
-    """The ranked rows of _rank_and_match laid out by frame and depth.
-
-    Returns sims, (frames, steps, kept gts): the similarities of each frame's
-    depth-th ranked prediction to the frame's kept gts in gt order, -inf where
-    padded; and rank_at, (frames, steps): that prediction's rank, n where
-    padded. steps is the largest prediction count of a frame that keeps a gt.
-    """
-    n = order.size
-    _, slot = np.unique(ranked_frames, return_inverse=True)  # each rank's frame, numbered densely
-    counts = np.bincount(slot)
-    starts = np.cumsum(counts) - counts
-    by_frame = np.argsort(slot, kind="stable")  # ranks grouped by frame, rank order inside
-    depth = np.empty(n, dtype=int)
-    depth[by_frame] = np.arange(n) - np.repeat(starts, counts)
-
-    # kept[f, j]: whether frame f keeps its j-th gt, read from its first-ranked row
-    gts = [table[order[r]][0] for r in by_frame[starts]]
-    kept = np.zeros((counts.size, max(len(g) for g in gts)), dtype=bool)
-    for f, g in enumerate(gts):
-        kept[f, : len(g)] = keep_gt[g]
-    column = np.cumsum(kept, axis=1) - 1  # a kept gt's place among its frame's kept gts
-
-    # every ranked row's similarities, flat, with each entry's rank and place in its row
-    rows = [table[i][1] for i in order]
-    lengths = np.array([len(r) for r in rows])
-    flat = np.concatenate(rows)
-    rank = np.repeat(np.arange(n), lengths)
-    place = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    use = kept[slot[rank], place]
-    rank, place = rank[use], place[use]
-    f = slot[rank]
-
-    steps = int(depth[rank].max()) + 1 if rank.size else 0
-    sims = np.full((counts.size, steps, int(kept.sum(axis=1).max())), -np.inf)
-    sims[f, depth[rank], column[f, place]] = flat[use]
-    rank_at = np.full((counts.size, steps), n)
-    shallow = depth < steps
-    rank_at[slot[shallow], depth[shallow]] = np.flatnonzero(shallow)
-    return sims, rank_at
 
 
 def _merge_matches(parts: tuple[RankedMatches, ...]) -> RankedMatches:
@@ -577,13 +564,10 @@ def detection_ap(preds: list, gts: list) -> DetectionAP:
     thresholds of the final recall. With zero ground truth the overall AP is
     0; area-split APs without ground truth are NaN.
     """
-    table = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
-    splits = []
-    for rows, keep_gt in zip(_area_masks([p[1] for p in preds]), _area_masks([g[1] for g in gts])):
-        rows = np.flatnonzero(rows).tolist()
-        frames, scores = [preds[i][0] for i in rows], [preds[i][2] for i in rows]
-        splits.append(_rank_and_match([table[i] for i in rows], frames, scores, keep_gt, IOU_THRESHOLDS))
-    return _ap_scores(tuple(splits))
+    pairs = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
+    scores = [p[2] for p in preds]
+    masks = zip(_area_masks([p[1] for p in preds]), _area_masks([g[1] for g in gts]))
+    return _ap_scores(tuple(_rank_and_match(pairs, scores, kp, kg, IOU_THRESHOLDS) for kp, kg in masks))
 
 
 def _scale(v: float) -> float:
@@ -623,10 +607,10 @@ def keypoint_ap(preds: list, gts: list) -> DetectionAP:
     """
     labeled = np.array([g[1] for g in gts], dtype=float).reshape(-1, KEYPOINT_COUNT, 3)[:, :, 2].max(axis=1) > 0
     gts = [gts[j] for j in np.flatnonzero(labeled)]
-    table = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2]))
-    frames, scores = [p[0] for p in preds], [p[2] for p in preds]
+    pairs = _score_pairs(preds, gts, lambda p, g: oks(p[1], g[1], g[2]))
+    scores, every = [p[2] for p in preds], np.ones(len(preds), dtype=bool)
     return _ap_scores(
-        tuple(_rank_and_match(table, frames, scores, keep, IOU_THRESHOLDS) for keep in _area_masks([g[2] for g in gts]))
+        tuple(_rank_and_match(pairs, scores, every, keep, IOU_THRESHOLDS) for keep in _area_masks([g[2] for g in gts]))
     )
 
 
@@ -698,10 +682,10 @@ def behavior_map(preds: list, gts: list) -> BehaviorMAP:
     hot = np.array([g[2] for g in gts], dtype=bool).reshape(-1, BEHAVIOR_COUNT)
     labeled = np.flatnonzero(hot.any(axis=1))
     gts, hot = [gts[j] for j in labeled], hot[labeled]
-    table = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
-    frames = [p[0] for p in preds]
+    pairs = _score_pairs(preds, gts, lambda p, g: geometry.iou(p[1], g[1]))
     scores = np.array([p[2] for p in preds], dtype=float).reshape(-1, BEHAVIOR_COUNT)
-    classes = [_rank_and_match(table, frames, s.tolist(), h, (MATCH_IOU,)) for s, h in zip(scores.T, hot.T)]
+    every = np.ones(len(preds), dtype=bool)
+    classes = [_rank_and_match(pairs, s, every, h, (MATCH_IOU,)) for s, h in zip(scores.T, hot.T)]
     return _behavior_scores(tuple(classes))
 
 

@@ -16,7 +16,8 @@ production steps and undo only the batching: window_forward runs the toy
 detector one window at a time, every window from its own frames,
 scalar_track runs the tracker one track at a time with its own 7-dim Kalman
 filter, and scalar_rank_and_match runs the AP engine's greedy matcher one
-ranked prediction at a time. The batched code must match them bit for bit.
+ranked prediction at a time, reading each prediction's own row of the
+frame-block table. The batched code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -418,29 +419,27 @@ def brute_behavior_map(preds, gts) -> BehaviorMAP:
     )
 
 
-def scalar_rank_and_match(table: list, frames: list, scores: list, keep_gt: np.ndarray, thresholds) -> RankedMatches:
+def scalar_rank_and_match(pairs: tuple, scores, keep_pred: np.ndarray, keep_gt: np.ndarray, thresholds) -> RankedMatches:
     """metrics._rank_and_match one ranked prediction at a time, over all thresholds at once.
 
-    Same arguments, ranking and result; each frame's kept gts are decided once,
-    from its first-ranked row.
+    Same arguments, ranking and result; each kept prediction reads its own row
+    of its frame's block at the kept gts of its frame, in gt order.
     """
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], frames[i], i))
+    sims, pred_at, gt_at = pairs
+    kept = [i for i in range(len(scores)) if keep_pred[i]]
+    order = sorted(kept, key=lambda i: (-scores[i], pred_at[i, 0], i))
     thresholds = np.asarray(thresholds, dtype=float)
     tp = np.zeros((thresholds.size, len(order)), dtype=bool)
     consumed = np.zeros((thresholds.size, keep_gt.size), dtype=bool)
-    kept_by_frame: dict[int, tuple | None] = {}  # (keep mask, kept gt indices) or None
     for rank, i in enumerate(order):
-        gi, sims = table[i]
-        if frames[i] not in kept_by_frame:
-            kept = keep_gt[gi]
-            kept_by_frame[frames[i]] = (kept, gi[kept]) if kept.any() else None
-        if kept_by_frame[frames[i]] is None:
+        frame, place = pred_at[i]
+        candidates = np.flatnonzero((gt_at[:, 0] == frame) & keep_gt)
+        if not candidates.size:
             continue
-        kept, candidates = kept_by_frame[frames[i]]
-        sims = sims[kept]
-        free = ~consumed[:, candidates] & (sims >= thresholds[:, None])
+        row = sims[frame, place, gt_at[candidates, 1]]
+        free = ~consumed[:, candidates] & (row >= thresholds[:, None])
         hit = free.any(axis=1)
-        best = np.where(free, sims, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
+        best = np.where(free, row, -np.inf).argmax(axis=1)  # first maximum: lowest gt index
         consumed[hit, candidates[best[hit]]] = True
         tp[:, rank] = hit
     return RankedMatches(np.array([scores[i] for i in order], dtype=float), tp, int(keep_gt.sum()))

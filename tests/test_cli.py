@@ -12,6 +12,7 @@ from chimptrack.dataio import DetectionRecord
 from chimptrack.geometry import BoxRel, BoxXYXY, ImageSize, rel_to_abs
 from chimptrack.kernels import WINDOW_BLOCK, ModelDims, init_params, save_params
 from chimptrack.oracles import window_forward
+from chimptrack.rng import Xoshiro256
 from chimptrack.tracker import TrackerConfig, run
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--agents", "3", "--frames", "30", "--stride", "10"]
@@ -302,6 +303,20 @@ def test_evaluate_missing_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_evaluate_gt_directory_without_annotations_exits_2_and_names_it(tmp_path, capsys):
+    gt, pred = evaluate_pair(tmp_path)
+    empty, pred_dir = tmp_path / "empty", tmp_path / "preds"
+    empty.mkdir()
+    pred_dir.mkdir()
+    (empty / "notes.txt").write_text("no annotations here\n")
+    for task, preds in (("tracking", pred_dir), ("tracking", pred), ("detection", gt.with_name("detections_clean.json"))):
+        out = tmp_path / "empty.metrics.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--task", task, "--gt", str(empty), "--pred", str(preds), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no .json annotation file in {empty}\n"
+        assert not out.exists()
+
+
 def test_evaluate_workers_do_not_change_results(tmp_path):
     gt_dir = tmp_path / "gt"
     pred_dir = tmp_path / "pred"
@@ -420,6 +435,46 @@ def test_evaluate_detection_behavior_and_pose_tasks(tmp_path, capsys):
         assert doc["task"] == task
         agg = doc["aggregate"]
         assert key in agg and "tracking" not in agg
+    capsys.readouterr()
+
+
+README_NOISE = ["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0", "--kp-jitter", "1.0"]
+
+
+def test_evaluate_sidecars_do_not_depend_on_input_order(tmp_path, capsys):
+    # the noisy detections shuffled within each frame, and the tracked CSV's
+    # rows shuffled, score byte for byte as before: the AP matcher steps each
+    # frame in rank order. The scored scores hold no tie, so no ranking falls
+    # back to input order.
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "9", "--agents", "8", "--frames", "250", *README_NOISE, "--out", str(scene)]) == 0
+    gt, noisy, csv = scene / "annotations.json", scene / "detections_noisy.json", scene / "pred.csv"
+    assert main(["track", str(noisy), "--out", str(csv)]) == 0
+    annotated = {f["frame"] for f in json.loads(gt.read_text())["frames"]}
+    doc = json.loads(noisy.read_text())
+    scored = [d for f in doc["frames"] if f["frame"] in annotated for d in f["detections"]]
+    rows = csv.read_text().splitlines(keepends=True)
+    track_scores = [r.split(",")[6] for r in rows if int(r.split(",")[0]) - 1 in annotated]
+    for column in [[d["score"] for d in scored], *zip(*(d["behavior_scores"] for d in scored)), track_scores]:
+        assert len(set(column)) == len(column)
+
+    rng = Xoshiro256(0)
+    for frame in doc["frames"]:
+        rng.shuffle(frame["detections"])
+    rng.shuffle(rows)
+    moved_dets, moved_csv = tmp_path / "moved.json", tmp_path / "moved.csv"
+    moved_dets.write_text(dataio.dump_json(doc))
+    moved_csv.write_text("".join(rows))
+    for task, pred, moved in (
+        ("tracking", csv, moved_csv),
+        ("detection", noisy, moved_dets),
+        ("pose", noisy, moved_dets),
+        ("behavior", noisy, moved_dets),
+    ):
+        sidecars = [tmp_path / f"{task}-{i}.metrics.json" for i in range(2)]
+        for path, out in zip((pred, moved), sidecars):
+            assert main(["evaluate", "--task", task, "--gt", str(gt), "--pred", str(path), "--out", str(out)]) == 0
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes(), task
     capsys.readouterr()
 
 

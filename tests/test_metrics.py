@@ -545,15 +545,15 @@ def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
     # index at every threshold; pred 1 (ranked second) matches only the gt
     # that pred 0 takes or only the one it leaves. With gt 0 masked out, pred 0
     # takes gt 1 and gt 0 is never consumed, so pred 1 matches neither.
-    gi = np.array([0, 1])
+    at = np.array([[0, 0], [0, 1]])
     for keep, lone_gt, pred1_hits in (
         ((True, True), 0, False),
         ((True, True), 1, True),
         ((False, True), 0, False),
         ((False, True), 1, False),
     ):
-        table = [(gi, np.array([0.95, 0.95])), (gi, np.eye(2)[lone_gt])]
-        out = _rank_and_match(table, [0, 0], [0.9, 0.8], np.array(keep), IOU_THRESHOLDS)
+        pairs = (np.array([[[0.95, 0.95], np.eye(2)[lone_gt]]]), at, at)
+        out = _rank_and_match(pairs, [0.9, 0.8], np.ones(2, dtype=bool), np.array(keep), IOU_THRESHOLDS)
         assert out.n_gt == sum(keep)
         assert out.tp[:, 0].all(), (keep, lone_gt)
         assert (out.tp[:, 1] == pred1_hits).all(), (keep, lone_gt)
@@ -562,23 +562,24 @@ def test_rank_and_match_tie_takes_lowest_gt_index_at_every_threshold():
 def _random_match_table(rng, columns: int):
     """A _rank_and_match input as _score_pairs lays it out, with many ties.
 
-    Up to 6 frames, in shuffled order, hold 0-4 gts and 0-6 predictions;
-    similarities and scores come from small grids, and each of `columns`
-    (score, keep) columns keeps about 70% of the gts. Returns the table, the
-    frames, a (predictions, columns) score array and a (gts, columns) keep array.
+    Up to 6 frames, in shuffled order, hold 0-4 gts and 0-6 predictions, and
+    both sides are shuffled across frames; similarities and scores come from
+    small grids. Each of `columns` (score, keep) columns keeps about 80% of the
+    predictions and 70% of the gts. Returns the pairs, a (predictions,
+    columns) score array and the (predictions, columns) and (gts, columns)
+    keep arrays.
     """
-    table, frames, n_gt = [], [], 0
+    preds, gts = [], []
     for frame in rng.permutation(20)[: rng.integers(1, 7)]:
         ng = int(rng.integers(0, 5))
-        gi = np.arange(n_gt, n_gt + ng)
-        n_gt += ng
+        gts += [(int(frame), j) for j in range(ng)]
         for _ in range(rng.integers(0, 7)):
-            table.append((gi, rng.choice([0.0, 0.3, 0.5, 0.5, 0.75, 0.9, 0.9, 1.0], size=ng)))
-            frames.append(int(frame))
-    order = rng.permutation(len(table))
-    scores = rng.choice([0.1, 0.5, 0.5, 0.9], size=(len(table), columns))
-    keep = rng.random((n_gt, columns)) < 0.7
-    return [table[i] for i in order], [frames[i] for i in order], scores[order], keep
+            preds.append((int(frame), rng.choice([0.0, 0.3, 0.5, 0.5, 0.75, 0.9, 0.9, 1.0], size=ng)))
+    preds = [preds[i] for i in rng.permutation(len(preds))]
+    gts = [gts[j] for j in rng.permutation(len(gts))]
+    pairs = metrics._score_pairs(preds, gts, lambda p, g: p[1][g[1]])
+    scores = rng.choice([0.1, 0.5, 0.5, 0.9], size=(len(preds), columns))
+    return pairs, scores, rng.random((len(preds), columns)) < 0.8, rng.random((len(gts), columns)) < 0.7
 
 
 def _assert_same_matches(got, want, label):
@@ -588,22 +589,25 @@ def _assert_same_matches(got, want, label):
 
 
 def test_stepped_matcher_equals_the_scalar_matcher():
-    # ties in score and similarity, unkept gts, frames with no (kept) gt and
-    # tables without predictions, at 1 and at 10 thresholds
-    seen = {"tied scores": 0, "frame without kept gt": 0, "no predictions": 0, "hits": 0}
+    # ties in score and similarity, masked predictions, unkept gts, frames with
+    # no (kept) gt and tables without predictions, at 1 and at 10 thresholds
+    seen = {"tied scores": 0, "masked prediction": 0, "frame without kept gt": 0, "no predictions": 0, "hits": 0}
     for seed in range(600):
         rng = np.random.default_rng(seed)
-        table, frames, scores, keep = _random_match_table(rng, 1)
+        pairs, scores, keep_pred, keep = _random_match_table(rng, 1)
         thresholds = IOU_THRESHOLDS if seed % 2 else (0.5,)
-        got = _rank_and_match(table, frames, scores[:, 0].tolist(), keep[:, 0], thresholds)
-        want = scalar_rank_and_match(table, frames, scores[:, 0].tolist(), keep[:, 0], thresholds)
+        got = _rank_and_match(pairs, scores[:, 0], keep_pred[:, 0], keep[:, 0], thresholds)
+        want = scalar_rank_and_match(pairs, scores[:, 0], keep_pred[:, 0], keep[:, 0], thresholds)
         _assert_same_matches(got, want, seed)
-        seen["tied scores"] += len(set(scores[:, 0].tolist())) < len(table)
-        seen["frame without kept gt"] += any(not keep[gi, 0].any() for gi, _ in table)
-        seen["no predictions"] += not table
+        _, pred_at, gt_at = pairs
+        seen["tied scores"] += len(set(scores[:, 0].tolist())) < len(scores)
+        seen["masked prediction"] += not keep_pred.all()
+        seen["frame without kept gt"] += bool(set(pred_at[:, 0]) - set(gt_at[keep[:, 0], 0]))
+        seen["no predictions"] += not len(scores)
         seen["hits"] += int(got.tp.sum())
     assert min(seen.values()) >= 10, seen
-    empty = _rank_and_match([], [], [], np.ones(3, dtype=bool), IOU_THRESHOLDS)
+    pairs = metrics._score_pairs([], [(0,)] * 3, None)
+    empty = _rank_and_match(pairs, [], np.ones(0, dtype=bool), np.ones(3, dtype=bool), IOU_THRESHOLDS)
     assert (empty.score.shape, empty.tp.shape, empty.n_gt) == ((0,), (10, 0), 3)
 
 
@@ -611,10 +615,10 @@ def test_stepped_matcher_equals_the_scalar_matcher_on_23_behavior_columns():
     # behavior mAP's layout: one table, one (score, multi-hot) column per class
     for seed in range(40):
         rng = np.random.default_rng(10_000 + seed)
-        table, frames, scores, keep = _random_match_table(rng, 23)
+        pairs, scores, keep_pred, keep = _random_match_table(rng, 23)
         for k in range(23):
-            got = _rank_and_match(table, frames, scores[:, k].tolist(), keep[:, k], (0.5,))
-            want = scalar_rank_and_match(table, frames, scores[:, k].tolist(), keep[:, k], (0.5,))
+            got = _rank_and_match(pairs, scores[:, k], keep_pred[:, k], keep[:, k], (0.5,))
+            want = scalar_rank_and_match(pairs, scores[:, k], keep_pred[:, k], keep[:, k], (0.5,))
             _assert_same_matches(got, want, (seed, k))
 
 

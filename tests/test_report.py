@@ -352,3 +352,32 @@ def test_report_to_json_handles_missing_pose_sections():
     doc = report_to_json(evaluate_sequence(strip_poses(scene.annotation), dets, tracks))
     assert doc["pose"] is None
     assert not math.isnan(doc["tracking"]["hota"])
+
+
+def test_a_sequence_merged_with_itself_keeps_every_ratio_and_doubles_every_count():
+    # README noise on 8 x 250 at seed 9: the tracker's tracks and the noisy
+    # detections fill every section. No scored score is tied, so the merge's
+    # stable ranking interleaves the two copies rank by rank.
+    scene = generate(SceneConfig(agents=8, frames=250), 9)
+    noisy = perturb_detections(scene.detections, scene.annotation.image_size, DET_NOISE, 10)
+    tracks = tracker.run(noisy, tracker.TrackerConfig())
+    scored = [d for f in scene.annotation.frames for d in noisy.get(f, ())]
+    for column in [[d.score for d in scored], *zip(*(d.behavior_scores for d in scored))]:
+        assert len(set(column)) == len(column)
+    one = evaluate_sequence(scene.annotation, noisy, tracks)
+    two = evaluate_sequences([one, one])
+    checked = {"counts": 0, "ratios": 0}
+    for section in ("clear", "idf1", "hota", "detection", "behavior", "pose_ap", "pck05", "pck10"):
+        a, b = getattr(one, section), getattr(two, section)
+        for f in dataclasses.fields(a):
+            if not f.compare:
+                continue
+            values = [getattr(r, f.name) for r in (a, b)]
+            for x, y in zip(*(v if isinstance(v, tuple) else (v,) for v in values), strict=True):
+                if isinstance(x, int):
+                    assert y == 2 * x, (section, f.name)
+                    checked["counts"] += 1
+                else:
+                    assert y == x or (math.isnan(x) and math.isnan(y)), (section, f.name)
+                    checked["ratios"] += 1
+    assert min(one.clear.fp, one.clear.fn, one.clear.idsw) > 0 and min(checked.values()) > 50, checked
