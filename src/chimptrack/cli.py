@@ -2,8 +2,7 @@
 
 Subcommands: synth, track, evaluate, forward, selfcheck. Exit codes are part
 of the contract: 0 success, 1 selfcheck failure, 2 input or IO error, 3
-sequence pairing error. All randomness flows from --seed; --workers does not
-change results.
+sequence pairing error. All randomness flows from --seed.
 
 evaluate scores no detections file whose image size differs from its
 annotations'. Over several sequences it scores each once and adds an
@@ -11,6 +10,11 @@ aggregate row, defined as one evaluation of the sequences' concatenation and
 computed by merging their per-sequence statistics. It writes the metrics
 sidecar, then prints it (--format json) or the same entries as a table
 (--format table).
+
+evaluate --workers N deals the annotation files round-robin to this process
+and up to N - 1 forked ones, each of which takes its sequences from parse to
+report. The outcomes, errors included, are then replayed in the order one
+process meets them, so no exit code, message or sidecar byte depends on N.
 
 forward runs the toy detector over every stride-1 window of a clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -155,33 +159,20 @@ def _by_sequence(entries) -> dict:
     return out
 
 
-def _load_gt(path: Path) -> dict[str, dataio.SequenceAnnotation]:
-    files = _json_files(path)
-    if not files:
-        raise ValueError(f"no .json annotation file in {path}")
-    annotations = ((f, dataio.parse_annotations(f)) for f in files)
-    return _by_sequence((f, ann.sequence_id, ann) for f, ann in annotations)
-
-
-def _load_pred_tracks(path: Path, gt: dict[str, dataio.SequenceAnnotation]) -> dict[str, list[TrackedBox]]:
-    """Each sequence's tracks on its annotated frames, the only ones scored.
-
-    Every row of every file is checked; a file whose id has no ground truth
-    keeps no tracks, so its parse errors still come before the pairing error.
-    """
-
-    def parse(f: Path, sid: str) -> list[TrackedBox]:
-        return dataio.parse_mot_csv(f.read_text(), gt[sid].frames if sid in gt else set())
-
-    if path.is_dir():
-        return {f.stem: parse(f, f.stem) for f in sorted(p for p in path.iterdir() if p.suffix == ".csv")}
-    sid = next(iter(gt)) if len(gt) == 1 else path.stem
-    return {sid: parse(path, sid)}
-
-
 def _load_pred_detections(path: Path) -> dict[str, tuple[ImageSize, dict[int, list[DetectionRecord]]]]:
     parsed = ((f, *dataio.parse_detections(f)) for f in _json_files(path))
     return _by_sequence((f, sid, (size, dets)) for f, sid, size, dets in parsed)
+
+
+def _csv_files(path: Path, sole: str | None) -> dict[str, Path]:
+    """Each MOT CSV by the sequence id it is scored as, in parse order.
+
+    A directory's files go by name; a lone file scores `sole`, the only
+    annotated sequence, when there is one, and otherwise goes by name.
+    """
+    if path.is_dir():
+        return {p.stem: p for p in sorted(path.iterdir()) if p.suffix == ".csv"}
+    return {path.stem if sole is None else sole: path}
 
 
 def _tracks_as_detections(tracks: list[TrackedBox]) -> dict[int, list[DetectionRecord]]:
@@ -191,43 +182,130 @@ def _tracks_as_detections(tracks: list[TrackedBox]) -> dict[int, list[DetectionR
     return out
 
 
-def _cmd_evaluate(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
+def _outcome(fn, *args) -> tuple[bool, object]:
+    """(True, fn(*args)), or (False, the exception it raised)."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
 
+
+def _value(outcome: tuple[bool, object]):
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
+def _map_forked(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], dealt round-robin to this process and min(workers, len(items)) - 1 forked children.
+
+    Each child pickles its results back through a pipe and leaves with
+    os._exit, so it flushes none of this process's buffers and runs none of
+    its exit handlers. A child that ends without a result is an OSError
+    naming its items. Without os.fork, everything runs here.
+    """
+    import pickle
+
+    n = min(workers, len(items)) if hasattr(os, "fork") else 1
+    shares = [items[k::n] for k in range(n)]
+    children: dict[int, tuple[int, int]] = {}  # share -> (pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (r, *(fd for _, fd in children.values())):
+                        os.close(fd)
+                    with os.fdopen(w, "wb") as pipe:
+                        pipe.write(pickle.dumps([fn(x) for x in shares[k]]))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[k] = (pid, r)
+        results = [[fn(x) for x in shares[0]]]
+        for k in range(1, n):
+            pid, r = children.pop(k)
+            with os.fdopen(r, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                names = ", ".join(map(str, shares[k]))
+                raise OSError(f"evaluate worker {pid} exited with status {code} before returning results for {names}")
+            results.append(pickle.loads(data))
+    finally:
+        for pid, r in children.values():
+            os.close(r)
+            os.waitpid(pid, 0)
+    return [results[i % n][i // n] for i in range(len(items))]
+
+
+def _cmd_evaluate(args) -> int:
     from . import report
 
-    gt = _load_gt(Path(args.gt))
-    gt_ids = sorted(gt)
+    files = _json_files(Path(args.gt))
+    if not files:
+        raise ValueError(f"no .json annotation file in {Path(args.gt)}")
     pred_path = Path(args.pred)
-    if args.task == "tracking":
-        preds = _load_pred_tracks(pred_path, gt)
-        items = {
-            sid: (gt[sid], _tracks_as_detections(preds[sid]), preds[sid])
-            for sid in gt_ids
-            if sid in preds
-        }
+    # detections files are keyed by the id inside them, so they are read before the sequences are dealt out
+    dets = None if args.task == "tracking" else _outcome(_load_pred_detections, pred_path)
+
+    def unit(f: Path):
+        """One annotation file from parse to report: (id, (image size, CSV parse, score)) as an outcome."""
+        ok, ann = _outcome(dataio.parse_annotations, f)
+        if not ok:
+            return False, ann
+        sid, parsed, scored = ann.sequence_id, None, None
+        if dets is not None:
+            ok, preds = dets
+            if ok and sid in preds and preds[sid][0] == ann.image_size:
+                scored = _outcome(report.evaluate_sequence, ann, preds[sid][1], [])
+        else:
+            csv = _csv_files(pred_path, sid if len(files) == 1 else None).get(sid)
+            if csv is not None:
+                ok, tracks = _outcome(lambda: dataio.parse_mot_csv(csv.read_text(), ann.frames))
+                parsed = (True, None) if ok else (False, tracks)  # the tracks stay in this process
+                if ok:
+                    scored = _outcome(report.evaluate_sequence, ann, _tracks_as_detections(tracks), tracks)
+        return True, (sid, (ann.image_size, parsed, scored))
+
+    # replay every outcome in the order one process meets them, so no message depends on --workers
+    results = _map_forked(unit, files, args.workers)
+    units = _by_sequence((f, *_value(result)) for f, result in zip(files, results))
+    gt_ids = sorted(units)
+    if dets is None:
+        csvs = _csv_files(pred_path, gt_ids[0] if len(gt_ids) == 1 else None)
+        for sid, f in csvs.items():
+            if sid in units:  # parsed by that sequence's unit
+                _value(units[sid][1])
+            else:  # no ground truth: checked row by row, and no track is kept
+                dataio.parse_mot_csv(f.read_text(), set())
+        pred_ids = set(csvs)
     else:
-        preds = _load_pred_detections(pred_path)
-        items = {sid: (gt[sid], preds[sid][1], []) for sid in gt_ids if sid in preds}
-        for sid in items:
-            size, want = preds[sid][0], gt[sid].image_size
+        preds = _value(dets)
+        for sid in (sid for sid in gt_ids if sid in preds):
+            size, want = preds[sid][0], units[sid][0]
             if size != want:
                 raise AnnotationError(
                     "$.image_size",
                     f"sequence {sid}: detections are {size.width}x{size.height}, "
                     f"annotations are {want.width}x{want.height}",
                 )
+        pred_ids = set(preds)
 
-    missing = [sid for sid in gt_ids if sid not in items]
+    missing = [sid for sid in gt_ids if sid not in pred_ids]
     if missing:
         raise PairingError(f"missing predictions for sequences: {', '.join(missing)}")
-    extra = set(preds) - set(gt_ids)
+    extra = pred_ids - set(gt_ids)
     if extra:
         raise PairingError(f"predictions without ground truth: {', '.join(sorted(extra))}")
 
     # the aggregate is one evaluation of the concatenation, defined over one image size
     for sid in gt_ids[1:]:
-        want, got = gt[gt_ids[0]].image_size, gt[sid].image_size
+        want, got = units[gt_ids[0]][0], units[sid][0]
         if got != want:
             raise AnnotationError(
                 "$.image_size",
@@ -235,10 +313,7 @@ def _cmd_evaluate(args) -> int:
                 f"({got.width}x{got.height}) differ; the aggregate needs one image size",
             )
 
-    ordered = [items[sid] for sid in gt_ids]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(report.evaluate_sequence, *item) for item in ordered]
-        per_seq = [f.result() for f in futures]
+    per_seq = [_value(units[sid][2]) for sid in gt_ids]
     entries = [report.sidecar_entry(r, args.task) for r in per_seq]
     aggregate = report.sidecar_entry(report.evaluate_sequences(per_seq), args.task)
 
@@ -510,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="annotations JSON file or directory")
     p.add_argument("--out", help="metrics JSON sidecar path")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes, at most one per sequence; results do not change")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("forward", help="run the toy detector over a video tensor")

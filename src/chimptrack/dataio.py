@@ -163,8 +163,12 @@ class AnnotationError(ValueError):
     """Parse failure with a JSON-path style location."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)  # both in args, so the error pickles
         self.path = path
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.message}"
 
 
 def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -317,27 +318,6 @@ def test_evaluate_gt_directory_without_annotations_exits_2_and_names_it(tmp_path
         assert not out.exists()
 
 
-def test_evaluate_workers_do_not_change_results(tmp_path):
-    gt_dir = tmp_path / "gt"
-    pred_dir = tmp_path / "pred"
-    gt_dir.mkdir()
-    pred_dir.mkdir()
-    for seed in (1, 2, 3):
-        scene = tmp_path / f"s{seed}"
-        assert main(["synth", "--seed", str(seed), "--agents", "2", "--frames", "20", "--out", str(scene)]) == 0
-        (gt_dir / f"synth-{seed}.json").write_bytes((scene / "annotations.json").read_bytes())
-        csv = pred_dir / f"synth-{seed}.csv"
-        assert main(["track", str(scene / "detections_clean.json"), "--min-hits", "1", "--out", str(csv)]) == 0
-    out1 = tmp_path / "m1.json"
-    out4 = tmp_path / "m4.json"
-    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out4), "--workers", "4"]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
-    doc = json.loads(out1.read_text())
-    assert set(doc["sequences"]) == {"synth-1", "synth-2", "synth-3"}
-    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--workers", "0"]) == 2
-
-
 def test_evaluate_mixed_image_sizes_exits_2(tmp_path, capsys):
     gt_dir = tmp_path / "gt"
     gt_dir.mkdir()
@@ -478,15 +458,18 @@ def test_evaluate_sidecars_do_not_depend_on_input_order(tmp_path, capsys):
     capsys.readouterr()
 
 
-def two_scene_dirs(tmp_path, strip_pose=()):
-    """gt/ and pred/ for seeds 1 and 2, pred/ holding each track CSV and noisy detections; strip_pose drops gt poses."""
+def scene_dirs(tmp_path, seeds=(1, 2), strip_pose=(), widths=None):
+    """gt/ and pred/ for the seeds, pred/ holding each track CSV and noisy detections.
+
+    strip_pose drops those seeds' gt poses; widths maps a seed to its image width.
+    """
     gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
     gt_dir.mkdir()
     pred_dir.mkdir()
-    for seed in (1, 2):
+    for seed in seeds:
         scene = tmp_path / f"s{seed}"
         argv = ["synth", "--seed", str(seed), "--agents", "2", "--frames", "20", "--fp-rate", "0.5", "--out", str(scene)]
-        assert main(argv) == 0
+        assert main(argv + ["--width", str((widths or {}).get(seed, 640))]) == 0
         doc = json.loads((scene / "annotations.json").read_text())
         if seed in strip_pose:
             for frame in doc["frames"]:
@@ -498,9 +481,185 @@ def two_scene_dirs(tmp_path, strip_pose=()):
     return gt_dir, pred_dir
 
 
+def evaluate_dirs(gt_dir, pred_dir, out, *extra):
+    return ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out), *extra]
+
+
+@pytest.fixture
+def bounded():
+    """Ends the run with every thread's traceback if the test waits on a child for a minute."""
+    import faulthandler
+
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def test_evaluate_workers_do_not_change_results(tmp_path, capsys, bounded):
+    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
+    for task in ("tracking", "detection", "pose", "behavior"):
+        sidecars = [tmp_path / f"{task}-{n}.json" for n in (1, 2, 4)]
+        for n, out in zip((1, 2, 4), sidecars):
+            assert main(evaluate_dirs(gt_dir, pred_dir, out, "--task", task, "--workers", str(n))) == 0
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes() == sidecars[2].read_bytes(), task
+        assert set(json.loads(sidecars[0].read_text())["sequences"]) == {"synth-1", "synth-2", "synth-3"}
+    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "none.json", "--workers", "0")) == 2
+    assert not (tmp_path / "none.json").exists()
+    capsys.readouterr()
+
+
+def bad_row(csv):
+    """Append a degenerate box on 0-based frame 1 (not annotated at stride 10) to csv; returns its line number."""
+    with csv.open("a") as f:
+        f.write("2,1,0,0,0,5,1,-1,-1,-1\n")
+    return len(csv.read_text().splitlines())
+
+
+def break_second_annotation(gt_dir, pred_dir):
+    doc = json.loads((gt_dir / "synth-2.json").read_text())
+    doc["frames"][0]["instances"][0]["box"] = [0, 0, -5, 5]
+    (gt_dir / "synth-2.json").write_text(json.dumps(doc))
+    return "tracking", 2, "input error: $.frames[0].instances[0].box"
+
+
+def break_third_csv(gt_dir, pred_dir):
+    return "tracking", 2, f"error: line {bad_row(pred_dir / 'synth-3.csv')}: degenerate box"
+
+
+def stray_csv_and_a_missing_sequence(gt_dir, pred_dir):
+    # stray.csv sorts before every synth-*.csv, so its parse error comes before
+    # synth-3.csv's and before the missing pairing
+    (pred_dir / "synth-2.csv").unlink()
+    (pred_dir / "stray.csv").write_text("1,1,nan,0,5,5,1,-1,-1,-1\n")
+    bad_row(pred_dir / "synth-3.csv")
+    return "tracking", 2, "error: line 1: non-finite value"
+
+
+def duplicate_sequence_id(gt_dir, pred_dir):
+    (gt_dir / "synth-3.json").write_bytes((gt_dir / "synth-1.json").read_bytes())
+    return "tracking", 3, f"sequence synth-1 appears in two files: {gt_dir / 'synth-1.json'} and {gt_dir / 'synth-3.json'}"
+
+
+def mixed_image_sizes(gt_dir, pred_dir):
+    return "detection", 2, "input error: $.image_size: sequences synth-1 (640x480) and synth-2 (320x480) differ"
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [break_second_annotation, break_third_csv, stray_csv_and_a_missing_sequence, duplicate_sequence_id, mixed_image_sizes],
+)
+def test_evaluate_errors_do_not_depend_on_workers(tmp_path, capsys, bounded, breakage):
+    widths = {2: 320} if breakage is mixed_image_sizes else None
+    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3), widths=widths)
+    task, code, message = breakage(gt_dir, pred_dir)
+    errors = []
+    for n in (1, 2, 3):
+        out = tmp_path / f"m{n}.json"
+        capsys.readouterr()
+        assert main(evaluate_dirs(gt_dir, pred_dir, out, "--task", task, "--workers", str(n))) == code
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0].startswith(message), errors[0]
+    assert errors[0] == errors[1] == errors[2]
+
+
+def counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluate_forks_at_most_one_child_per_sequence(tmp_path, monkeypatch, capsys, bounded):
+    gt_dir, pred_dir = scene_dirs(tmp_path)
+    forks = counting_forks(monkeypatch)
+    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "m.json", "--workers", "1000")) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    capsys.readouterr()
+
+
+def test_evaluate_reaps_every_child(tmp_path, monkeypatch, capsys, bounded):
+    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
+    forks = counting_forks(monkeypatch)
+    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "good.json", "--workers", "4")) == 0
+    assert_no_child_left()
+    bad_row(pred_dir / "synth-2.csv")
+    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "bad.json", "--workers", "4")) == 2
+    assert_no_child_left()
+    assert len(forks) == 4 and not (tmp_path / "bad.json").exists()
+    capsys.readouterr()
+
+
+def test_evaluate_fails_when_a_child_dies_without_a_result(tmp_path, monkeypatch, capsys, bounded):
+    from chimptrack import report
+
+    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
+    parent, score = os.getpid(), report.evaluate_sequence
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return score(*args)
+
+    monkeypatch.setattr(report, "evaluate_sequence", dies_in_a_child)
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(evaluate_dirs(gt_dir, pred_dir, out, "--workers", "2")) != 0
+    err = capsys.readouterr().err
+    # the child's share is the second of the three files, dealt round-robin
+    assert str(gt_dir / "synth-2.json") in err and "synth-1.json" not in err and "synth-3.json" not in err, err
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_evaluate_prints_the_sidecar_once_whatever_the_workers(tmp_path):
+    # "buffered" sits unflushed in the piped stdout when evaluate forks; a child
+    # that flushed it on exit would print it twice
+    gt_dir, pred_dir = scene_dirs(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    outputs = []
+    for n in (1, 2):
+        out = tmp_path / f"m{n}.json"
+        argv = evaluate_dirs(gt_dir, pred_dir, out, "--format", "json", "--workers", str(n))
+        script = f"import sys\nfrom chimptrack.cli import main\nprint('buffered')\nsys.exit(main({argv!r}))\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "buffered\n" + out.read_text()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [dataio.AnnotationError("$.frames[0]", "bad"), cli.PairingError("missing predictions for sequences: synth-2")],
+    ids=["annotation", "pairing"],
+)
+def test_evaluate_errors_survive_pickling(error):
+    # evaluate's children send their errors back pickled
+    import pickle
+
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, "path", None) == getattr(error, "path", None)
+
+
 def test_evaluate_pose_without_pose_annotations_exits_0_in_both_formats(tmp_path, capsys):
     # a sequence without pose ground truth prints a row of "-", as its sidecar entry is "pose": null
-    gt_dir, pred_dir = two_scene_dirs(tmp_path, strip_pose=(1,))
+    gt_dir, pred_dir = scene_dirs(tmp_path, strip_pose=(1,))
     for gt, pred in ((gt_dir / "synth-1.json", pred_dir / "synth-1.json"), (gt_dir, pred_dir)):
         sidecars = {fmt: tmp_path / f"{gt.stem}-{fmt}.json" for fmt in ("json", "table")}
         printed = {}
@@ -536,7 +695,7 @@ TABLE_CELLS = {
 
 
 def test_evaluate_tables_print_the_sidecar_values(tmp_path, capsys):
-    gt_dir, pred_dir = two_scene_dirs(tmp_path)
+    gt_dir, pred_dir = scene_dirs(tmp_path)
     single = (gt_dir / "synth-1.json", pred_dir / "synth-1.csv", pred_dir / "synth-1.json")
     for gt, tracks, dets in (single, (gt_dir, pred_dir, pred_dir)):
         for task, cells in TABLE_CELLS.items():
@@ -842,7 +1001,7 @@ def test_evaluate_calls_the_report_wrap_points_through_the_module(tmp_path, monk
 
         return wrapper
 
-    gt_dir, pred_dir = two_scene_dirs(tmp_path)
+    gt_dir, pred_dir = scene_dirs(tmp_path)
     for name in calls:
         monkeypatch.setattr(report, name, counting(name))
     assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(tmp_path / "m.json")]) == 0
