@@ -16,10 +16,13 @@ and up to N - 1 forked ones, each of which takes its sequences from parse to
 report. The outcomes, errors included, are then replayed in the order one
 process meets them, so no exit code, message or sidecar byte depends on N.
 
-forward runs the toy detector over every stride-1 window of a clip and
+forward runs the toy detector over every stride-1 window of a .npy clip and
 writes one detections frame per window (kernels.emit_detections): the
 window's last frame, holding its queries at or above --cls-thresh, at the
-clip's image size. track's --conf-split alone turns on a second stage.
+clip's image size. It reads the clip through kernels.NpyClip, one block of
+windows at a time, so its memory does not grow with the clip; the
+parameters are checked before the first frame is read. track's
+--conf-split alone turns on a second stage.
 
 Each command imports only the modules it runs: importing this module loads
 neither NumPy nor the numerical modules, and synth (synth, rng, dataio)
@@ -337,21 +340,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    import numpy as np
-
     from . import kernels
 
     kernels.check_cls_thresh(args.cls_thresh)
-    video = np.load(Path(args.video))
+    video = kernels.NpyClip(args.video)
     dims = _parse_dims(args.dims, video.shape)
     if args.params:
         params = kernels.load_params(Path(args.params))
     else:
         params = kernels.init_params(dims, args.seed)
 
-    # toy_forward validates the clip and the parameters
+    # toy_forward validates the clip's shape and the parameters, then reads the clip block by block
     detections = kernels.emit_detections(kernels.toy_forward(video, params, dims), dims, args.cls_thresh)
-    del video  # the clip is the largest allocation; writing the detections does not need it
     out = Path(args.out) if args.out else Path(args.video).with_suffix(".detections.json")
     size = ImageSize(dims.width, dims.height)
     out.write_text(dump_json(dataio.write_detections(args.seq_id, size, detections)))

@@ -32,6 +32,11 @@ in a fixed order, never by sum, einsum or matmul, so every query's features
 are bit-identical to a one-point-at-a-time loop (chimptrack.oracles keeps
 that loop as the reference).
 
+toy_forward takes the clip as an array or as an NpyClip, which reads a .npy
+file's frames on demand: each block converts only its own frames to float64
+and checks them, so a clip on disk is never in memory whole, and the peak
+does not grow with its length.
+
 emit_detections turns a ForwardResult into the frames of the detections
 file: window w's queries at or above the class threshold (check_cls_thresh
 has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
@@ -40,22 +45,23 @@ has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import BEHAVIOR_COUNT, DetectionRecord, dump_json
+from .dataio import BEHAVIOR_COUNT, AnnotationError, DetectionRecord, dump_json
 from .geometry import BoxRel, ImageSize, rel_to_abs
 
 PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
 PATCH_VALUES = PATCH_T * PATCH_Y * PATCH_X * 3  # 96 raw values per patch
 PARAMS_FORMAT = "chimptrack-params-v1"
-# Windows per toy_forward block, fixed. On the 400-frame 64x64 clip (393
-# windows; 2 vCPUs, NumPy 2.4 with OpenBLAS) toy_forward took 0.37 / 0.32 /
-# 0.26 / 0.37 / 0.33 s for blocks of 4 / 8 / 16 / 32 / 64 windows (median of
-# 5), and the process peak after it was 83.5 / 87.7 / 95.4 MB for 8 / 16 /
-# 32 (the clip itself is 39 MB).
+# Windows per toy_forward block, fixed. On the 400-frame 64x64 float64 clip
+# (393 windows; 2 vCPUs, NumPy 2.4 with OpenBLAS) read through NpyClip,
+# toy_forward took 0.33 / 0.26 / 0.21 / 0.31 / 0.28 s for blocks of 4 / 8 /
+# 16 / 32 / 64 windows (median of 11, sizes rotated in one process), and a
+# process running only it peaked at 47.8 / 50.5 / 53.4 / 62.6 / 80.5 MB.
 WINDOW_BLOCK = 16
 
 
@@ -473,42 +479,123 @@ def save_params(params: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a save_params file; a malformed tensor is an AnnotationError at its $.tensors path."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT:
         raise ValueError(f"not a {PARAMS_FORMAT} file: {path}")
+    tensors = doc.get("tensors")
+    if not isinstance(tensors, dict):
+        problem = f"expected an object, got {type(tensors).__name__}" if "tensors" in doc else "missing"
+        raise AnnotationError("$.tensors", problem)
     params = {}
-    for name, entry in doc["tensors"].items():
-        data = np.asarray(entry["data"], dtype=float)
-        shape = tuple(entry["shape"])
+    for name, entry in tensors.items():
+        at = f"$.tensors.{name}"
+        if not isinstance(entry, dict):
+            raise AnnotationError(at, f"expected an object, got {type(entry).__name__}")
+        for key in ("shape", "data"):
+            if key not in entry:
+                raise AnnotationError(at, f"missing required field {key!r}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise AnnotationError(f"{at}.shape", f"expected a list of non-negative integers, got {shape!r}")
+        try:
+            data = np.asarray(entry["data"], dtype=float)
+        except (TypeError, ValueError):
+            data = None
+        if data is None or data.ndim != 1:
+            raise AnnotationError(f"{at}.data", "expected a flat list of numbers")
+        shape = tuple(shape)
         if data.size != int(np.prod(shape)):
             raise ValueError(f"tensor {name!r}: {data.size} values do not fill shape {shape}")
         params[name] = data.reshape(shape)
     return params
 
 
-def toy_forward(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardResult:
+# .npy format versions by their header readers; 3.0 differs from 2.0 only in
+# its UTF-8 header, written for non-Latin-1 field names
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+    (3, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+class NpyClip:
+    """A (T, H, W, 3) clip in a .npy file, read a few frames at a time.
+
+    shape and dtype come from the file header; clip[a:b] reads frames a..b-1
+    only and returns them as a fresh float64 array. In a C-order file they
+    are one run of bytes, read with one positioned np.fromfile. In a
+    Fortran-order file they are strided through it, so the read maps the file
+    and drops the map before returning: mapped pages count in the process's
+    resident memory for as long as a map lives.
+
+    Raises:
+        ValueError: if the file is an .npz archive, or its values are complex
+            (float64 has no place for the imaginary part). Every other file
+            that is not a .npy array of plain values (object arrays, pickles,
+            truncated data) fails as np.load fails on it.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        with self.path.open("rb") as f:
+            magic = f.read(np.lib.format.MAGIC_LEN)  # the prefix, then the major and minor version
+            read_header = _NPY_HEADERS.get(tuple(magic[-2:])) if magic[:-2] == np.lib.format.MAGIC_PREFIX else None
+            if read_header is not None:
+                self.shape, fortran, self.dtype = read_header(f)
+                self._offset, self._order = f.tell(), "F" if fortran else "C"
+                short = self.path.stat().st_size - self._offset < self.dtype.itemsize * math.prod(self.shape)
+        if read_header is None or self.dtype.hasobject or short:
+            with np.load(self.path):  # raises np.load's own error for each of these but an .npz archive
+                raise ValueError(f"expected one .npy array, got an .npz archive: {self.path}")
+        if self.dtype.kind == "c":
+            raise ValueError(f"video must be real-valued, got {self.dtype} values")
+
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        start, stop, step = frames.indices(self.shape[0])
+        if self._order == "C" and step == 1:  # the frames are one run of bytes: read only that run
+            count = len(range(start, stop))
+            frame = math.prod(self.shape[1:])
+            offset = self._offset + start * frame * self.dtype.itemsize
+            data = np.fromfile(self.path, self.dtype, count * frame, offset=offset)
+            return data.reshape((count,) + self.shape[1:]).astype(float, copy=False)
+        # the frames are strided through the file: map it for this read only
+        mapped = np.memmap(self.path, self.dtype, "r", self._offset, self.shape, self._order)
+        return np.array(mapped[frames], dtype=float)
+
+
+def _block_frames(video, start: int, stop: int) -> np.ndarray:
+    frames = np.asarray(video[start:stop], dtype=float)
+    if not np.isfinite(frames).all():
+        raise ValueError("video contains non-finite values")
+    return frames
+
+
+def toy_forward(video: np.ndarray | NpyClip, params: dict, dims: ModelDims) -> ForwardResult:
     """Run the full toy pipeline on every stride-1 window of a clip.
 
-    The clip is (T, H, W, 3) with T >= dims.frames; window w covers frames
-    w .. w + dims.frames - 1, so there are T - dims.frames + 1 windows. They
-    run WINDOW_BLOCK at a time, each block sharing its frame-pair maps (see
-    the module docstring), and every window's outputs are bit-identical to
-    running it alone. The clip and the parameters are validated once.
+    The clip is (T, H, W, 3) with T >= dims.frames, an array or an NpyClip;
+    window w covers frames w .. w + dims.frames - 1, so there are
+    T - dims.frames + 1 windows. They run WINDOW_BLOCK at a time, each block
+    sharing its frame-pair maps (see the module docstring), and every
+    window's outputs are bit-identical to running it alone. The clip's shape
+    and the parameters are validated before any frame is read; each block
+    then takes only its own WINDOW_BLOCK + dims.frames - 1 frames as float64
+    and rejects a non-finite value among them.
 
     The auxiliary token confidence shares the class head's weights, applied
     per token. Per-query features average one deformable sample per scale,
     taken at the query's anchor center.
     """
-    video = np.asarray(video, dtype=float)
-    if video.ndim != 4 or video.shape[0] < dims.frames or video.shape[1:] != (dims.height, dims.width, 3):
+    shape = np.shape(video)
+    if len(shape) != 4 or shape[0] < dims.frames or shape[1:] != (dims.height, dims.width, 3):
         expected = (f">={dims.frames}", dims.height, dims.width, 3)
-        raise ValueError(f"video shape {video.shape} does not match dims ({', '.join(map(str, expected))})")
-    if not np.isfinite(video).all():
-        raise ValueError("video contains non-finite values")
+        raise ValueError(f"video shape {shape} does not match dims ({', '.join(map(str, expected))})")
     validate_params(params, dims)
-    windows = video.shape[0] - dims.frames + 1
+    windows = shape[0] - dims.frames + 1
     blocks = [
-        _forward_block(video[first : first + WINDOW_BLOCK + dims.frames - 1], params, dims)
+        _forward_block(_block_frames(video, first, first + WINDOW_BLOCK + dims.frames - 1), params, dims)
         for first in range(0, windows, WINDOW_BLOCK)
     ]
     cat = np.concatenate

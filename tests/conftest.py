@@ -19,6 +19,15 @@ def tiny_detection_sets(rng: Xoshiro256, gt_tracks, pred_tracks):
     return det_pred, det_gt
 
 
+# the layouts a clip may have on disk: each stores float64 values in [0, 1) its way
+CLIP_LAYOUTS = {
+    "float64": lambda v: v,
+    "float32": lambda v: v.astype(np.float32),
+    "uint8": lambda v: (v * 256).astype(np.uint8),
+    "fortran": np.asfortranarray,
+}
+
+
 def nan_equal(a: float, b: float, tol: float = 1e-9) -> bool:
     if np.isnan(a) and np.isnan(b):
         return True

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import CLIP_LAYOUTS
 
 from chimptrack import cli, dataio, kernels
 from chimptrack.cli import main
@@ -791,6 +792,94 @@ def test_forward_errors_exit_2(tmp_path, capsys):
         assert main(["forward", str(clip), "--out", str(tmp_path / "bad.json")]) == 2
         assert capsys.readouterr().err == "error: video contains non-finite values\n"
         assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("layout", sorted(set(CLIP_LAYOUTS) - {"float64"}))
+def test_forward_reads_every_clip_layout_to_the_same_bytes(tmp_path, capsys, layout):
+    # 35 windows: two block boundaries, then a partial block
+    values = CLIP_LAYOUTS[layout](np.random.default_rng(12).random((2 * WINDOW_BLOCK + 10, 64, 64, 3)))
+    np.save(tmp_path / "clip.npy", values)
+    np.save(tmp_path / "float64.npy", np.ascontiguousarray(values, dtype=float))
+    for name in ("clip", "float64"):
+        assert main(["forward", str(tmp_path / f"{name}.npy"), "--cls-thresh", "0", "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "clip.json").read_bytes() == (tmp_path / "float64.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("layout", ["float64", "float32", "fortran"])
+@pytest.mark.parametrize("frame", [WINDOW_BLOCK + 3, -2])  # read by blocks 0 and 1; by the partial last block only
+def test_forward_rejects_a_non_finite_value_in_any_block(tmp_path, capsys, layout, frame):
+    for bad in (np.nan, np.inf):
+        values = np.random.default_rng(13).random((2 * WINDOW_BLOCK + 10, 64, 64, 3))
+        values[frame, 40, 3, 1] = bad
+        clip, out = tmp_path / "clip.npy", tmp_path / "clip.json"
+        np.save(clip, CLIP_LAYOUTS[layout](values))
+        assert main(["forward", str(clip), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: video contains non-finite values\n"
+        assert not out.exists()
+
+
+def test_forward_checks_the_params_before_reading_a_frame(tmp_path, capsys):
+    video = np.random.default_rng(14).random((8, 64, 64, 3))
+    video[0, 0, 0, 0] = np.nan
+    clip, params, out = tmp_path / "clip.npy", tmp_path / "params.json", tmp_path / "clip.json"
+    np.save(clip, video)
+    bad = init_params(ModelDims(), seed=0)
+    del bad["patch_proj"]
+    save_params(bad, params)
+    assert main(["forward", str(clip), "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: missing parameter tensors: ['patch_proj']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("tensors"), "$.tensors: missing"),
+        (lambda doc: doc.update(tensors=list(doc["tensors"].values())), "$.tensors: expected an object, got list"),
+        (lambda doc: doc["tensors"]["patch_proj"].pop("data"), "$.tensors.patch_proj: missing required field 'data'"),
+        (lambda doc: doc["tensors"].update(patch_proj=3), "$.tensors.patch_proj: expected an object, got int"),
+        (
+            lambda doc: doc["tensors"]["patch_proj"].update(shape="96,16"),
+            "$.tensors.patch_proj.shape: expected a list of non-negative integers, got '96,16'",
+        ),
+        (lambda doc: doc["tensors"]["patch_proj"].update(data=[["x"]]), "$.tensors.patch_proj.data: expected a flat list of numbers"),
+    ],
+    ids=["no-tensors", "tensor-list", "no-data", "int-entry", "string-shape", "nested-data"],
+)
+def test_forward_rejects_a_malformed_params_file(tmp_path, capsys, edit, message):
+    clip, params, out = tmp_path / "clip.npy", tmp_path / "params.json", tmp_path / "clip.json"
+    np.save(clip, np.zeros((8, 64, 64, 3)))
+    save_params(init_params(ModelDims(), seed=0), params)
+    doc = json.loads(params.read_text())
+    edit(doc)
+    params.write_text(json.dumps(doc))
+    assert main(["forward", str(clip), "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_forward_reads_one_real_valued_npy_array(tmp_path, capsys):
+    values = np.random.default_rng(15).random((8, 64, 64, 3))
+    np.savez(tmp_path / "clip.npz", clip=values)
+    np.save(tmp_path / "complex.npy", values + 1j)  # float64 would drop the imaginary part
+    np.save(tmp_path / "object.npy", values.astype(object), allow_pickle=True)
+    (tmp_path / "text.npy").write_text("not an array\n")
+    np.save(tmp_path / "full.npy", values)
+    (tmp_path / "truncated.npy").write_bytes((tmp_path / "full.npy").read_bytes()[:-8])
+    messages = {
+        "clip.npz": f"expected one .npy array, got an .npz archive: {tmp_path / 'clip.npz'}",
+        "complex.npy": "video must be real-valued, got complex128 values",
+    }
+    for name in ("object.npy", "text.npy", "truncated.npy"):  # these fail as np.load fails on them
+        with pytest.raises(ValueError) as exc:
+            np.load(tmp_path / name)
+        messages[name] = str(exc.value)
+    for name, message in messages.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["forward", str(tmp_path / name), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_forward_takes_the_image_size_from_the_clip(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import CLIP_LAYOUTS
 
 from chimptrack.geometry import BoxRel, ImageSize, rel_to_abs
 from chimptrack.kernels import (
@@ -9,6 +11,7 @@ from chimptrack.kernels import (
     WINDOW_BLOCK,
     ForwardResult,
     ModelDims,
+    NpyClip,
     bilinear_sample,
     channel_map,
     deformable_sample,
@@ -445,3 +448,36 @@ def test_a_batch_of_maps_samples_each_map_exactly():
                 _same_bits(sampled[b, i], naive_deformable_sample(maps[b], refs[b, i], offsets, weights))
     with pytest.raises(ValueError, match="batch of 3 maps"):
         bilinear_sample(maps, refs[:2, :, 0], refs[:2, :, 1])
+
+
+@pytest.mark.parametrize("layout", sorted(CLIP_LAYOUTS))
+def test_npy_clip_reads_every_layout_as_the_loaded_array(tmp_path, layout):
+    # 2 * WINDOW_BLOCK + 3 windows: two block boundaries, then a partial block
+    values = CLIP_LAYOUTS[layout](np.random.default_rng(3).random((2 * WINDOW_BLOCK + DIMS.frames + 2, 64, 64, 3)))
+    path = tmp_path / "clip.npy"
+    np.save(path, values)
+    clip = NpyClip(path)
+    assert (clip.shape, clip.dtype) == (values.shape, values.dtype)
+    frames = clip[5:30]
+    owner = frames if frames.base is None else frames.base
+    assert frames.dtype == np.float64 and type(owner) is np.ndarray and owner.flags.owndata  # no view of a file map
+    _same_bits(frames, values[5:30].astype(float))
+    params = init_params(DIMS, seed=5)
+    _same_result(toy_forward(clip, params, DIMS), toy_forward(np.load(path), params, DIMS))
+
+
+def test_forward_memory_does_not_grow_with_the_clip(tmp_path):
+    # tracemalloc sees NumPy's buffers; loading the whole clip would add its bytes to the peak
+    params = init_params(DIMS, seed=0)
+    peaks, sizes = [], []
+    for blocks in (2, 8):
+        path = tmp_path / f"clip-{blocks}.npy"
+        np.save(path, np.random.default_rng(blocks).random((blocks * WINDOW_BLOCK + DIMS.frames - 1, 64, 64, 3)))
+        sizes.append(path.stat().st_size)
+        tracemalloc.start()
+        try:
+            toy_forward(NpyClip(path), params, DIMS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
