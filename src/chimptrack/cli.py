@@ -20,7 +20,7 @@ forward runs the toy detector over every stride-1 window of a .npy clip and
 writes one detections frame per window (kernels.emit_detections): the
 window's last frame, holding its queries at or above --cls-thresh, at the
 clip's image size. It reads the clip through kernels.NpyClip, one block of
-windows at a time, so its memory does not grow with the clip; the
+windows at a time, so its memory does not grow with a C-order clip; the
 parameters are checked before the first frame is read. track's
 --conf-split alone turns on a second stage.
 

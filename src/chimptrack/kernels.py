@@ -34,8 +34,10 @@ that loop as the reference).
 
 toy_forward takes the clip as an array or as an NpyClip, which reads a .npy
 file's frames on demand: each block converts only its own frames to float64
-and checks them, so a clip on disk is never in memory whole, and the peak
-does not grow with its length.
+and checks them. A C-order clip on disk is then never in memory whole, and
+the peak does not grow with its length; a Fortran-order clip's frames are
+strided through the whole file, so reading a block faults in nearly all of
+it (NpyClip has the details).
 
 emit_detections turns a ForwardResult into the frames of the detections
 file: window w's queries at or above the class threshold (check_cls_thresh
@@ -45,7 +47,6 @@ has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,9 +60,9 @@ PATCH_VALUES = PATCH_T * PATCH_Y * PATCH_X * 3  # 96 raw values per patch
 PARAMS_FORMAT = "chimptrack-params-v1"
 # Windows per toy_forward block, fixed. On the 400-frame 64x64 float64 clip
 # (393 windows; 2 vCPUs, NumPy 2.4 with OpenBLAS) read through NpyClip,
-# toy_forward took 0.33 / 0.26 / 0.21 / 0.31 / 0.28 s for blocks of 4 / 8 /
+# toy_forward took 0.47 / 0.33 / 0.27 / 0.37 / 0.33 s for blocks of 4 / 8 /
 # 16 / 32 / 64 windows (median of 11, sizes rotated in one process), and a
-# process running only it peaked at 47.8 / 50.5 / 53.4 / 62.6 / 80.5 MB.
+# process running only it peaked at 47.5 / 50.3 / 54.8 / 62.2 / 77.9 MB.
 WINDOW_BLOCK = 16
 
 
@@ -511,24 +512,16 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     return params
 
 
-# .npy format versions by their header readers; 3.0 differs from 2.0 only in
-# its UTF-8 header, written for non-Latin-1 field names
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-    (3, 0): np.lib.format.read_array_header_2_0,
-}
-
-
 class NpyClip:
     """A (T, H, W, 3) clip in a .npy file, read a few frames at a time.
 
-    shape and dtype come from the file header; clip[a:b] reads frames a..b-1
-    only and returns them as a fresh float64 array. In a C-order file they
-    are one run of bytes, read with one positioned np.fromfile. In a
-    Fortran-order file they are strided through it, so the read maps the file
-    and drops the map before returning: mapped pages count in the process's
-    resident memory for as long as a map lives.
+    shape and dtype come from the file header; clip[a:b] maps the file,
+    copies frames a..b-1 out as a fresh float64 array and drops the map, since
+    mapped pages count in the process's resident memory for as long as a map
+    lives. In a C-order file those frames are one run of bytes, so a read
+    touches only their pages. In a Fortran-order file they are strided through
+    the whole file, so each read faults in nearly all of it while it lasts:
+    the bounded peak holds for C-order files only.
 
     Raises:
         ValueError: if the file is an .npz archive, or its values are complex
@@ -539,30 +532,20 @@ class NpyClip:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with self.path.open("rb") as f:
-            magic = f.read(np.lib.format.MAGIC_LEN)  # the prefix, then the major and minor version
-            read_header = _NPY_HEADERS.get(tuple(magic[-2:])) if magic[:-2] == np.lib.format.MAGIC_PREFIX else None
-            if read_header is not None:
-                self.shape, fortran, self.dtype = read_header(f)
-                self._offset, self._order = f.tell(), "F" if fortran else "C"
-                short = self.path.stat().st_size - self._offset < self.dtype.itemsize * math.prod(self.shape)
-        if read_header is None or self.dtype.hasobject or short:
-            with np.load(self.path):  # raises np.load's own error for each of these but an .npz archive
-                raise ValueError(f"expected one .npy array, got an .npz archive: {self.path}")
+        try:
+            mapped = np.load(self.path, mmap_mode="r")
+        except ValueError:
+            np.load(self.path)  # raise np.load's own message: object arrays and truncated data map with another
+            raise
+        if isinstance(mapped, np.lib.npyio.NpzFile):
+            mapped.close()
+            raise ValueError(f"expected one .npy array, got an .npz archive: {self.path}")
+        self.shape, self.dtype = mapped.shape, mapped.dtype
         if self.dtype.kind == "c":
             raise ValueError(f"video must be real-valued, got {self.dtype} values")
 
     def __getitem__(self, frames: slice) -> np.ndarray:
-        start, stop, step = frames.indices(self.shape[0])
-        if self._order == "C" and step == 1:  # the frames are one run of bytes: read only that run
-            count = len(range(start, stop))
-            frame = math.prod(self.shape[1:])
-            offset = self._offset + start * frame * self.dtype.itemsize
-            data = np.fromfile(self.path, self.dtype, count * frame, offset=offset)
-            return data.reshape((count,) + self.shape[1:]).astype(float, copy=False)
-        # the frames are strided through the file: map it for this read only
-        mapped = np.memmap(self.path, self.dtype, "r", self._offset, self.shape, self._order)
-        return np.array(mapped[frames], dtype=float)
+        return np.array(np.load(self.path, mmap_mode="r")[frames], dtype=float)
 
 
 def _block_frames(video, start: int, stop: int) -> np.ndarray:
