@@ -516,6 +516,20 @@ def parse_mot_csv(text: str, frames: Container[int] | None = None) -> list[Track
     return tracks
 
 
+_WRITE_SLICE = 1 << 16
+
+
+def write_text(path: Path, text: str) -> None:
+    """Path.write_text(text), encoded and written 64 KiB at a time.
+
+    Encoding a str in one piece makes a bytes copy of all of it, several MB
+    for a detections file; slices keep that copy small.
+    """
+    with open(path, "w") as f:
+        for start in range(0, len(text), _WRITE_SLICE):
+            f.write(text[start : start + _WRITE_SLICE])
+
+
 def dump_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
@@ -526,12 +540,16 @@ def dump_json(obj: Any) -> str:
     NaN / Infinity / -Infinity. Every JSON file and JSON stdout of the package
     comes from here.
     """
-    return _json_value(obj, "", set()) + "\n"
+    parts: list[str] = []
+    _json_value(obj, "", set(), parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # Before Python 3.13 the stdlib's C encoder cannot indent, and its Python
-# encoder takes one generator step per value. This writer joins strings
-# instead: a list of floats is one join over float.__repr__, redone value by
+# encoder takes one generator step per value. This writer appends strings to
+# one list that is joined once, so no container's text is copied into its
+# parent's: a list of floats is one join over float.__repr__, redone value by
 # value only when the text holds an "n" (nan, inf).
 _float_repr = float.__repr__
 _int_repr = int.__repr__
@@ -547,57 +565,70 @@ def _json_float(value: float) -> str:
     return _float_repr(value)
 
 
-def _json_value(value, pad: str, active: set) -> str:
-    """One value indented at `pad`; `active` holds the ids of the open containers.
+def _json_value(value, pad: str, active: set, parts: list[str]) -> None:
+    """Append one value indented at `pad`; `active` holds the ids of the open containers.
 
     No class derives from two of list/tuple, float, str, int and dict, so only
     bool (an int) depends on the order of the tests; the rest is ordered for
     speed.
     """
     if isinstance(value, (list, tuple)):
-        return _json_list(value, pad, active)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _int_repr(value)
-    if isinstance(value, dict):
-        return _json_dict(value, pad, active)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        _json_list(value, pad, active, parts)
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif isinstance(value, str):
+        parts.append(_json_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(_int_repr(value))
+    elif isinstance(value, dict):
+        _json_dict(value, pad, active, parts)
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _json_list(values, pad: str, active: set) -> str:
+def _json_list(values, pad: str, active: set, parts: list[str]) -> None:
     if not values:
-        return "[]"
+        parts.append("[]")
+        return
     inner = pad + "  "
     sep = ",\n" + inner
     try:
         text = sep.join(map(_float_repr, values))
     except TypeError:  # not a list of floats
         marker = _enter(values, active)
-        text = sep.join([_json_value(v, inner, active) for v in values])
+        first = len(parts)
+        for v in values:
+            parts.append(sep)
+            _json_value(v, inner, active, parts)
+        parts[first] = "[" + sep[1:]  # the first item's separator opens the list
         active.discard(marker)
-    else:
-        if "n" in text:
-            text = sep.join(map(_json_float, values))
-    return f"[\n{inner}{text}\n{pad}]"
+        parts.append(f"\n{pad}]")
+        return
+    if "n" in text:
+        text = sep.join(map(_json_float, values))
+    parts.append(f"[\n{inner}{text}\n{pad}]")
 
 
-def _json_dict(obj: dict, pad: str, active: set) -> str:
+def _json_dict(obj: dict, pad: str, active: set, parts: list[str]) -> None:
     if not obj:
-        return "{}"
+        parts.append("{}")
+        return
     marker = _enter(obj, active)
     inner = pad + "  "
-    text = (",\n" + inner).join([f"{_json_key(k)}: {_json_value(v, inner, active)}" for k, v in sorted(obj.items())])
+    sep = ",\n" + inner
+    first = len(parts)
+    for k, v in sorted(obj.items()):
+        parts.append(f"{sep}{_json_key(k)}: ")
+        _json_value(v, inner, active, parts)
+    parts[first] = "{" + parts[first][1:]  # the first key's separator opens the object
     active.discard(marker)
-    return f"{{\n{inner}{text}\n{pad}}}"
+    parts.append(f"\n{pad}}}")
 
 
 def _json_key(key) -> str:

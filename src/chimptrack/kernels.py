@@ -39,6 +39,20 @@ the peak does not grow with its length; a Fortran-order clip's frames are
 strided through the whole file, so reading a block faults in nearly all of
 it (NpyClip has the details).
 
+Every block-sized array of a toy_forward call lives in one Workspace, made
+by the first block (the largest) and reused by the others through leading
+views, so no block hands memory back to the allocator for the next one to
+fault in again. The kernels take it as an optional argument and write into
+it through NumPy's out= arguments; called without one, as the window-by-window
+reference does, they allocate as before and run the same arithmetic. The
+buffers that live across blocks are the block's frames as float64 and their
+finiteness mask; the patch grid; the five pair maps (patch tokens and one per
+stage) and the stage-merge neighbourhoods; each window's gathered stage maps
+and their temporal merge; the four channel maps; the flattened tokens and the
+token MLP's two hidden layers; and the sampler's corner values and sums. What
+a block returns (confidences, selections, anchors and head outputs, at most
+a window row each) is allocated per block and is small.
+
 emit_detections turns a ForwardResult into the frames of the detections
 file: window w's queries at or above the class threshold (check_cls_thresh
 has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
@@ -47,6 +61,7 @@ has its rule) go on frame w + F - 1, the window's last, boxes in pixels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,10 +74,11 @@ PATCH_T, PATCH_Y, PATCH_X = 2, 4, 4
 PATCH_VALUES = PATCH_T * PATCH_Y * PATCH_X * 3  # 96 raw values per patch
 PARAMS_FORMAT = "chimptrack-params-v1"
 # Windows per toy_forward block, fixed. On the 400-frame 64x64 float64 clip
-# (393 windows; 2 vCPUs, NumPy 2.4 with OpenBLAS) read through NpyClip,
-# toy_forward took 0.47 / 0.33 / 0.27 / 0.37 / 0.33 s for blocks of 4 / 8 /
-# 16 / 32 / 64 windows (median of 11, sizes rotated in one process), and a
-# process running only it peaked at 47.5 / 50.3 / 54.8 / 62.2 / 77.9 MB.
+# (393 windows; 2 vCPUs, NumPy 2.4 with one OpenBLAS thread) read through
+# NpyClip into the Workspace, toy_forward took 0.34 / 0.24 / 0.20 / 0.20 /
+# 0.24 s for blocks of 4 / 8 / 16 / 32 / 64 windows (median of 9, sizes
+# rotated in one process), and a process running only it peaked at 49.5 /
+# 52.8 / 59.7 / 75.2 / 104.7 MB.
 WINDOW_BLOCK = 16
 
 
@@ -137,10 +153,38 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def patch_partition_3d(video: np.ndarray, proj: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Named scratch buffers that outlive one block of toy_forward.
+
+    take(name, shape, dtype) returns a C-contiguous array of that shape over
+    the leading elements of the buffer called name, which is made on the
+    first request and made again only when a later request needs more. The
+    values are whatever the last user left there. A kernel given a
+    workspace takes its temporaries from it, so a caller must be done with
+    what one call left in a buffer before the next call takes it again.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
+
+
+def patch_partition_3d(video: np.ndarray, proj: np.ndarray, out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
     """Partition (T, H, W, 3) video into 2x4x4 patches and project to tokens.
 
     Patch values flatten in (t, y, x, channel) order before the linear map.
+    The tokens go to out when it is given; the patch grid and the
+    finiteness mask come from ws when it is given.
 
     Returns:
         (T/2, H/4, W/4, c_in) token grid.
@@ -151,22 +195,26 @@ def patch_partition_3d(video: np.ndarray, proj: np.ndarray) -> np.ndarray:
     t, h, w, _ = video.shape
     if t % PATCH_T or h % PATCH_Y or w % PATCH_X:
         raise ValueError(f"video dims {video.shape[:3]} not divisible by the {PATCH_T}x{PATCH_Y}x{PATCH_X} patch")
-    if not np.isfinite(video).all():
+    if not np.isfinite(video, out=_scratch(ws, "finite", video.shape, bool)).all():
         raise ValueError("video contains non-finite values")
     proj = np.asarray(proj, dtype=float)
     if proj.ndim != 2 or proj.shape[0] != PATCH_VALUES:
         raise ValueError(f"patch projection must be ({PATCH_VALUES}, c_in), got {proj.shape}")
-    grid = video.reshape(t // PATCH_T, PATCH_T, h // PATCH_Y, PATCH_Y, w // PATCH_X, PATCH_X, 3)
-    grid = grid.transpose(0, 2, 4, 1, 3, 5, 6).reshape(t // PATCH_T, h // PATCH_Y, w // PATCH_X, PATCH_VALUES)
-    return grid @ proj
+    cells = (t // PATCH_T, h // PATCH_Y, w // PATCH_X)
+    grid = _scratch(ws, "patch_grid", cells + (PATCH_VALUES,))
+    patches = video.reshape(cells[0], PATCH_T, cells[1], PATCH_Y, cells[2], PATCH_X, 3).transpose(0, 2, 4, 1, 3, 5, 6)
+    grid.reshape(patches.shape)[...] = patches
+    return np.matmul(grid, proj, out=out)
 
 
-def stage_transform(tokens: np.ndarray, stage: int, weight: np.ndarray) -> np.ndarray:
+def stage_transform(tokens: np.ndarray, stage: int, weight: np.ndarray, out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
     """Apply one backbone stage.
 
     Stage 1 is a pure channel map (c_in -> M) at unchanged resolution. Stages
     2..4 concatenate 2x2 spatial neighborhoods in (dy, dx) row-major order and
-    apply a linear map from 4*ch to 2*ch, halving the spatial grid.
+    apply a linear map from 4*ch to 2*ch, halving the spatial grid. The
+    result goes to out when it is given, and the concatenated neighborhoods
+    come from ws.
     """
     tokens = np.asarray(tokens, dtype=float)
     weight = np.asarray(weight, dtype=float)
@@ -175,7 +223,7 @@ def stage_transform(tokens: np.ndarray, stage: int, weight: np.ndarray) -> np.nd
     if stage == 1:
         if weight.shape[0] != tokens.shape[3]:
             raise ValueError(f"stage 1 map expects input channels {tokens.shape[3]}, got {weight.shape}")
-        return tokens @ weight
+        return np.matmul(tokens, weight, out=out)
     if stage not in (2, 3, 4):
         raise ValueError(f"stage must be in 1..4, got {stage}")
     t, h, w, ch = tokens.shape
@@ -183,17 +231,19 @@ def stage_transform(tokens: np.ndarray, stage: int, weight: np.ndarray) -> np.nd
         raise ValueError(f"stage {stage} needs an even spatial grid, got {h}x{w}")
     if weight.shape != (4 * ch, 2 * ch):
         raise ValueError(f"stage {stage} merge expects weight (4*{ch}, 2*{ch}), got {weight.shape}")
-    merged = tokens.reshape(t, h // 2, 2, w // 2, 2, ch).transpose(0, 1, 3, 2, 4, 5)
-    merged = merged.reshape(t, h // 2, w // 2, 4 * ch)
-    return merged @ weight
+    merged = _scratch(ws, "stage_merge", (t, h // 2, w // 2, 4 * ch))
+    neighborhoods = tokens.reshape(t, h // 2, 2, w // 2, 2, ch).transpose(0, 1, 3, 2, 4, 5)
+    merged.reshape(neighborhoods.shape)[...] = neighborhoods
+    return np.matmul(merged, weight, out=out)
 
 
-def temporal_merge(tokens: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def temporal_merge(tokens: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Collapse the temporal axis with one full-extent convolution step.
 
     The kernel spans all T/2 steps (stride T/2), one weight vector per
     channel, so the output temporal extent is 1 and is squeezed away.
     tokens may carry leading axes (..., T/2, H', W', ch), one per window.
+    The result goes to out when it is given.
     """
     tokens = np.asarray(tokens, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
@@ -201,13 +251,14 @@ def temporal_merge(tokens: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(f"tokens must be (..., T/2, H', W', ch), got {tokens.shape}")
     if kernel.shape != (tokens.shape[-4], tokens.shape[-1]):
         raise ValueError(f"temporal kernel must be (T/2, ch) = {(tokens.shape[-4], tokens.shape[-1])}, got {kernel.shape}")
-    return np.einsum("...thwc,tc->...hwc", tokens, kernel)
+    return np.einsum("...thwc,tc->...hwc", tokens, kernel, out=out)
 
 
-def channel_map(feature: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def channel_map(feature: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1x1 convolution standardizing channels to the shared width.
 
-    feature is (..., H', W', ch); leading axes are windows.
+    feature is (..., H', W', ch); leading axes are windows. The result goes
+    to out when it is given.
     """
     feature = np.asarray(feature, dtype=float)
     weight = np.asarray(weight, dtype=float)
@@ -215,13 +266,14 @@ def channel_map(feature: np.ndarray, weight: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature must be (..., H', W', ch), got {feature.shape}")
     if weight.ndim != 2 or weight.shape[0] != feature.shape[-1]:
         raise ValueError(f"channel map expects (ch={feature.shape[-1]}, C), got {weight.shape}")
-    return feature @ weight
+    return np.matmul(feature, weight, out=out)
 
 
-def flatten_concat(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def flatten_concat(features: list[np.ndarray], out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flatten per-scale maps scale-major, row-major within each scale.
 
-    Every map is (..., H', W', C) with the same leading (window) axes.
+    Every map is (..., H', W', C) with the same leading (window) axes. The
+    tokens go to out when it is given.
 
     Returns:
         tokens: (..., N, C) stacked feature vectors.
@@ -239,7 +291,7 @@ def flatten_concat(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         tokens.append(f.reshape(lead + (h * w, channels)))
         rows, cols = np.divmod(np.arange(h * w), w)
         index.append(np.stack([np.full(h * w, s), rows, cols], axis=1))
-    return np.concatenate(tokens, axis=-2), np.concatenate(index, axis=0)
+    return np.concatenate(tokens, axis=-2, out=out), np.concatenate(index, axis=0)
 
 
 def query_select(confidence: np.ndarray, index: np.ndarray, scale_shapes, queries: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +318,7 @@ def query_select(confidence: np.ndarray, index: np.ndarray, scale_shapes, querie
     return selected, anchors
 
 
-def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
+def bilinear_sample(feature: np.ndarray, x, y, ws: Workspace | None = None) -> np.ndarray:
     """Bilinear lookup at normalized points; zero padding outside the map.
 
     Cell centers sit at ((col + 0.5) / W, (row + 0.5) / H), so the continuous
@@ -277,6 +329,8 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
         x, y: normalized coordinates of any broadcastable shape (...); scalars
             give shape (). With a batch of maps the points are (B, ...), and
             points [b] sample map b.
+        ws: where the corner values and the sums are kept; the samples are
+            then a view into it.
 
     Returns:
         (..., C) samples.
@@ -293,10 +347,12 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("sampling points must be finite")
+    feature = np.asarray(feature, dtype=float)  # the corner values are gathered into float64
     batched = feature.ndim == 4
     if batched and x.shape[:1] != feature.shape[:1]:
         raise ValueError(f"a batch of {feature.shape[0]} maps needs points (B, ...), got {x.shape}")
     h, w = feature.shape[batched : batched + 2]
+    channels = feature.shape[batched + 2 :]
     # a point at or beyond -1 or 2 has every corner off the map, so clipping to
     # [-1, 2] changes no sample; it keeps the pixel position finite
     px = np.clip(x, -1.0, 2.0) * w - 0.5
@@ -311,21 +367,26 @@ def bilinear_sample(feature: np.ndarray, x, y) -> np.ndarray:
     k = np.stack([1.0 - fy, fy])[:, None] * np.stack([1.0 - fx, fx])[None, :]
     # bounds are tested on the floats, so no out-of-range value is cast
     keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w) & (k != 0.0)
-    cells = (np.where(keep, rows, 0).astype(np.intp), np.where(keep, cols, 0).astype(np.intp))
+    cell = np.where(keep, rows * w + cols, 0.0).astype(np.intp)  # row-major cell of each corner
     if batched:  # map b for points [b]
-        cells = (np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1)),) + cells
-    value = feature[cells]
-    channels = feature.shape[batched + 2 :]
+        cell += (h * w) * np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1))
+    terms = _scratch(ws, "corner_terms", keep.shape + channels)
+    # every cell is in range, and mode="raise" would gather into a temporary first
+    np.take(feature.reshape((-1,) + channels), cell, axis=0, out=terms, mode="clip")
     lead = keep.shape + (1,) * len(channels)  # broadcasts per-corner weights over channels
-    # k >= 0, so a skipped corner adds exactly +0.0 and never reads its value
-    terms = k.reshape(lead) * np.where(keep.reshape(lead), value, 0.0)
-    out = np.zeros(x.shape + channels, dtype=float)
+    # k >= 0, so a skipped corner adds exactly +0.0, and its value is never multiplied
+    np.copyto(terms, 0.0, where=~keep.reshape(lead))
+    np.multiply(terms, k.reshape(lead), out=terms)
+    out = _scratch(ws, "corner_sum", x.shape + channels)
+    out[...] = 0.0
     for term in terms.reshape((4,) + out.shape):  # (dy, dx) row-major
-        out = out + term
+        np.add(out, term, out=out)
     return out
 
 
-def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def deformable_sample(
+    feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray, weights: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
     """Weighted bilinear samples around reference points.
 
     Args:
@@ -334,6 +395,7 @@ def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray,
             With a batch of maps ref is (B, ..., 2), and ref[b] samples map b.
         offsets: (R, 2) normalized offsets added to every reference.
         weights: (R,) non-negative weights summing to 1 within 1e-6.
+        ws: passed to bilinear_sample.
 
     Returns:
         (..., C): for each reference, the samples added as
@@ -358,18 +420,19 @@ def deformable_sample(feature: np.ndarray, ref: np.ndarray, offsets: np.ndarray,
     # offsets trail the reference batch, so a batch of maps still leads
     x = ref[..., 0, None] + offsets[:, 0]
     y = ref[..., 1, None] + offsets[:, 1]
-    samples = bilinear_sample(feature, x, y)  # (..., R, C)
+    samples = bilinear_sample(feature, x, y, ws)  # (..., R, C)
     out = np.zeros(samples.shape[:-2] + samples.shape[-1:], dtype=float)
     for r in range(offsets.shape[0]):
         out = out + weights[r] * samples[..., r, :]
     return out
 
 
-def _mlp(x: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    # depth-3 MLP, tanh on the two hidden layers, linear final layer
-    h = np.tanh(x @ layers[0][0] + layers[0][1])
-    h = np.tanh(h @ layers[1][0] + layers[1][1])
-    return h @ layers[2][0] + layers[2][1]
+def _mlp(x: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], ws: Workspace | None = None) -> np.ndarray:
+    # depth-3 MLP, tanh on the two hidden layers (kept in ws when given), linear final layer
+    for i, (weight, bias) in enumerate(layers[:2], start=1):
+        h = _scratch(ws, f"mlp_hidden_{i}", x.shape[:-1] + weight.shape[1:])
+        x = np.tanh(np.add(np.matmul(x, weight, out=h), bias, out=h), out=h)
+    return x @ layers[2][0] + layers[2][1]
 
 
 def _head_layers(params: dict, head: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -499,11 +562,14 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise AnnotationError(f"{at}.shape", f"expected a list of non-negative integers, got {shape!r}")
+        data = entry["data"]
+        # JSON numbers only: NumPy would read null as NaN, "1.5" as 1.5 and true as 1.0
+        numbers = isinstance(data, list) and all(type(v) in (int, float) for v in data)
         try:
-            data = np.asarray(entry["data"], dtype=float)
-        except (TypeError, ValueError):
+            data = np.array(data, dtype=float) if numbers else None
+        except OverflowError:  # an integer beyond float64
             data = None
-        if data is None or data.ndim != 1:
+        if data is None:
             raise AnnotationError(f"{at}.data", "expected a flat list of numbers")
         shape = tuple(shape)
         if data.size != int(np.prod(shape)):
@@ -515,25 +581,29 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
 class NpyClip:
     """A (T, H, W, 3) clip in a .npy file, read a few frames at a time.
 
-    shape and dtype come from the file header; clip[a:b] maps the file,
-    copies frames a..b-1 out as a fresh float64 array and drops the map, since
-    mapped pages count in the process's resident memory for as long as a map
-    lives. In a C-order file those frames are one run of bytes, so a read
-    touches only their pages. In a Fortran-order file they are strided through
-    the whole file, so each read faults in nearly all of it while it lasts:
-    the bounded peak holds for C-order files only.
+    shape and dtype come from the file header. read(frames, out) maps the
+    file, copies clip[frames] into the float64 array out, cast as
+    np.array(..., dtype=float) casts, and drops the map, since mapped pages
+    count in the process's resident memory for as long as a map lives;
+    clip[a:b] does the same into a fresh array. In a C-order file those
+    frames are one run of bytes, so a read touches only their pages. In a
+    Fortran-order file they are strided through the whole file, so each
+    read faults in nearly all of it while it lasts: the bounded peak holds
+    for C-order files only.
 
     Raises:
-        ValueError: if the file is an .npz archive, or its values are complex
-            (float64 has no place for the imaginary part). Every other file
-            that is not a .npy array of plain values (object arrays, pickles,
-            truncated data) fails as np.load fails on it.
+        ValueError: if the file is empty or an .npz archive, or its values
+            are complex (float64 has no place for the imaginary part). Every
+            other file that is not a .npy array of plain values (object
+            arrays, pickles, truncated data) fails as np.load fails on it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         try:
             mapped = np.load(self.path, mmap_mode="r")
+        except EOFError:  # np.load's word for a file without a byte
+            raise ValueError(f"empty file, not a .npy array: {self.path}") from None
         except ValueError:
             np.load(self.path)  # raise np.load's own message: object arrays and truncated data map with another
             raise
@@ -544,15 +614,13 @@ class NpyClip:
         if self.dtype.kind == "c":
             raise ValueError(f"video must be real-valued, got {self.dtype} values")
 
+    def read(self, frames: slice, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, np.load(self.path, mmap_mode="r")[frames], casting="unsafe")
+        return out
+
     def __getitem__(self, frames: slice) -> np.ndarray:
-        return np.array(np.load(self.path, mmap_mode="r")[frames], dtype=float)
-
-
-def _block_frames(video, start: int, stop: int) -> np.ndarray:
-    frames = np.asarray(video[start:stop], dtype=float)
-    if not np.isfinite(frames).all():
-        raise ValueError("video contains non-finite values")
-    return frames
+        count = len(range(*frames.indices(self.shape[0])))
+        return self.read(frames, np.empty((count,) + self.shape[1:]))
 
 
 def toy_forward(video: np.ndarray | NpyClip, params: dict, dims: ModelDims) -> ForwardResult:
@@ -565,7 +633,8 @@ def toy_forward(video: np.ndarray | NpyClip, params: dict, dims: ModelDims) -> F
     window's outputs are bit-identical to running it alone. The clip's shape
     and the parameters are validated before any frame is read; each block
     then takes only its own WINDOW_BLOCK + dims.frames - 1 frames as float64
-    and rejects a non-finite value among them.
+    and rejects a non-finite value among them. All blocks share one
+    Workspace.
 
     The auxiliary token confidence shares the class head's weights, applied
     per token. Per-query features average one deformable sample per scale,
@@ -577,10 +646,15 @@ def toy_forward(video: np.ndarray | NpyClip, params: dict, dims: ModelDims) -> F
         raise ValueError(f"video shape {shape} does not match dims ({', '.join(map(str, expected))})")
     validate_params(params, dims)
     windows = shape[0] - dims.frames + 1
-    blocks = [
-        _forward_block(_block_frames(video, first, first + WINDOW_BLOCK + dims.frames - 1), params, dims)
-        for first in range(0, windows, WINDOW_BLOCK)
-    ]
+    ws = Workspace()
+    blocks = []
+    for first in range(0, windows, WINDOW_BLOCK):
+        frames = slice(first, min(first + WINDOW_BLOCK, windows) + dims.frames - 1)
+        if isinstance(video, NpyClip):
+            block = video.read(frames, ws.take("frames", (frames.stop - first,) + shape[1:]))
+        else:
+            block = np.asarray(video[frames], dtype=float)
+        blocks.append(_forward_block(block, params, dims, ws))
     cat = np.concatenate
     return ForwardResult(
         HeadOutputs(
@@ -595,24 +669,29 @@ def toy_forward(video: np.ndarray | NpyClip, params: dict, dims: ModelDims) -> F
     )
 
 
-def _forward_block(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardResult:
-    """Every window of a validated clip at once; the intermediates die on return.
+def _forward_block(video: np.ndarray, params: dict, dims: ModelDims, ws: Workspace) -> ForwardResult:
+    """Every window of a validated clip at once; only the returned arrays are not in ws.
 
     Window w reads the frame pairs (w, w+1), (w+2, w+3), ..., so the windows
     of parity q all read the pairs of the frames from q on, which
     patch_partition_3d splits like one long video. Both parities' pairs
     stack along one pair axis, and only they go through the backbone.
+    patch_partition_3d checks every frame of the block for finiteness: the
+    two parities' frames together are all of them.
     """
     windows = video.shape[0] - dims.frames + 1
     t_half = dims.t_half
     shapes: dict[str, tuple[int, ...]] = {}
 
     pairs = [n + t_half - 1 for n in ((windows + 1) // 2, windows // 2) if n]  # per parity, for its last window
-    sequences = [video[q : q + 2 * n] for q, n in enumerate(pairs)]
-    pair_maps = [np.concatenate([patch_partition_3d(v, params["patch_proj"]) for v in sequences])]
+    pair_maps = [ws.take("pair_map_0", (sum(pairs),) + dims.scale_shapes[0] + (dims.c_in,))]
+    for q, n in enumerate(pairs):  # parity 1's pairs follow parity 0's
+        rows = slice(q * pairs[0], q * pairs[0] + n)
+        patch_partition_3d(video[q : q + 2 * n], params["patch_proj"], out=pair_maps[0][rows], ws=ws)
     for i in (1, 2, 3, 4):
         weight = params["stage_map_1"] if i == 1 else params[f"stage_merge_{i}"]
-        pair_maps.append(stage_transform(pair_maps[-1], i, weight))
+        out = ws.take(f"pair_map_{i}", (sum(pairs),) + dims.scale_shapes[i - 1] + (dims.stage_channels[i - 1],))
+        pair_maps.append(stage_transform(pair_maps[-1], i, weight, out=out, ws=ws))
 
     w = np.arange(windows)
     first = np.where(w % 2, pairs[0], 0) + w // 2  # pair row of each window's first pair
@@ -620,22 +699,24 @@ def _forward_block(video: np.ndarray, params: dict, dims: ModelDims) -> ForwardR
     shapes["patch_tokens"] = (t_half,) + pair_maps[0].shape[1:]
     features = []
     for i in (1, 2, 3, 4):
-        stage = pair_maps[i][slots]  # (W, T/2, H', W', ch)
+        maps = pair_maps[i]
+        # (W, T/2, H', W', ch); every slot is in range, and mode="raise" would gather into a temporary first
+        stage = np.take(maps, slots, axis=0, out=ws.take("stage", slots.shape + maps.shape[1:]), mode="clip")
         shapes[f"stage_{i}"] = stage.shape[1:]
-        f = channel_map(temporal_merge(stage, params[f"temporal_kernel_{i}"]), params[f"channel_map_{i}"])
+        merged = temporal_merge(stage, params[f"temporal_kernel_{i}"], out=ws.take("merged", (windows,) + maps.shape[1:]))
+        f = channel_map(merged, params[f"channel_map_{i}"], out=ws.take(f"fused_{i}", merged.shape[:-1] + (dims.channels,)))
         features.append(f)
         shapes[f"fused_{i}"] = f.shape[1:]
-    del pair_maps, stage  # the backbone maps are not needed by the token MLP, the block's largest step
 
-    tokens, index = flatten_concat(features)
+    tokens, index = flatten_concat(features, out=ws.take("tokens", (windows, dims.token_count, dims.channels)))
     shapes["tokens"] = tokens.shape[1:]
 
-    confidence = _sigmoid(_mlp(tokens, _head_layers(params, "cls")))[..., 0]
+    confidence = _sigmoid(_mlp(tokens, _head_layers(params, "cls"), ws))[..., 0]
     selected, anchors = query_select(confidence, index, dims.scale_shapes, dims.queries)
 
     sampled = np.zeros((windows, dims.queries, dims.channels), dtype=float)
     for s, f in enumerate(features):  # scales add in order, all windows and queries at once
-        sampled += deformable_sample(f, anchors[..., :2], params["deform_offsets"][s], params["deform_weights"][s])
+        sampled += deformable_sample(f, anchors[..., :2], params["deform_offsets"][s], params["deform_weights"][s], ws)
     feats = sampled / len(features)
     shapes["query_features"] = feats.shape[1:]
 

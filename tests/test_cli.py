@@ -844,8 +844,13 @@ def test_forward_checks_the_params_before_reading_a_frame(tmp_path, capsys):
             "$.tensors.patch_proj.shape: expected a list of non-negative integers, got '96,16'",
         ),
         (lambda doc: doc["tensors"]["patch_proj"].update(data=[["x"]]), "$.tensors.patch_proj.data: expected a flat list of numbers"),
+        # one value that NumPy would cast: null to NaN, "1.5" to 1.5, true to 1.0; and an integer beyond float64
+        *(
+            (lambda doc, v=value: doc["tensors"]["patch_proj"]["data"].__setitem__(5, v), "$.tensors.patch_proj.data: expected a flat list of numbers")
+            for value in (None, "1.5", True, 10**400)
+        ),
     ],
-    ids=["no-tensors", "tensor-list", "no-data", "int-entry", "string-shape", "nested-data"],
+    ids=["no-tensors", "tensor-list", "no-data", "int-entry", "string-shape", "nested-data", "null-value", "string-value", "bool-value", "huge-int"],
 )
 def test_forward_rejects_a_malformed_params_file(tmp_path, capsys, edit, message):
     clip, params, out = tmp_path / "clip.npy", tmp_path / "params.json", tmp_path / "clip.json"
@@ -880,6 +885,14 @@ def test_forward_reads_one_real_valued_npy_array(tmp_path, capsys):
         assert main(["forward", str(tmp_path / name), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_forward_on_an_empty_file_exits_2_and_names_it(tmp_path, capsys):
+    clip, out = tmp_path / "clip.npy", tmp_path / "clip.json"
+    clip.write_bytes(b"")
+    assert main(["forward", str(clip), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: empty file, not a .npy array: {clip}\n"
+    assert not out.exists()
 
 
 def test_forward_takes_the_image_size_from_the_clip(tmp_path, capsys):
@@ -1012,6 +1025,76 @@ def test_importing_cli_loads_no_numerical_module():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _without_blas_setting() -> dict[str, str]:
+    # importing chimptrack.cli in this process set the variable, and children inherit it
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def test_cli_runs_numpy_with_one_os_thread():
+    # OpenBLAS would start a worker thread on import that only spins against the main one
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    script = "import os, chimptrack.cli, numpy\nprint(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_without_blas_setting())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    # a value set by the caller wins
+    env = dict(_without_blas_setting(), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "2"
+
+
+def test_more_blas_threads_change_no_output_byte(tmp_path):
+    # forward over three window blocks, track on its output, and a forked two-process evaluate
+    np.save(tmp_path / "clip.npy", np.random.default_rng(0).random((2 * WINDOW_BLOCK + 8, 64, 64, 3)))
+    gt_dir, pred_dir = scene_dirs(tmp_path)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        out.mkdir()
+        commands = [
+            ["forward", str(tmp_path / "clip.npy"), "--out", str(out / "clip.json")],
+            ["track", str(out / "clip.json"), "--out", str(out / "clip.csv")],
+            evaluate_dirs(gt_dir, pred_dir, out / "metrics.json", "--workers", "2"),
+        ]
+        env = dict(_without_blas_setting(), OPENBLAS_NUM_THREADS=threads)
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "chimptrack.cli", *argv], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert list(outputs["1"]) == ["clip.csv", "clip.json", "metrics.json"]
+    assert outputs["1"] == outputs["2"]
+
+
+def _forward_minor_faults(clip) -> int:
+    """Minor page faults of one forward command in a fresh process, which writes no detection."""
+    script = (
+        "import sys\n"
+        "from chimptrack.cli import main\n"
+        f"sys.exit(main(['forward', {str(clip)!r}, '--cls-thresh', '1', '--out', {str(clip) + '.json'!r}]))\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4 above
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+def test_forward_does_not_fault_its_block_buffers_in_again_on_every_block(tmp_path):
+    # the block's buffers are made once per run, so a later block faults in little more than its
+    # frames' pages of the file map (about 60 faults a block in all); remaking them costs about 1,500.
+    # A uint8 clip keeps those pages at 70 a block even where each fault maps a single page.
+    faults = {}
+    for blocks in (2, 8):
+        clip = tmp_path / f"clip-{blocks}.npy"
+        values = np.random.default_rng(blocks).random((blocks * WINDOW_BLOCK + ModelDims().frames - 1, 64, 64, 3))
+        np.save(clip, CLIP_LAYOUTS["uint8"](values))
+        faults[blocks] = _forward_minor_faults(clip)
+    per_block = (faults[8] - faults[2]) / 6
+    assert per_block < 250, faults
 
 
 def test_synth_runs_without_numpy(tmp_path):

@@ -12,6 +12,7 @@ from chimptrack.kernels import (
     ForwardResult,
     ModelDims,
     NpyClip,
+    Workspace,
     bilinear_sample,
     channel_map,
     deformable_sample,
@@ -150,6 +151,7 @@ def test_bilinear_sample_conventions():
     assert bilinear_sample(feat, 0.75, 0.75)[0] == pytest.approx(4.0)
     # middle of the map blends all four cells
     assert bilinear_sample(feat, 0.5, 0.5)[0] == pytest.approx(2.5)
+    assert bilinear_sample(feat.astype(int), 0.5, 0.5)[0] == 2.5  # an integer map samples as float64
     # zero padding outside
     assert bilinear_sample(feat, -1.0, 0.5)[0] == pytest.approx(0.0)
     assert bilinear_sample(feat, 0.5, 2.0)[0] == pytest.approx(0.0)
@@ -464,6 +466,32 @@ def test_npy_clip_reads_every_layout_as_the_loaded_array(tmp_path, layout):
     _same_bits(frames, values[5:30].astype(float))
     params = init_params(DIMS, seed=5)
     _same_result(toy_forward(clip, params, DIMS), toy_forward(np.load(path), params, DIMS))
+
+
+@pytest.mark.parametrize("layout", sorted(CLIP_LAYOUTS))
+def test_npy_clip_reads_frames_into_a_given_buffer(tmp_path, layout):
+    values = CLIP_LAYOUTS[layout](np.random.default_rng(4).random((12, 64, 64, 3)))
+    path = tmp_path / "clip.npy"
+    np.save(path, values)
+    loaded, clip = np.load(path), NpyClip(path)
+    buffer = np.full((7, 64, 64, 3), np.nan)
+    assert clip.read(slice(3, 10), buffer) is buffer  # the frames land in the buffer, not in a view of a file map
+    _same_bits(buffer, np.array(loaded[3:10], dtype=float))
+    _same_bits(clip.read(slice(10, 12), buffer[:2]), np.array(loaded[10:12], dtype=float))
+    _same_bits(buffer[2:], np.array(loaded[5:10], dtype=float))  # a shorter read leaves the rest alone
+
+
+def test_workspace_hands_out_leading_views_of_one_buffer_per_name():
+    ws = Workspace()
+    big = ws.take("a", (4, 5))
+    big[...] = np.arange(20.0).reshape(4, 5)
+    small = ws.take("a", (3, 2))  # another shape over the same leading elements
+    assert small.flags.c_contiguous and np.shares_memory(small, big)
+    assert small.ravel().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert not np.shares_memory(ws.take("b", (4, 5)), big)
+    assert ws.take("c", (3,), bool).dtype == bool
+    grown = ws.take("a", (5, 5))  # more than the buffer holds: a new one
+    assert grown.shape == (5, 5) and not np.shares_memory(grown, big)
 
 
 def test_forward_memory_does_not_grow_with_the_clip(tmp_path):
