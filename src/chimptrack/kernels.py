@@ -45,13 +45,14 @@ views, so no block hands memory back to the allocator for the next one to
 fault in again. The kernels take it as an optional argument and write into
 it through NumPy's out= arguments; called without one, as the window-by-window
 reference does, they allocate as before and run the same arithmetic. The
-buffers that live across blocks are the block's frames as float64 and their
-finiteness mask; the patch grid; the five pair maps (patch tokens and one per
-stage) and the stage-merge neighbourhoods; each window's gathered stage maps
-and their temporal merge; the four channel maps; the flattened tokens and the
-token MLP's two hidden layers; and the sampler's corner values and sums. What
-a block returns (confidences, selections, anchors and head outputs, at most
-a window row each) is allocated per block and is small.
+buffers that live across blocks are the block's frames as float64 (read from
+an NpyClip) and their finiteness mask; the patch grid; the five pair maps
+(patch tokens and one per stage) and the stage-merge neighbourhoods; each
+window's gathered stage maps and their temporal merge; the four channel maps;
+the flattened tokens and the token MLP's two hidden layers; and the sampler's
+corner values and sums. What a block returns (confidences, selections,
+anchors and head outputs, one row per window) is allocated per block and is
+small.
 
 emit_detections turns a ForwardResult into the frames of the detections
 file: window w's queries at or above the class threshold (check_cls_thresh
