@@ -29,6 +29,15 @@ Each command imports only the modules it runs: importing this module loads
 neither NumPy nor the numerical modules, and synth (synth, rng, dataio)
 runs without NumPy.
 
+A command's phases run one after another, and each drops what the next does
+not read, so its memory peaks at its largest phase rather than at the sum of
+phases held together. track and evaluate parse their detections files before
+they import the modules that load NumPy (about 17 MB), whose import then
+reuses the pages the parse freed; a malformed file is reported before NumPy
+loads. synth writes the annotations and drops the scene, keeping only its
+clean detections; it writes those, perturbs them, drops them and writes the
+noisy ones.
+
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller set
 it, so every command runs NumPy with one BLAS thread. OpenBLAS would
 otherwise start a worker thread when NumPy loads, and on a 2-vCPU machine
@@ -115,19 +124,20 @@ def _cmd_synth(args) -> int:
         fp_rate=args.fp_rate,
     )
     scene = synth.generate(config, args.seed)
-    noisy = synth.perturb_detections(scene.detections, scene.annotation.image_size, noise, args.seed + 1)
-
     sid = scene.annotation.sequence_id
     size = scene.annotation.image_size
+    n_annotated = len(scene.annotation.frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_text(out / "annotations.json", dump_json(dataio.write_annotations(scene.annotation)))
-    dataio.write_text(out / "detections_clean.json", dump_json(dataio.write_detections(sid, size, scene.detections)))
+    clean = scene.detections
+    del scene  # the annotation and the gt tracks are written or unused from here on
+    dataio.write_text(out / "detections_clean.json", dump_json(dataio.write_detections(sid, size, clean)))
+    n_clean = sum(len(v) for v in clean.values())
+    noisy = synth.perturb_detections(clean, size, noise, args.seed + 1)
+    del clean
     dataio.write_text(out / "detections_noisy.json", dump_json(dataio.write_detections(sid, size, noisy)))
-
-    n_clean = sum(len(v) for v in scene.detections.values())
     n_noisy = sum(len(v) for v in noisy.values())
-    n_annotated = len(scene.annotation.frames)
     print(
         f"seed {args.seed}: {config.agents} agents, {config.frames} frames, "
         f"{n_annotated} annotated frames, {n_clean} clean detections, {n_noisy} noisy detections"
@@ -139,9 +149,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    sequence_id, size, detections = dataio.parse_detections(Path(args.detections))
     from .tracker import TrackerConfig
 
-    sequence_id, size, detections = dataio.parse_detections(Path(args.detections))
     config = TrackerConfig(
         iou_gate=args.iou_gate,
         max_misses=args.max_misses,
@@ -260,14 +270,13 @@ def _map_forked(fn, items: list, workers: int) -> list:
 
 
 def _cmd_evaluate(args) -> int:
-    from . import report
-
     files = _json_files(Path(args.gt))
     if not files:
         raise ValueError(f"no .json annotation file in {Path(args.gt)}")
     pred_path = Path(args.pred)
     # detections files are keyed by the id inside them, so they are read before the sequences are dealt out
     dets = None if args.task == "tracking" else _outcome(_load_pred_detections, pred_path)
+    from . import report  # loads NumPy; before the fork, so each worker inherits it
 
     def unit(f: Path):
         """One annotation file from parse to report: (id, (image size, CSV parse, score)) as an outcome."""

@@ -550,7 +550,8 @@ def dump_json(obj: Any) -> str:
 # encoder takes one generator step per value. This writer appends strings to
 # one list that is joined once, so no container's text is copied into its
 # parent's: a list of floats is one join over float.__repr__, redone value by
-# value only when the text holds an "n" (nan, inf).
+# value only when the text holds an "n" (nan, inf), and a list of rows of
+# plain floats and ints (a pose's joints) is one string per row.
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 
@@ -600,19 +601,44 @@ def _json_list(values, pad: str, active: set, parts: list[str]) -> None:
     sep = ",\n" + inner
     try:
         text = sep.join(map(_float_repr, values))
+        if "n" in text:
+            text = sep.join(map(_json_float, values))
     except TypeError:  # not a list of floats
-        marker = _enter(values, active)
-        first = len(parts)
-        for v in values:
-            parts.append(sep)
-            _json_value(v, inner, active, parts)
-        parts[first] = "[" + sep[1:]  # the first item's separator opens the list
-        active.discard(marker)
-        parts.append(f"\n{pad}]")
-        return
-    if "n" in text:
-        text = sep.join(map(_json_float, values))
+        try:
+            text = sep.join([_number_row(row, inner) for row in values])
+        except TypeError:  # nor a list of number rows: value by value
+            marker = _enter(values, active)
+            first = len(parts)
+            for v in values:
+                parts.append(sep)
+                _json_value(v, inner, active, parts)
+            parts[first] = "[" + sep[1:]  # the first item's separator opens the list
+            active.discard(marker)
+            parts.append(f"\n{pad}]")
+            return
     parts.append(f"[\n{inner}{text}\n{pad}]")
+
+
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _number_row(row, pad: str) -> str:
+    """The text of a list or tuple of floats and ints indented at `pad`; TypeError for any other value.
+
+    The types must match exactly: repr spells bools and NumPy scalars
+    otherwise than JSON, so they take the per-value path. A row holds no
+    container, so it needs no circular-reference check.
+    """
+    if not isinstance(row, (list, tuple)) or not _NUMBER_TYPES.issuperset(map(type, row)):
+        raise TypeError
+    if not row:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    text = sep.join(map(repr, row))
+    if "n" in text:
+        text = sep.join([_json_float(v) if type(v) is float else repr(v) for v in row])
+    return f"[\n{inner}{text}\n{pad}]"
 
 
 def _json_dict(obj: dict, pad: str, active: set, parts: list[str]) -> None:

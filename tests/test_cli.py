@@ -422,15 +422,22 @@ def test_evaluate_detection_behavior_and_pose_tasks(tmp_path, capsys):
 README_NOISE = ["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0", "--kp-jitter", "1.0"]
 
 
-def test_evaluate_sidecars_do_not_depend_on_input_order(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def readme_scene(tmp_path_factory):
+    """The 8 x 250 seed-9 README-noise scene, with pred.csv tracked from its noisy detections."""
+    scene = tmp_path_factory.mktemp("readme") / "scene"
+    assert main(["synth", "--seed", "9", "--agents", "8", "--frames", "250", *README_NOISE, "--out", str(scene)]) == 0
+    assert main(["track", str(scene / "detections_noisy.json"), "--out", str(scene / "pred.csv")]) == 0
+    return scene
+
+
+def test_evaluate_sidecars_do_not_depend_on_input_order(readme_scene, tmp_path, capsys):
     # the noisy detections shuffled within each frame, and the tracked CSV's
     # rows shuffled, score byte for byte as before: the AP matcher steps each
     # frame in rank order. The scored scores hold no tie, so no ranking falls
     # back to input order.
-    scene = tmp_path / "scene"
-    assert main(["synth", "--seed", "9", "--agents", "8", "--frames", "250", *README_NOISE, "--out", str(scene)]) == 0
+    scene = readme_scene
     gt, noisy, csv = scene / "annotations.json", scene / "detections_noisy.json", scene / "pred.csv"
-    assert main(["track", str(noisy), "--out", str(csv)]) == 0
     annotated = {f["frame"] for f in json.loads(gt.read_text())["frames"]}
     doc = json.loads(noisy.read_text())
     scored = [d for f in doc["frames"] if f["frame"] in annotated for d in f["detections"]]
@@ -456,6 +463,43 @@ def test_evaluate_sidecars_do_not_depend_on_input_order(tmp_path, capsys):
         for path, out in zip((pred, moved), sidecars):
             assert main(["evaluate", "--task", task, "--gt", str(gt), "--pred", str(path), "--out", str(out)]) == 0
         assert sidecars[0].read_bytes() == sidecars[1].read_bytes(), task
+    capsys.readouterr()
+
+
+def test_tracking_sidecar_does_not_depend_on_track_ids(readme_scene, tmp_path, capsys):
+    # the gt and predicted track ids relabelled by two seeded permutations score
+    # byte for byte as before: ids only name the boxes that every matching
+    # pairs. The scored track scores hold no tie.
+    gt, csv = readme_scene / "annotations.json", readme_scene / "pred.csv"
+    doc = json.loads(gt.read_text())
+    rows = [line.split(",") for line in csv.read_text().splitlines()]
+    annotated = {f["frame"] for f in doc["frames"]}
+    track_scores = [r[6] for r in rows if int(r[0]) - 1 in annotated]
+    assert len(set(track_scores)) == len(track_scores)
+
+    rng = Xoshiro256(0)
+
+    def relabelling(ids) -> dict[int, int]:
+        old = sorted(set(ids))
+        new = list(old)
+        rng.shuffle(new)
+        assert new != old
+        return dict(zip(old, new))
+
+    instances = [inst for f in doc["frames"] for inst in f["instances"]]
+    gt_ids = relabelling(inst["track_id"] for inst in instances)
+    for inst in instances:
+        inst["track_id"] = gt_ids[inst["track_id"]]
+    pred_ids = relabelling(int(r[1]) for r in rows)
+    for r in rows:
+        r[1] = str(pred_ids[int(r[1])])
+    moved_gt, moved_csv = tmp_path / "moved.json", tmp_path / "moved.csv"
+    moved_gt.write_text(dataio.dump_json(doc))
+    moved_csv.write_text("".join(",".join(r) + "\n" for r in rows))
+    sidecars = [tmp_path / f"{i}.metrics.json" for i in range(2)]
+    for (g, pred), out in zip(((gt, csv), (moved_gt, moved_csv)), sidecars):
+        assert main(["evaluate", "--gt", str(g), "--pred", str(pred), "--out", str(out)]) == 0
+    assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
     capsys.readouterr()
 
 
@@ -1025,6 +1069,58 @@ def test_importing_cli_loads_no_numerical_module():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("task", ["track", "pose", "detection", "behavior"])
+def test_detections_are_parsed_before_numpy_loads(tmp_path, task):
+    # the parse's freed pages then take the NumPy import, so the two do not add up in the peak
+    scene = make_scene(tmp_path)
+    dets, ann = str(scene / "detections_noisy.json"), str(scene / "annotations.json")
+    if task == "track":
+        argv = ["track", dets, "--out", str(tmp_path / "pred.csv")]
+    else:
+        argv = ["evaluate", "--task", task, "--gt", ann, "--pred", dets, "--out", str(tmp_path / "m.json")]
+    script = (
+        "import sys\n"
+        "from chimptrack import dataio\n"
+        "from chimptrack.cli import main\n"
+        "parse, seen = dataio.parse_detections, []\n"
+        "def parse_detections(*args):\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    return parse(*args)\n"
+        "dataio.parse_detections = parse_detections\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False]"
+
+
+def test_synth_writes_each_document_before_the_next_phase(tmp_path, monkeypatch):
+    # the annotations and the clean detections are on disk, and the scene is freed, before perturbing
+    import weakref
+
+    from chimptrack import synth
+
+    generate, perturb = synth.generate, synth.perturb_detections
+    seen = {}
+
+    def generating(*args):
+        scene = generate(*args)
+        seen["annotation"] = weakref.ref(scene.annotation)
+        return scene
+
+    def perturbing(*args):
+        seen["on disk"] = sorted(p.name for p in (tmp_path / "scene").iterdir())
+        seen["annotation alive"] = seen["annotation"]() is not None
+        return perturb(*args)
+
+    monkeypatch.setattr(synth, "generate", generating)
+    monkeypatch.setattr(synth, "perturb_detections", perturbing)
+    make_scene(tmp_path)
+    assert seen["on disk"] == ["annotations.json", "detections_clean.json"]
+    assert not seen["annotation alive"]
 
 
 def _without_blas_setting() -> dict[str, str]:

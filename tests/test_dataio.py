@@ -444,6 +444,19 @@ EDGE_DOCUMENTS = [
     {math.nan: 1, math.inf: 2, -0.0: 3},
     {"b": [1.0, 2.0], "a": {"d": None, "c": [3, "s", 4.5]}},
     {"score": np.float64(0.25), "mixed": [np.float64(1.5), 2, None], "nan": np.float64("nan")},
+    # lists of number rows, such as the annotations' [x, y, v] joints
+    {"pose": [[12.5, 30.25, 2], [0.0, 0.0, 0], [1e-7, 1e16, 1]]},
+    [[1.0, True], [2.0, 3]],
+    [[1, False]],
+    [[1.0, math.nan, 2], [math.inf, -math.inf, 0]],
+    [[-0.0, 0], [0.0, -1]],
+    [[10**30, 1.5], [-(10**30), 2**64]],
+    [[], [1.0, 2]],
+    [[1.0, [2.0, 3]], [4]],
+    [(1.0, 2), (3.5, 4)],
+    ((1.0, 2), [3, 4.5], ()),
+    [[1.0, None], [2, "s"]],
+    [[np.float64(1.5), 2], [np.float64("nan"), 3]],
 ]
 
 
@@ -519,6 +532,8 @@ def _cycle_dict():
         {"n": np.int64(3)},
         [1.0, 2.0, np.float32(1.0)],
         [1.0, np.bool_(True)],
+        [[1.0, 2], [3, np.int64(4)]],
+        [[1.0, 2], [3, complex(1, 2)]],
         {1, 2},
         {"s": frozenset()},
         {1: 0, "a": 0},
@@ -536,6 +551,8 @@ def _cycle_dict():
         "int64-value",
         "float32-in-float-list",
         "numpy-bool",
+        "int64-in-number-row",
+        "complex-in-number-row",
         "set",
         "frozenset-value",
         "mixed-key-types",
