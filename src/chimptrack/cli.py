@@ -11,11 +11,14 @@ computed by merging their per-sequence statistics. It writes the metrics
 sidecar, then prints it (--format json) or the same entries as a table
 (--format table).
 
-evaluate --workers N deals the annotation files round-robin to this process
-and up to N - 1 forked ones, each of which takes its sequences from parse to
-report. The outcomes, errors included, are then replayed in the order one
-process meets them, so no exit code, message or sidecar byte depends on N.
-The process that forks has no second thread (see the BLAS note below).
+evaluate --workers N deals the sequences round-robin to this process and up
+to N - 1 forked ones. For tracking, each takes its annotation files from
+parse to report. For the detection tasks, this process first parses every
+annotation file, then the detections files, keeping records only on frames
+that some file annotates, and the workers only score. The outcomes, errors
+included, are then replayed in the order one process meets them, so no exit
+code, message or sidecar byte depends on N. The process that forks has no
+second thread (see the BLAS note below).
 
 forward runs the toy detector over every stride-1 window of a .npy clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -29,14 +32,19 @@ Each command imports only the modules it runs: importing this module loads
 neither NumPy nor the numerical modules, and synth (synth, rng, dataio)
 runs without NumPy.
 
-A command's phases run one after another, and each drops what the next does
-not read, so its memory peaks at its largest phase rather than at the sum of
-phases held together. track and evaluate parse their detections files before
+A command's phases run one after another, and each keeps only what the next
+reads, so its memory peaks at its largest phase rather than at the sum of
+phases held together. Detections files are read a chunk and a frame entry at
+a time (dataio.parse_detections), and JSON files are written one frame entry
+at a time (dataio.write_json), so no command holds a file's text or its
+decoded tree whole. track and evaluate parse their detections files before
 they import the modules that load NumPy (about 17 MB), whose import then
 reuses the pages the parse freed; a malformed file is reported before NumPy
-loads. synth writes the annotations and drops the scene, keeping only its
-clean detections; it writes those, perturbs them, drops them and writes the
-noisy ones.
+loads. track keeps no pose, which neither the tracker nor the MOT CSV reads,
+and evaluate's detection tasks keep records only on annotated frames, the
+only ones scored; every entry is still checked. synth writes the annotations
+and drops the scene, keeping only its clean detections; it writes those,
+perturbs them, drops them and writes the noisy ones.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller set
 it, so every command runs NumPy with one BLAS thread. OpenBLAS would
@@ -58,7 +66,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .dataio import AnnotationError, DetectionRecord, TrackedBox, dump_json
+from .dataio import AnnotationError, DetectionRecord, TrackedBox, dump_json, write_json
 from .geometry import BoxXYXY, ImageSize
 from .rng import Xoshiro256
 
@@ -129,14 +137,14 @@ def _cmd_synth(args) -> int:
     n_annotated = len(scene.annotation.frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_text(out / "annotations.json", dump_json(dataio.write_annotations(scene.annotation)))
+    write_json(out / "annotations.json", dataio.write_annotations(scene.annotation))
     clean = scene.detections
     del scene  # the annotation and the gt tracks are written or unused from here on
-    dataio.write_text(out / "detections_clean.json", dump_json(dataio.write_detections(sid, size, clean)))
+    write_json(out / "detections_clean.json", dataio.write_detections(sid, size, clean))
     n_clean = sum(len(v) for v in clean.values())
     noisy = synth.perturb_detections(clean, size, noise, args.seed + 1)
     del clean
-    dataio.write_text(out / "detections_noisy.json", dump_json(dataio.write_detections(sid, size, noisy)))
+    write_json(out / "detections_noisy.json", dataio.write_detections(sid, size, noisy))
     n_noisy = sum(len(v) for v in noisy.values())
     print(
         f"seed {args.seed}: {config.agents} agents, {config.frames} frames, "
@@ -149,7 +157,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    sequence_id, size, detections = dataio.parse_detections(Path(args.detections))
+    # neither the tracker nor the MOT CSV reads a pose
+    sequence_id, size, detections = dataio.parse_detections(Path(args.detections), keep_pose=False)
     from .tracker import TrackerConfig
 
     config = TrackerConfig(
@@ -185,8 +194,9 @@ def _by_sequence(entries) -> dict:
     return out
 
 
-def _load_pred_detections(path: Path) -> dict[str, tuple[ImageSize, dict[int, list[DetectionRecord]]]]:
-    parsed = ((f, *dataio.parse_detections(f)) for f in _json_files(path))
+def _load_pred_detections(path: Path, frames: set[int]) -> dict[str, tuple[ImageSize, dict[int, list[DetectionRecord]]]]:
+    """Each detections file by its sequence id, with records on the given frames only."""
+    parsed = ((f, *dataio.parse_detections(f, frames)) for f in _json_files(path))
     return _by_sequence((f, sid, (size, dets)) for f, sid, size, dets in parsed)
 
 
@@ -269,58 +279,9 @@ def _map_forked(fn, items: list, workers: int) -> list:
     return [results[i % n][i // n] for i in range(len(items))]
 
 
-def _cmd_evaluate(args) -> int:
-    files = _json_files(Path(args.gt))
-    if not files:
-        raise ValueError(f"no .json annotation file in {Path(args.gt)}")
-    pred_path = Path(args.pred)
-    # detections files are keyed by the id inside them, so they are read before the sequences are dealt out
-    dets = None if args.task == "tracking" else _outcome(_load_pred_detections, pred_path)
-    from . import report  # loads NumPy; before the fork, so each worker inherits it
-
-    def unit(f: Path):
-        """One annotation file from parse to report: (id, (image size, CSV parse, score)) as an outcome."""
-        ok, ann = _outcome(dataio.parse_annotations, f)
-        if not ok:
-            return False, ann
-        sid, parsed, scored = ann.sequence_id, None, None
-        if dets is not None:
-            ok, preds = dets
-            if ok and sid in preds and preds[sid][0] == ann.image_size:
-                scored = _outcome(report.evaluate_sequence, ann, preds[sid][1], [])
-        else:
-            csv = _csv_files(pred_path, sid if len(files) == 1 else None).get(sid)
-            if csv is not None:
-                ok, tracks = _outcome(lambda: dataio.parse_mot_csv(csv.read_text(), ann.frames))
-                parsed = (True, None) if ok else (False, tracks)  # the tracks stay in this process
-                if ok:
-                    scored = _outcome(report.evaluate_sequence, ann, _tracks_as_detections(tracks), tracks)
-        return True, (sid, (ann.image_size, parsed, scored))
-
-    # replay every outcome in the order one process meets them, so no message depends on --workers
-    results = _map_forked(unit, files, args.workers)
-    units = _by_sequence((f, *_value(result)) for f, result in zip(files, results))
-    gt_ids = sorted(units)
-    if dets is None:
-        csvs = _csv_files(pred_path, gt_ids[0] if len(gt_ids) == 1 else None)
-        for sid, f in csvs.items():
-            if sid in units:  # parsed by that sequence's unit
-                _value(units[sid][1])
-            else:  # no ground truth: checked row by row, and no track is kept
-                dataio.parse_mot_csv(f.read_text(), set())
-        pred_ids = set(csvs)
-    else:
-        preds = _value(dets)
-        for sid in (sid for sid in gt_ids if sid in preds):
-            size, want = preds[sid][0], units[sid][0]
-            if size != want:
-                raise AnnotationError(
-                    "$.image_size",
-                    f"sequence {sid}: detections are {size.width}x{size.height}, "
-                    f"annotations are {want.width}x{want.height}",
-                )
-        pred_ids = set(preds)
-
+def _paired_ids(sizes: dict[str, ImageSize], pred_ids: set[str]) -> list[str]:
+    """The annotated sequence ids, sorted, once each has predictions, each prediction has annotations, and all share one image size."""
+    gt_ids = sorted(sizes)
     missing = [sid for sid in gt_ids if sid not in pred_ids]
     if missing:
         raise PairingError(f"missing predictions for sequences: {', '.join(missing)}")
@@ -330,15 +291,86 @@ def _cmd_evaluate(args) -> int:
 
     # the aggregate is one evaluation of the concatenation, defined over one image size
     for sid in gt_ids[1:]:
-        want, got = units[gt_ids[0]][0], units[sid][0]
+        want, got = sizes[gt_ids[0]], sizes[sid]
         if got != want:
             raise AnnotationError(
                 "$.image_size",
                 f"sequences {gt_ids[0]} ({want.width}x{want.height}) and {sid} "
                 f"({got.width}x{got.height}) differ; the aggregate needs one image size",
             )
+    return gt_ids
 
-    per_seq = [_value(units[sid][2]) for sid in gt_ids]
+
+def _evaluate_tracks(files: list[Path], pred_path: Path, workers: int) -> list:
+    """The tracking task's per-sequence reports, in sequence id order."""
+    from . import report  # loads NumPy; before the fork, so each worker inherits it
+
+    def unit(f: Path):
+        """One annotation file from parse to report: (id, (image size, CSV parse, score)) as an outcome."""
+        ok, ann = _outcome(dataio.parse_annotations, f)
+        if not ok:
+            return False, ann
+        sid, parsed, scored = ann.sequence_id, None, None
+        csv = _csv_files(pred_path, sid if len(files) == 1 else None).get(sid)
+        if csv is not None:
+            ok, tracks = _outcome(lambda: dataio.parse_mot_csv(csv.read_text(), ann.frames))
+            parsed = (True, None) if ok else (False, tracks)  # the tracks stay in this process
+            if ok:
+                scored = _outcome(report.evaluate_sequence, ann, _tracks_as_detections(tracks), tracks)
+        return True, (sid, (ann.image_size, parsed, scored))
+
+    # replay every outcome in the order one process meets them, so no message depends on --workers
+    results = _map_forked(unit, files, workers)
+    units = _by_sequence((f, *_value(result)) for f, result in zip(files, results))
+    csvs = _csv_files(pred_path, next(iter(units)) if len(units) == 1 else None)
+    for sid, f in csvs.items():
+        if sid in units:  # parsed by that sequence's unit
+            _value(units[sid][1])
+        else:  # no ground truth: checked row by row, and no track is kept
+            dataio.parse_mot_csv(f.read_text(), set())
+    gt_ids = _paired_ids({sid: size for sid, (size, _, _) in units.items()}, set(csvs))
+    return [_value(units[sid][2]) for sid in gt_ids]
+
+
+def _evaluate_detections(files: list[Path], pred_path: Path, workers: int) -> list:
+    """A detections task's per-sequence reports, in sequence id order.
+
+    The annotations are parsed first, so their errors come before any in the
+    detections, and the detections keep records only on annotated frames,
+    the only ones scored.
+    """
+    parsed = ((f, dataio.parse_annotations(f)) for f in files)
+    anns = _by_sequence((f, ann.sequence_id, ann) for f, ann in parsed)
+    # detections files are keyed by the id inside them, so they are read before the sequences are dealt out
+    preds = _load_pred_detections(pred_path, set().union(*(ann.frames for ann in anns.values())))
+    for sid in sorted(anns.keys() & preds.keys()):
+        size, want = preds[sid][0], anns[sid].image_size
+        if size != want:
+            raise AnnotationError(
+                "$.image_size",
+                f"sequence {sid}: detections are {size.width}x{size.height}, "
+                f"annotations are {want.width}x{want.height}",
+            )
+    gt_ids = _paired_ids({sid: ann.image_size for sid, ann in anns.items()}, set(preds))
+    from . import report  # loads NumPy; before the fork, so each worker inherits it
+
+    def unit(sid: str):
+        return _outcome(report.evaluate_sequence, anns[sid], preds[sid][1], [])
+
+    return [_value(result) for result in _map_forked(unit, gt_ids, workers)]
+
+
+def _cmd_evaluate(args) -> int:
+    files = _json_files(Path(args.gt))
+    if not files:
+        raise ValueError(f"no .json annotation file in {Path(args.gt)}")
+    pred_path = Path(args.pred)
+    if args.task == "tracking":
+        per_seq = _evaluate_tracks(files, pred_path, args.workers)
+    else:
+        per_seq = _evaluate_detections(files, pred_path, args.workers)
+    from . import report
+
     entries = [report.sidecar_entry(r, args.task) for r in per_seq]
     aggregate = report.sidecar_entry(report.evaluate_sequences(per_seq), args.task)
 
@@ -376,7 +408,7 @@ def _cmd_forward(args) -> int:
     detections = kernels.emit_detections(kernels.toy_forward(video, params, dims), dims, args.cls_thresh)
     out = Path(args.out) if args.out else Path(args.video).with_suffix(".detections.json")
     size = ImageSize(dims.width, dims.height)
-    dataio.write_text(out, dump_json(dataio.write_detections(args.seq_id, size, detections)))
+    write_json(out, dataio.write_detections(args.seq_id, size, detections))
     total = sum(len(v) for v in detections.values())
     print(f"{args.seq_id}: {total} detections over {len(detections)} frames -> {out}")
     return 0

@@ -10,18 +10,28 @@ annotation stride carry ground truth; track ids are 1-based; keypoint
 visibility uses 0 = outside the frame, 1 = present but obscured,
 2 = clearly visible.
 
-dump_json is the package's only JSON writer (files and JSON stdout alike).
-Its text is the standard library's ``json.dumps(obj, indent=2,
+dump_json's text is the standard library's ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline, byte for byte, with floats spelled by
 ``float.__repr__``; it is faster only because it joins strings instead of
-running the stdlib's per-value Python encoder.
+running the stdlib's per-value Python encoder. write_json writes that text to
+a file one entry of a top-level list at a time, so a detections file's text
+is never held whole. These two are the package's JSON writers (files and
+JSON stdout alike).
+
+parse_detections reads a detections file READ_SIZE bytes and one frame entry
+at a time, and keeps records only on the frames it is given; any text it
+does not take goes through json.loads whole, so every error is the one the
+whole-text path gives.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
-from collections.abc import Container
+import re
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -252,16 +262,20 @@ def _parse_header(data: dict | str | Path, extra: tuple[str, ...] = ()) -> tuple
     return data, _as_image_size(data["image_size"])
 
 
-def _frame_entries(data: dict, items: str, stride: int = 1, frame_count: int | None = None):
-    """Yield (path, frame, item list) for each entry of $.frames.
+def _frames_list(data: dict) -> list:
+    if not isinstance(data["frames"], list):
+        raise AnnotationError("$.frames", "expected a list of frame entries")
+    return data["frames"]
+
+
+def _frame_entries(entries: Iterable, items: str, stride: int = 1, frame_count: int | None = None):
+    """Yield (path, frame, item list) for each entry of $.frames, taken from `entries` one at a time.
 
     Frames must be non-negative, strictly increasing, multiples of the stride,
     and inside [0, frame_count) when a frame count is given.
     """
-    if not isinstance(data["frames"], list):
-        raise AnnotationError("$.frames", "expected a list of frame entries")
     prev = -1
-    for i, entry in enumerate(data["frames"]):
+    for i, entry in enumerate(entries):
         fpath = f"$.frames[{i}]"
         _check_keys(entry, fpath, required=("frame", items))
         frame = _as_int(entry["frame"], f"{fpath}.frame")
@@ -362,7 +376,7 @@ def parse_annotations(data: dict | str | Path) -> SequenceAnnotation:
         raise AnnotationError("$.annotation_stride", f"must be positive, got {stride}")
 
     frames: dict[int, tuple[InstanceAnnotation, ...]] = {}
-    for fpath, frame, raw in _frame_entries(data, "instances", stride, frame_count):
+    for fpath, frame, raw in _frame_entries(_frames_list(data), "instances", stride, frame_count):
         instances = []
         seen_ids = set()
         for j, inst in enumerate(raw):
@@ -405,39 +419,190 @@ def write_annotations(seq: SequenceAnnotation) -> dict:
     }
 
 
-def parse_detections(data: dict | str | Path) -> tuple[str, ImageSize, dict[int, list[DetectionRecord]]]:
-    """Parse a detections document: sequence id, image size, frame -> detections."""
+def parse_detections(
+    data: dict | str | Path, frames: Container[int] | None = None, keep_pose: bool = True
+) -> tuple[str, ImageSize, dict[int, list[DetectionRecord]]]:
+    """Parse a detections document: sequence id, image size, frame -> detections.
+
+    Every entry is checked. With frames given, only the entries on those
+    frames become DetectionRecords; the rest are checked and dropped. With
+    keep_pose false, each pose is checked and the records carry none.
+
+    A path is decoded READ_SIZE bytes at a time, one $.frames entry at a
+    time, so no decoded tree of the whole file is ever held and a dropped
+    entry frees its memory before the next is read. At the first text or
+    value that this reader does not take (a JSON syntax error, a top level
+    that is not an object, any failed check), the whole text goes through
+    json.loads and the checks in document order, as a parsed dict or a JSON
+    string does; so the error raised, and its order among others, is the one
+    json.loads and those checks give.
+    """
+    if isinstance(data, Path):
+        try:
+            return _stream_detections(data, frames, keep_pose)
+        except (ValueError, RecursionError):
+            data = data.read_text()
     data, size = _parse_header(data)
-    frames: dict[int, list[DetectionRecord]] = {}
-    for fpath, frame, raw in _frame_entries(data, "detections"):
-        records = []
-        for j, det in enumerate(raw):
-            dpath = f"{fpath}.detections[{j}]"
-            _check_keys(det, dpath, required=("box", "score", "behavior_scores"), optional=("pose",))
-            box = _as_box(det["box"], f"{dpath}.box")
-            score = _as_number(det["score"], f"{dpath}.score")
-            if not 0.0 <= score <= 1.0:
-                raise AnnotationError(f"{dpath}.score", f"score must lie in [0, 1], got {score}")
-            raw_scores = det["behavior_scores"]
-            if not isinstance(raw_scores, list) or len(raw_scores) != BEHAVIOR_COUNT:
-                raise AnnotationError(f"{dpath}.behavior_scores", f"expected {BEHAVIOR_COUNT} scores")
-            scores = _as_numbers(raw_scores, f"{dpath}.behavior_scores")
-            if any(not 0.0 <= s <= 1.0 for s in scores):
-                raise AnnotationError(f"{dpath}.behavior_scores", "scores must lie in [0, 1]")
-            pose = None
-            if "pose" in det:
-                raw_pose = det["pose"]
-                if not isinstance(raw_pose, list) or len(raw_pose) != KEYPOINT_COUNT:
-                    raise AnnotationError(f"{dpath}.pose", f"expected {KEYPOINT_COUNT} joints")
-                joints = []
-                for k, p in enumerate(raw_pose):
-                    if not isinstance(p, list) or len(p) != 2:
-                        raise AnnotationError(f"{dpath}.pose[{k}]", "expected [x, y]")
-                    joints.append(_as_numbers(p, f"{dpath}.pose", k))
-                pose = tuple(joints)
-            records.append(DetectionRecord(box, score, scores, pose))
-        frames[frame] = records
-    return data["sequence_id"], size, frames
+    return data["sequence_id"], size, _detection_frames(_frames_list(data), frames, keep_pose)
+
+
+def _detection_frames(entries: Iterable, frames: Container[int] | None, keep_pose: bool) -> dict[int, list[DetectionRecord]]:
+    out: dict[int, list[DetectionRecord]] = {}
+    for fpath, frame, raw in _frame_entries(entries, "detections"):
+        records = [_detection(det, f"{fpath}.detections[{j}]", keep_pose) for j, det in enumerate(raw)]
+        if frames is None or frame in frames:
+            out[frame] = records
+    return out
+
+
+def _detection(det, dpath: str, keep_pose: bool) -> DetectionRecord:
+    _check_keys(det, dpath, required=("box", "score", "behavior_scores"), optional=("pose",))
+    box = _as_box(det["box"], f"{dpath}.box")
+    score = _as_number(det["score"], f"{dpath}.score")
+    if not 0.0 <= score <= 1.0:
+        raise AnnotationError(f"{dpath}.score", f"score must lie in [0, 1], got {score}")
+    raw_scores = det["behavior_scores"]
+    if not isinstance(raw_scores, list) or len(raw_scores) != BEHAVIOR_COUNT:
+        raise AnnotationError(f"{dpath}.behavior_scores", f"expected {BEHAVIOR_COUNT} scores")
+    scores = _as_numbers(raw_scores, f"{dpath}.behavior_scores")
+    if any(not 0.0 <= s <= 1.0 for s in scores):
+        raise AnnotationError(f"{dpath}.behavior_scores", "scores must lie in [0, 1]")
+    pose = None
+    if "pose" in det:
+        raw_pose = det["pose"]
+        if not isinstance(raw_pose, list) or len(raw_pose) != KEYPOINT_COUNT:
+            raise AnnotationError(f"{dpath}.pose", f"expected {KEYPOINT_COUNT} joints")
+        joints = []
+        for k, p in enumerate(raw_pose):
+            if not isinstance(p, list) or len(p) != 2:
+                raise AnnotationError(f"{dpath}.pose[{k}]", "expected [x, y]")
+            joints.append(_as_numbers(p, f"{dpath}.pose", k))
+        if keep_pose:
+            pose = tuple(joints)
+    return DetectionRecord(box, score, scores, pose)
+
+
+# bytes per read of a detections file: 256 KiB decode as fast as 1 MiB, which fault in more fresh pages
+READ_SIZE = 1 << 18
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # json's whitespace
+_decode = json.JSONDecoder().raw_decode  # json.loads's decoder, one value at a time
+
+
+def _stream_detections(path: Path, frames: Container[int] | None, keep_pose: bool):
+    """parse_detections of a file, one $.frames entry at a time; ValueError wherever it is not sure."""
+    header: dict[str, Any] = {}
+    with open(path) as f:  # the encoding, errors and newlines of Path.read_text
+        reader = _JsonReader(f)
+        for key in reader.keys():  # of repeated keys, the last one's value stays, as with json.loads
+            if key == "frames":
+                header[key] = []
+                records = _detection_frames(reader.items(), frames, keep_pose)
+            else:
+                header[key] = reader.value()
+        reader.end()
+    _, size = _parse_header(header)
+    return header["sequence_id"], size, records
+
+
+class _JsonReader:
+    """The top-level object of a JSON text, read from a text file READ_SIZE bytes at a time.
+
+    It takes a subset of what json.loads takes, an object with at least one
+    key, and decodes each value with json.loads's own decoder. Anything else
+    raises ValueError, and so does a JSON syntax error; the caller then reads
+    the text whole.
+    """
+
+    def __init__(self, file):
+        # bytes through the decoders Path.read_text's text file would use; the text file
+        # itself would also keep each read's bytes until the next one
+        self.raw = file.buffer
+        decoder = codecs.getincrementaldecoder(file.encoding)(file.errors)
+        self.decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+        self.text = ""
+        self.pos = 0  # the text before it is taken
+
+    def _more(self) -> bool:
+        """Drop the text taken and read at least READ_SIZE more bytes, and as many as characters are left; False at the end.
+
+        The text taken is freed before the read, and each read's bytes after
+        their decoding, so no more than the text left, one read's bytes or
+        text, and the join of the two texts are held at one time.
+        """
+        rest = self.text[self.pos :]
+        self.text, self.pos = "", 0
+        chunk = ""
+        while not chunk:  # a read can end inside a character or a "\r\n"
+            data = self.raw.read(max(READ_SIZE, len(rest)))
+            chunk = self.decoder.decode(data, final=not data)
+            if not data:
+                break
+        del data
+        self.text = rest + chunk
+        return bool(chunk)
+
+    def _peek(self) -> str:
+        """The next character after whitespace, not consumed; "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self._more():
+                return ""
+
+    def _take(self, chars: str) -> str:
+        """Consume the next character after whitespace, which must be one of chars."""
+        char = self._peek()
+        if not char or char not in chars:
+            raise ValueError(f"expected one of {chars!r} at {self.pos}, got {char!r}")
+        self.pos += 1
+        return char
+
+    def value(self):
+        """Decode the next value as json.loads would.
+
+        A value that fails may go on past the text read so far, so it is
+        decoded again with more. Only a number can decode short of its end
+        there, and then what follows its first part (a digit, ".", "e" or a
+        sign) fails the caller's next check.
+        """
+        self._peek()
+        while True:
+            try:
+                value, self.pos = _decode(self.text, self.pos)
+                return value
+            except json.JSONDecodeError:
+                pass  # read on outside this handler: its error holds the text read so far
+            if not self._more():
+                raise ValueError(f"no JSON value at {self.pos}")
+
+    def keys(self):
+        """Yield each key of the top-level object; the caller reads its value before taking the next."""
+        self._take("{")
+        while True:
+            if self._peek() != '"':
+                raise ValueError(f"expected a key at {self.pos}")
+            key = self.value()
+            self._take(":")
+            yield key
+            if self._take(",}") == "}":
+                return
+
+    def items(self):
+        """Yield each value of the array that comes next."""
+        self._take("[")
+        if self._peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self._take(",]") == "]":
+                return
+
+    def end(self) -> None:
+        if self._peek():
+            raise ValueError(f"extra data at {self.pos}")
 
 
 def write_detections(sequence_id: str, size: ImageSize, frames: dict[int, list[DetectionRecord]]) -> dict:
@@ -528,6 +693,66 @@ def write_text(path: Path, text: str) -> None:
     with open(path, "w") as f:
         for start in range(0, len(text), _WRITE_SLICE):
             f.write(text[start : start + _WRITE_SLICE])
+
+
+def write_json(path: Path, obj: Any) -> None:
+    """Write dump_json(obj) to path, one entry of a top-level list at a time.
+
+    The top-level lists are the document itself, or each list value of a
+    document that is an object (a detections file's "frames"). Each of their
+    entries is rendered and written on its own, so the whole text is never
+    held. The bytes are dump_json's, and the same inputs raise the same
+    TypeError or ValueError; then no file is left at path.
+    """
+    f = open(path, "w")
+    try:
+        with f:
+            for piece in _json_pieces(obj):
+                f.write(piece)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _json_pieces(obj):
+    """The text of dump_json(obj), in pieces: one for each entry of a top-level list."""
+    active: set = set()
+    if isinstance(obj, (list, tuple)) and obj:
+        yield from _json_entries(obj, "", active)
+        yield "\n"
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n  "
+        for k, v in sorted(obj.items()):
+            head = f"{sep}{_json_key(k)}: "
+            sep = ",\n  "
+            if isinstance(v, (list, tuple)) and v:
+                yield head
+                yield from _json_entries(v, "  ", active)
+            else:
+                parts = [head]
+                _json_value(v, "  ", active, parts)
+                yield "".join(parts)
+        yield "\n}\n"
+    else:
+        yield dump_json(obj)
+
+
+def _json_entries(values, pad: str, active: set):
+    """_json_list's text of a non-empty list, one piece per entry.
+
+    Rendering each entry alone gives the text and the errors of _json_list's
+    per-value path, which its fast paths match. The list and the top-level
+    object are not marked as open: a container met again inside itself is
+    then found one level further in, with the same ValueError.
+    """
+    inner = pad + "  "
+    sep = "[\n" + inner
+    for v in values:
+        parts = [sep]
+        _json_value(v, inner, active, parts)
+        yield "".join(parts)
+        sep = ",\n" + inner
+    yield f"\n{pad}]"
 
 
 def dump_json(obj: Any) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -158,36 +159,37 @@ def test_track_empty_detections_gives_empty_csv(tmp_path):
 FINITE = "expected a finite number, got"
 
 
-@pytest.mark.parametrize(
-    "keys, value, where, message",
-    [
-        (("frames", 0, "detections", 0, "box", 0), math.nan, "$.frames[0].detections[0].box[0]", f"{FINITE} nan"),
-        (("frames", 0, "detections", 0, "box", 2), math.inf, "$.frames[0].detections[0].box[2]", f"{FINITE} inf"),
-        (("frames", 0, "detections", 0, "box", 3), 10**400, "$.frames[0].detections[0].box[3]", f"{FINITE} {10**400}"),
-        (("frames", 0, "detections", 0, "pose", 3, 1), math.nan, "$.frames[0].detections[0].pose[3][1]", f"{FINITE} nan"),
-        (("image_size", "width"), 0, "$.image_size", "image size must be positive, got 0x64"),
-        (("image_size", "height"), -5, "$.image_size", "image size must be positive, got 64x-5"),
-        (("frames", 0, "detections", 0, "score"), math.inf, "$.frames[0].detections[0].score", f"{FINITE} inf"),
-        (
-            ("frames", 0, "detections", 0, "behavior_scores", 5),
-            math.nan,
-            "$.frames[0].detections[0].behavior_scores[5]",
-            f"{FINITE} nan",
-        ),
-        (("frames", 0, "detections", 0, "box", 1), True, "$.frames[0].detections[0].box[1]", "expected a number, got True"),
-    ],
-    ids=[
-        "nan-box",
-        "inf-box",
-        "huge-int-box",
-        "nan-pose-joint",
-        "zero-width",
-        "negative-height",
-        "inf-score",
-        "nan-behavior-score",
-        "bool-box",
-    ],
-)
+# (keys to the value in the detections document, the value, the error's path, its message)
+MALFORMED_DETECTIONS = [
+    (("frames", 0, "detections", 0, "box", 0), math.nan, "$.frames[0].detections[0].box[0]", f"{FINITE} nan"),
+    (("frames", 0, "detections", 0, "box", 2), math.inf, "$.frames[0].detections[0].box[2]", f"{FINITE} inf"),
+    (("frames", 0, "detections", 0, "box", 3), 10**400, "$.frames[0].detections[0].box[3]", f"{FINITE} {10**400}"),
+    (("frames", 0, "detections", 0, "pose", 3, 1), math.nan, "$.frames[0].detections[0].pose[3][1]", f"{FINITE} nan"),
+    (("image_size", "width"), 0, "$.image_size", "image size must be positive, got 0x64"),
+    (("image_size", "height"), -5, "$.image_size", "image size must be positive, got 64x-5"),
+    (("frames", 0, "detections", 0, "score"), math.inf, "$.frames[0].detections[0].score", f"{FINITE} inf"),
+    (
+        ("frames", 0, "detections", 0, "behavior_scores", 5),
+        math.nan,
+        "$.frames[0].detections[0].behavior_scores[5]",
+        f"{FINITE} nan",
+    ),
+    (("frames", 0, "detections", 0, "box", 1), True, "$.frames[0].detections[0].box[1]", "expected a number, got True"),
+]
+MALFORMED_DETECTIONS_IDS = [
+    "nan-box",
+    "inf-box",
+    "huge-int-box",
+    "nan-pose-joint",
+    "zero-width",
+    "negative-height",
+    "inf-score",
+    "nan-behavior-score",
+    "bool-box",
+]
+
+
+@pytest.mark.parametrize("keys, value, where, message", MALFORMED_DETECTIONS, ids=MALFORMED_DETECTIONS_IDS)
 def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, value, where, message):
     pose = tuple((float(k), float(k)) for k in range(16))
     record = DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9, None, pose)
@@ -201,6 +203,50 @@ def test_track_rejects_malformed_detections_with_path(tmp_path, capsys, keys, va
     assert main(["track", str(src), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == f"input error: {where}: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def malformed_detections_file(path, keys, value):
+    pose = tuple((float(k), float(k)) for k in range(16))
+    record = DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9, None, pose)
+    doc = dataio.write_detections("s", ImageSize(64, 64), {0: [record], 5: [record]})
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+
+
+@pytest.mark.parametrize(
+    "keys, value, where, message",
+    MALFORMED_DETECTIONS + [(("frames", 0, "frame"), -1, "$.frames[0].frame", "frames must be non-negative, got -1")],
+    ids=MALFORMED_DETECTIONS_IDS + ["negative-frame"],
+)
+def test_malformed_detections_fail_alike_at_every_read_size(tmp_path, capsys, monkeypatch, keys, value, where, message):
+    # track and evaluate read detections files in chunks; any cut gives the whole-text diagnostic
+    src = tmp_path / "dets.json"
+    malformed_detections_file(src, keys, value)
+    # on frame 0 and on frame 5, which has no annotations: both entries are checked
+    seq = dataio.SequenceAnnotation(
+        "s", ImageSize(64, 64), 10, 5, {0: (dataio.InstanceAnnotation(1, BoxXYXY(1.0, 2.0, 30.0, 40.0)),)}
+    )
+    gt = tmp_path / "gt.json"
+    gt.write_text(dataio.dump_json(dataio.write_annotations(seq)))
+    if keys[:2] == ("frames", 0):
+        shifted = tmp_path / "shifted.json"
+        malformed_detections_file(shifted, ("frames", 1, *keys[2:]), value)
+        sources = [(src, where), (shifted, where.replace("$.frames[0]", "$.frames[1]"))]
+    else:
+        sources = [(src, where)]
+    for path, at in sources:
+        for size in (1, 7, 64, 1 << 20):
+            monkeypatch.setattr(dataio, "READ_SIZE", size)
+            commands = [["track", str(path)]] + [
+                ["evaluate", "--task", task, "--gt", str(gt), "--pred", str(path)] for task in ("detection", "pose")
+            ]
+            for argv in commands:
+                assert main([*argv, "--out", str(tmp_path / "out")]) == 2, (argv, size)
+                assert capsys.readouterr().err == f"input error: {at}: {message}\n", (argv, size)
+                assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_rejects_non_finite_annotation_pose_joint_with_path(tmp_path, capsys):
@@ -589,9 +635,32 @@ def mixed_image_sizes(gt_dir, pred_dir):
     return "detection", 2, "input error: $.image_size: sequences synth-1 (640x480) and synth-2 (320x480) differ"
 
 
+def bad_detection_on_an_unannotated_frame(gt_dir, pred_dir):
+    # its records are not kept, since the frame is not scored, but the entry is still checked
+    doc = json.loads((pred_dir / "synth-2.json").read_text())
+    entry = next(i for i, e in enumerate(doc["frames"]) if e["frame"] % 10 and e["detections"])
+    doc["frames"][entry]["detections"][0]["score"] = 1.5
+    (pred_dir / "synth-2.json").write_text(json.dumps(doc))
+    return "pose", 2, f"input error: $.frames[{entry}].detections[0].score: score must lie in [0, 1], got 1.5"
+
+
+def annotation_error_before_a_detections_error(gt_dir, pred_dir):
+    bad_detection_on_an_unannotated_frame(gt_dir, pred_dir)
+    _, code, message = break_second_annotation(gt_dir, pred_dir)
+    return "detection", code, message
+
+
 @pytest.mark.parametrize(
     "breakage",
-    [break_second_annotation, break_third_csv, stray_csv_and_a_missing_sequence, duplicate_sequence_id, mixed_image_sizes],
+    [
+        break_second_annotation,
+        break_third_csv,
+        stray_csv_and_a_missing_sequence,
+        duplicate_sequence_id,
+        mixed_image_sizes,
+        bad_detection_on_an_unannotated_frame,
+        annotation_error_before_a_detections_error,
+    ],
 )
 def test_evaluate_errors_do_not_depend_on_workers(tmp_path, capsys, bounded, breakage):
     widths = {2: 320} if breakage is mixed_image_sizes else None
@@ -1071,6 +1140,50 @@ def test_importing_cli_loads_no_numerical_module():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("task", ["detection", "pose", "behavior"])
+def test_evaluate_keeps_detections_on_annotated_frames_only(tmp_path, monkeypatch, capsys, task):
+    # the union of the annotated frames over the gt files; one sequence has stride 5, the other 10
+    from chimptrack import report
+
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for seed, stride in ((1, "5"), (2, "10")):
+        scene = make_scene(tmp_path / f"s{seed}", extra=["--seed", str(seed), "--stride", stride, "--fp-rate", "0.5"])
+        (gt_dir / f"synth-{seed}.json").write_bytes((scene / "annotations.json").read_bytes())
+        (pred_dir / f"synth-{seed}.json").write_bytes((scene / "detections_noisy.json").read_bytes())
+    scored, evaluate_sequence = {}, report.evaluate_sequence
+
+    def recording(annotation, detections, tracks):
+        scored[annotation.sequence_id] = detections
+        return evaluate_sequence(annotation, detections, tracks)
+
+    monkeypatch.setattr(report, "evaluate_sequence", recording)
+    assert main(["evaluate", "--task", task, "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(tmp_path / "m.json")]) == 0
+    annotated = set(range(0, 30, 5))
+    for seed in (1, 2):
+        _, _, every = dataio.parse_detections(pred_dir / f"synth-{seed}.json")
+        assert scored[f"synth-{seed}"] == {f: v for f, v in every.items() if f in annotated}
+    capsys.readouterr()
+
+
+def test_track_keeps_no_pose(tmp_path, monkeypatch):
+    # neither the tracker nor the MOT CSV reads one; the poses are still checked
+    scene = make_scene(tmp_path)
+    fed = []
+    run_tracker = cli.run_tracker
+
+    def recording(detections, config):
+        fed.extend(d for dets in detections.values() for d in dets)
+        return run_tracker(detections, config)
+
+    monkeypatch.setattr(cli, "run_tracker", recording)
+    assert main(["track", str(scene / "detections_noisy.json"), "--out", str(tmp_path / "pred.csv")]) == 0
+    _, _, every = dataio.parse_detections(scene / "detections_noisy.json")
+    assert fed == [dataclasses.replace(d, pose=None) for dets in every.values() for d in dets]
+    assert any(d.pose is not None for dets in every.values() for d in dets)
+
+
 @pytest.mark.parametrize("task", ["track", "pose", "detection", "behavior"])
 def test_detections_are_parsed_before_numpy_loads(tmp_path, task):
     # the parse's freed pages then take the NumPy import, so the two do not add up in the peak
@@ -1085,9 +1198,9 @@ def test_detections_are_parsed_before_numpy_loads(tmp_path, task):
         "from chimptrack import dataio\n"
         "from chimptrack.cli import main\n"
         "parse, seen = dataio.parse_detections, []\n"
-        "def parse_detections(*args):\n"
+        "def parse_detections(*args, **kwargs):\n"
         "    seen.append('numpy' in sys.modules)\n"
-        "    return parse(*args)\n"
+        "    return parse(*args, **kwargs)\n"
         "dataio.parse_detections = parse_detections\n"
         f"assert main({argv!r}) == 0\n"
         "print(seen)\n"
@@ -1211,8 +1324,9 @@ def test_synth_runs_without_numpy(tmp_path):
 
 
 def test_bench_wrap_points_are_looked_up_per_call(tmp_path, monkeypatch):
-    # perfbench/traced.py times the tracker and the JSON writer by replacing these two cli globals
-    calls = {"run_tracker": 0, "dump_json": 0}
+    # perfbench/traced.py times the tracker and the JSON text writer by replacing these cli globals;
+    # write_json, which writes synth's and forward's files, is looked up the same way
+    calls = {"run_tracker": 0, "dump_json": 0, "write_json": 0}
 
     def counting(name):
         original = getattr(cli, name)
@@ -1227,7 +1341,9 @@ def test_bench_wrap_points_are_looked_up_per_call(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, counting(name))
     scene = make_scene(tmp_path)
     assert main(["track", str(scene / "detections_noisy.json"), "--out", str(tmp_path / "pred.csv")]) == 0
-    assert calls == {"run_tracker": 1, "dump_json": 3}
+    gt, pred = str(scene / "annotations.json"), str(tmp_path / "pred.csv")
+    assert main(["evaluate", "--gt", gt, "--pred", pred, "--out", str(tmp_path / "m.json")]) == 0
+    assert calls == {"run_tracker": 1, "dump_json": 1, "write_json": 3}
 
 
 def load_traced():

@@ -272,6 +272,226 @@ def test_parse_detections_requires_increasing_frames():
         parse_detections(doc)
 
 
+def test_parse_detections_keeps_records_on_the_given_frames_only():
+    doc = write_detections("s", ImageSize(320, 240), sample_detections())
+    _, _, everything = parse_detections(doc)
+    for frames in (set(), {0}, {3, 7}, {0, 3, 7}, {1, 100}):
+        assert parse_detections(doc, frames)[2] == {f: v for f, v in everything.items() if f in frames}, frames
+    annotated = {0: (), 10: ()}  # SequenceAnnotation.frames, as evaluate passes the union of them
+    assert parse_detections(doc, annotated)[2] == {0: everything[0]}
+
+
+def test_parse_detections_checks_poses_it_does_not_keep():
+    doc = write_detections("s", ImageSize(320, 240), sample_detections())
+    _, _, everything = parse_detections(doc)
+    _, _, bare = parse_detections(doc, keep_pose=False)
+    assert bare == {f: [DetectionRecord(d.box, d.score, d.behavior_scores) for d in v] for f, v in everything.items()}
+    doc["frames"][2]["detections"][0]["pose"] = [[1.0, 2.0]] * 15 + [[1.0, math.nan]]
+    for frames in (None, set()):
+        with pytest.raises(AnnotationError) as info:
+            parse_detections(doc, frames, keep_pose=False)
+        assert str(info.value) == f"$.frames[2].detections[0].pose[15][1]: expected a finite number, got nan"
+
+
+# ---------------------------------------------------------- chunked reader
+
+READ_SIZES = (1, 7, 64)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _read_alike(monkeypatch, path, **kwargs):
+    """parse_detections(path) at every read size; each must give the whole text's outcome, which is returned."""
+    want = _outcome(lambda: parse_detections(path.read_text(), **kwargs))
+    for size in (*READ_SIZES, dataio.READ_SIZE):
+        monkeypatch.setattr(dataio, "READ_SIZE", size)
+        assert _outcome(parse_detections, path, **kwargs) == want, size
+    return want
+
+
+def _detections_text(**edits) -> str:
+    pose = tuple((1.5 * k, 2.0 * k + 0.25) for k in range(KEYPOINT_COUNT))
+    frames = {
+        0: [DetectionRecord(BoxXYXY(1.0, 2.0, 30.0, 40.0), 0.9, None, pose)],
+        4: [],
+        6: [DetectionRecord(BoxXYXY(10.0, 12.0, 20.0, 24.0), 0.25, (0.5,) * BEHAVIOR_COUNT)] * 2,
+    }
+    doc = write_detections("s", ImageSize(64, 48), frames)
+    doc.update(edits)
+    return dataio.dump_json(doc)
+
+
+def _edited(edit):
+    def text():
+        doc = json.loads(_detections_text())
+        edit(doc)
+        return json.dumps(doc)  # NaN and Infinity as Python's json writes them
+
+    return text
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+VALID_TEXTS = {
+    "canonical": _detections_text,
+    "compact": lambda: json.dumps(json.loads(_detections_text()), separators=(",", ":")),
+    "header-first": lambda: json.dumps(json.loads(_detections_text()), sort_keys=False),
+    "crlf-and-tabs": lambda: _detections_text().replace("\n", "\r\n").replace("  ", "\t"),
+    "no-frames": lambda: _detections_text(frames=[]),
+    "integer-numbers": _edited(_set("frames", 0, "detections", 0, "box", [1, 2, 30, 40])),
+    "escaped-key": lambda: _detections_text().replace('"frames"', '"fr\\u0061mes"'),
+    # json.loads keeps the last of repeated keys
+    "repeated-sequence-id": lambda: _detections_text().replace('{\n  "frames"', '{\n  "sequence_id": 7,\n  "frames"', 1),
+    "repeated-frames": lambda: _detections_text().replace('{\n  "frames"', '{\n  "frames": [],\n  "frames"', 1),
+    "repeated-frames-last-empty": lambda: _detections_text().replace("\n}", ',\n  "frames": []\n}'),
+}
+
+# valid, but the chunked read leaves them to json.loads
+VALID_THROUGH_JSON_LOADS = {
+    "repeated-frames-first-bad": lambda: _detections_text().replace('{\n  "frames"', '{\n  "frames": [7],\n  "frames"', 1),
+}
+
+MALFORMED_TEXTS = {
+    "score-above-1": _edited(_set("frames", 0, "detections", 0, "score", 1.5)),
+    "seven-behavior-scores": _edited(_set("frames", 2, "detections", 1, "behavior_scores", [0.5] * 7)),
+    "decreasing-frames": _edited(lambda doc: doc["frames"].reverse()),
+    "nan-pose-joint": _edited(_set("frames", 0, "detections", 0, "pose", 3, 1, math.nan)),
+    "huge-int-box": _edited(_set("frames", 2, "detections", 0, "box", 3, 10**400)),
+    "negative-frame": _edited(_set("frames", 0, "frame", -1)),
+    "zero-width": _edited(_set("image_size", "width", 0)),
+    # a read that cuts it ends the chunked read: the whole text is read instead
+    "long-schema-version": _edited(_set("schema_version", 12345678901234567890)),
+    "bad-header-after-a-bad-frame": _edited(
+        lambda doc: (_set("schema_version", 2)(doc), _set("frames", 1, "frame", 5)(doc))
+    ),
+    "unknown-top-level-key": _edited(_set("extra", 1)),
+    "frames-not-a-list": _edited(_set("frames", {"0": []})),
+    "no-frames-key": _edited(lambda doc: doc.pop("frames")),
+    "entry-not-an-object": _edited(_set("frames", 1, [4, []])),
+    "top-level-list": lambda: f"[{_detections_text()}]",
+    "top-level-number": lambda: "1.5e3",
+    "empty-object": lambda: "{ }",
+    "empty-file": lambda: "",
+    "extra-data": lambda: _detections_text() + "{}",
+    "byte-order-mark": lambda: "﻿" + _detections_text(),
+    "trailing-comma": lambda: _detections_text().replace("\n  ],\n", ",\n  ],\n", 1),
+    "frame-error-then-syntax-error": lambda: _edited(_set("frames", 0, "frame", -1))()[:-1],
+    "deep-nesting": lambda: _detections_text().replace("[]", "[" * 100_000 + "]" * 100_000, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_TEXTS))
+def test_the_chunked_reader_reads_valid_files_without_json_loads(tmp_path, monkeypatch, name):
+    path = tmp_path / "dets.json"
+    path.write_text(VALID_TEXTS[name](), newline="")
+    for kwargs in ({}, {"frames": {0, 5}}, {"keep_pose": False}):
+        want = _read_alike(monkeypatch, path, **kwargs)
+        assert want[0] == "s", want
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole text went through json.loads")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "loads", refuse)
+            for size in (*READ_SIZES, 1 << 20):
+                patched.setattr(dataio, "READ_SIZE", size)
+                assert parse_detections(path, **kwargs) == want, size
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TEXTS))
+def test_the_chunked_reader_fails_as_the_whole_text_does(tmp_path, monkeypatch, name):
+    path = tmp_path / "dets.json"
+    path.write_text(MALFORMED_TEXTS[name](), newline="")
+    for kwargs in ({}, {"frames": set(), "keep_pose": False}):
+        got = _read_alike(monkeypatch, path, **kwargs)
+        assert isinstance(got[0], type) and issubclass(got[0], (ValueError, RecursionError)), got
+
+
+@pytest.mark.parametrize("name", sorted(VALID_THROUGH_JSON_LOADS))
+def test_the_chunked_reader_leaves_other_valid_files_to_json_loads(tmp_path, monkeypatch, name):
+    path = tmp_path / "dets.json"
+    path.write_text(VALID_THROUGH_JSON_LOADS[name]())
+    assert _read_alike(monkeypatch, path) == parse_detections(json.loads(path.read_text()))
+
+
+def test_the_chunked_reader_reports_undecodable_bytes_as_read_text_does(tmp_path, monkeypatch):
+    path = tmp_path / "dets.json"
+    path.write_bytes(_detections_text().encode().replace(b'"s"', b'"\xff"'))
+    got = _read_alike(monkeypatch, path)
+    assert got[0] is UnicodeDecodeError, got
+
+
+def test_a_cut_detections_file_gives_json_loads_error(tmp_path, monkeypatch):
+    text = _detections_text(frames=[{"frame": 3, "detections": []}])
+    path = tmp_path / "cut.json"
+    for size in READ_SIZES:
+        monkeypatch.setattr(dataio, "READ_SIZE", size)
+        for end in range(len(text.rstrip())):  # every cut but the whole document
+            path.write_text(text[:end])
+            with pytest.raises(json.JSONDecodeError) as want:
+                json.loads(text[:end])
+            with pytest.raises(json.JSONDecodeError) as got:
+                parse_detections(path)
+            assert str(got.value) == str(want.value), (size, end)
+
+
+def _uniform_detections(path, frames: int, per_frame: int = 20) -> int:
+    """A file of `frames` entries of `per_frame` detections each, in one-line JSON; returns its size.
+
+    Without poses: tracemalloc makes every allocation slow, and a pose is 49 of them.
+    """
+    record = DetectionRecord(BoxXYXY(1.5, 2.5, 30.5, 40.5), 0.5, (0.25,) * BEHAVIOR_COUNT)
+    entry = json.dumps(write_detections("s", ImageSize(64, 64), {0: [record] * per_frame})["frames"][0])
+    assert entry.startswith('{"frame": 0, ')
+    with open(path, "w") as f:
+        f.write('{"schema_version": 1, "sequence_id": "s", "image_size": {"width": 64, "height": 64}, "frames": [')
+        f.write(", ".join(entry.replace('"frame": 0', f'"frame": {k}', 1) for k in range(frames)))
+        f.write("]}\n")
+    return path.stat().st_size
+
+
+def test_the_reader_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # a reader that decodes or keeps the whole file grows with it: 20 x 2,000 is 10 times 20 x 200.
+    # Reads of 256 KiB split even the small file (0.8 MB) into several, as 1 MiB reads split longer ones
+    import tracemalloc
+
+    monkeypatch.setattr(dataio, "READ_SIZE", 1 << 18)
+    peaks, kept, sizes = [], [], []
+    for frames in (200, 2_000):
+        path = tmp_path / f"dets-{frames}.json"
+        sizes.append(_uniform_detections(path, frames))
+        tracemalloc.start()
+        try:
+            _, _, records = parse_detections(path, frames=set())
+            kept.append(tracemalloc.get_traced_memory()[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert records == {}
+    # each peak is about two reads' worth (a read's bytes and text, or its text and its join to the
+    # text left) plus one entry
+    assert peaks[1] < 1.05 * peaks[0], (peaks, sizes)
+    assert peaks[1] < 3 * dataio.READ_SIZE, (peaks, sizes)
+    # frames=set() keeps no record: what is left after the call does not grow either
+    assert kept[1] < 64 * 1024, kept
+
+
 # ----------------------------------------------------------------- MOT CSV
 
 
@@ -369,14 +589,19 @@ def _assert_same_text(doc):
 
 @pytest.fixture
 def dumped(monkeypatch):
-    """Every document the CLI passes to dump_json, in call order."""
+    """Every document the CLI passes to dump_json or write_json, in call order."""
     docs = []
 
     def record(obj):
         docs.append(obj)
         return dataio.dump_json(obj)
 
+    def record_file(path, obj):
+        docs.append(obj)
+        dataio.write_json(path, obj)
+
     monkeypatch.setattr(cli, "dump_json", record)
+    monkeypatch.setattr(cli, "write_json", record_file)
     return docs
 
 
@@ -525,47 +750,47 @@ def _cycle_dict():
     return doc
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        np.int64(3),
-        {"n": np.int64(3)},
-        [1.0, 2.0, np.float32(1.0)],
-        [1.0, np.bool_(True)],
-        [[1.0, 2], [3, np.int64(4)]],
-        [[1.0, 2], [3, complex(1, 2)]],
-        {1, 2},
-        {"s": frozenset()},
-        {1: 0, "a": 0},
-        {None: 0, True: 1},
-        {(1, 2): 0},
-        {"a": [1.0, object()]},
-        {"b": b"bytes"},
-        [complex(1, 2)],
-        {"x": np.array([1.0])},
-        _cycle_list(),
-        _cycle_dict(),
-    ],
-    ids=[
-        "int64",
-        "int64-value",
-        "float32-in-float-list",
-        "numpy-bool",
-        "int64-in-number-row",
-        "complex-in-number-row",
-        "set",
-        "frozenset-value",
-        "mixed-key-types",
-        "none-and-bool-keys",
-        "tuple-key",
-        "object-in-list",
-        "bytes",
-        "complex",
-        "ndarray",
-        "circular-list",
-        "circular-dict",
-    ],
-)
+UNSERIALIZABLE = [
+    np.int64(3),
+    {"n": np.int64(3)},
+    [1.0, 2.0, np.float32(1.0)],
+    [1.0, np.bool_(True)],
+    [[1.0, 2], [3, np.int64(4)]],
+    [[1.0, 2], [3, complex(1, 2)]],
+    {1, 2},
+    {"s": frozenset()},
+    {1: 0, "a": 0},
+    {None: 0, True: 1},
+    {(1, 2): 0},
+    {"a": [1.0, object()]},
+    {"b": b"bytes"},
+    [complex(1, 2)],
+    {"x": np.array([1.0])},
+    _cycle_list(),
+    _cycle_dict(),
+]
+UNSERIALIZABLE_IDS = [
+    "int64",
+    "int64-value",
+    "float32-in-float-list",
+    "numpy-bool",
+    "int64-in-number-row",
+    "complex-in-number-row",
+    "set",
+    "frozenset-value",
+    "mixed-key-types",
+    "none-and-bool-keys",
+    "tuple-key",
+    "object-in-list",
+    "bytes",
+    "complex",
+    "ndarray",
+    "circular-list",
+    "circular-dict",
+]
+
+
+@pytest.mark.parametrize("doc", UNSERIALIZABLE, ids=UNSERIALIZABLE_IDS)
 def test_dump_json_raises_where_stdlib_raises(doc):
     with pytest.raises((TypeError, ValueError)) as expected:
         oracles.stdlib_dump_json(doc)
@@ -573,6 +798,53 @@ def test_dump_json_raises_where_stdlib_raises(doc):
         dataio.dump_json(doc)
     assert got.type is expected.type
     assert str(got.value) == str(expected.value)
+
+
+def _written(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    dataio.write_json(path, doc)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS, ids=[str(i) for i in range(len(EDGE_DOCUMENTS))])
+def test_write_json_writes_the_dump_json_text_on_edge_cases(tmp_path, doc):
+    assert _written(tmp_path, doc) == _assert_same_text(doc)
+    # each top-level list value of an object is written entry by entry too
+    wrapped = {"frames": doc, "a": [doc], "z": doc}
+    assert _written(tmp_path, wrapped) == _assert_same_text(wrapped)
+
+
+def test_write_json_writes_the_dump_json_text_on_random_documents(tmp_path):
+    rng = Xoshiro256(2025)
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert _written(tmp_path, doc) == _assert_same_text(doc)
+        wrapped = {"frames": doc, "image_size": [doc, doc]}
+        assert _written(tmp_path, wrapped) == _assert_same_text(wrapped)
+
+
+@pytest.mark.parametrize("doc", UNSERIALIZABLE, ids=UNSERIALIZABLE_IDS)
+def test_write_json_raises_where_stdlib_raises_and_leaves_no_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    # as a document, and as the second entry of a list written entry by entry, after the first is written
+    for wrapped in (doc, {"a": 1, "frames": [{"frame": 0}, doc]}):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            oracles.stdlib_dump_json(wrapped)
+        with pytest.raises(expected.type) as got:
+            dataio.write_json(path, wrapped)
+        assert str(got.value) == str(expected.value)
+        assert not path.exists()
+
+
+def test_write_json_renders_one_top_level_entry_at_a_time(tmp_path, monkeypatch):
+    # no piece written holds more than one frame entry, so the whole text is never held
+    entry = {"frame": 0, "detections": [{"box": [1.0, 2.0, 3.0, 4.0], "score": 0.5}] * 3}
+    doc = {"frames": [dict(entry, frame=k) for k in range(50)], "sequence_id": "s"}
+    pieces = list(dataio._json_pieces(doc))
+    assert "".join(pieces) == dataio.dump_json(doc)
+    assert max(map(len, pieces)) < 1.1 * len(dataio.dump_json(doc)) / 50
+    monkeypatch.setattr(dataio, "dump_json", None)  # nor is the whole text built
+    assert _written(tmp_path, doc) == oracles.stdlib_dump_json(doc)
 
 
 def test_dump_json_does_not_run_the_stdlib_encoder(monkeypatch):
