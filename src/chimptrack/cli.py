@@ -40,11 +40,12 @@ at a time (dataio.write_json), so no command holds a file's text or its
 decoded tree whole. track and evaluate parse their detections files before
 they import the modules that load NumPy (about 17 MB), whose import then
 reuses the pages the parse freed; a malformed file is reported before NumPy
-loads. track keeps no pose, which neither the tracker nor the MOT CSV reads,
-and evaluate's detection tasks keep records only on annotated frames, the
-only ones scored; every entry is still checked. synth writes the annotations
-and drops the scene, keeping only its clean detections; it writes those,
-perturbs them, drops them and writes the noisy ones.
+loads. track keeps only each detection's box and score, all that the tracker
+and the MOT CSV read, and evaluate's detection tasks keep records only on
+annotated frames, the only ones scored; every entry is still checked. synth
+writes the annotations and drops the scene, keeping only its clean
+detections; it writes those, perturbs them, drops them and writes the noisy
+ones.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller set
 it, so every command runs NumPy with one BLAS thread. OpenBLAS would
@@ -157,8 +158,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    # neither the tracker nor the MOT CSV reads a pose
-    sequence_id, size, detections = dataio.parse_detections(Path(args.detections), keep_pose=False)
+    # the tracker and the MOT CSV read only boxes and scores
+    sequence_id, size, detections = dataio.parse_detections(Path(args.detections), boxes_only=True)
     from .tracker import TrackerConfig
 
     config = TrackerConfig(
@@ -169,7 +170,7 @@ def _cmd_track(args) -> int:
     )
     tracks = run_tracker(detections, config)
     out = Path(args.out) if args.out else Path(args.detections).with_suffix(".csv")
-    dataio.write_text(out, dataio.write_mot_csv(tracks))
+    out.write_text(dataio.write_mot_csv(tracks))
     print(f"{sequence_id}: {len(tracks)} tracked boxes -> {out}")
     return 0
 
@@ -214,7 +215,7 @@ def _csv_files(path: Path, sole: str | None) -> dict[str, Path]:
 def _tracks_as_detections(tracks: list[TrackedBox]) -> dict[int, list[DetectionRecord]]:
     out: dict[int, list[DetectionRecord]] = {}
     for t in tracks:
-        out.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score, t.behavior_scores))
+        out.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score))
     return out
 
 
@@ -381,7 +382,7 @@ def _cmd_evaluate(args) -> int:
     }
     out = Path(args.out) if args.out else pred_path.with_name(pred_path.name + ".metrics.json")
     text = dump_json(sidecar)
-    dataio.write_text(out, text)
+    out.write_text(text)
 
     if args.format == "json":
         print(text, end="")

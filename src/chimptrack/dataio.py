@@ -166,7 +166,6 @@ class TrackedBox:
     track_id: int
     box: BoxXYXY
     score: float = 1.0
-    behavior_scores: tuple[float, ...] | None = None
 
 
 class AnnotationError(ValueError):
@@ -420,13 +419,14 @@ def write_annotations(seq: SequenceAnnotation) -> dict:
 
 
 def parse_detections(
-    data: dict | str | Path, frames: Container[int] | None = None, keep_pose: bool = True
+    data: dict | str | Path, frames: Container[int] | None = None, boxes_only: bool = False
 ) -> tuple[str, ImageSize, dict[int, list[DetectionRecord]]]:
     """Parse a detections document: sequence id, image size, frame -> detections.
 
     Every entry is checked. With frames given, only the entries on those
     frames become DetectionRecords; the rest are checked and dropped. With
-    keep_pose false, each pose is checked and the records carry none.
+    boxes_only, each pose and behavior score is checked and the records carry
+    only their box and score.
 
     A path is decoded READ_SIZE bytes at a time, one $.frames entry at a
     time, so no decoded tree of the whole file is ever held and a dropped
@@ -439,23 +439,23 @@ def parse_detections(
     """
     if isinstance(data, Path):
         try:
-            return _stream_detections(data, frames, keep_pose)
+            return _stream_detections(data, frames, boxes_only)
         except (ValueError, RecursionError):
             data = data.read_text()
     data, size = _parse_header(data)
-    return data["sequence_id"], size, _detection_frames(_frames_list(data), frames, keep_pose)
+    return data["sequence_id"], size, _detection_frames(_frames_list(data), frames, boxes_only)
 
 
-def _detection_frames(entries: Iterable, frames: Container[int] | None, keep_pose: bool) -> dict[int, list[DetectionRecord]]:
+def _detection_frames(entries: Iterable, frames: Container[int] | None, boxes_only: bool) -> dict[int, list[DetectionRecord]]:
     out: dict[int, list[DetectionRecord]] = {}
     for fpath, frame, raw in _frame_entries(entries, "detections"):
-        records = [_detection(det, f"{fpath}.detections[{j}]", keep_pose) for j, det in enumerate(raw)]
+        records = [_detection(det, f"{fpath}.detections[{j}]", boxes_only) for j, det in enumerate(raw)]
         if frames is None or frame in frames:
             out[frame] = records
     return out
 
 
-def _detection(det, dpath: str, keep_pose: bool) -> DetectionRecord:
+def _detection(det, dpath: str, boxes_only: bool) -> DetectionRecord:
     _check_keys(det, dpath, required=("box", "score", "behavior_scores"), optional=("pose",))
     box = _as_box(det["box"], f"{dpath}.box")
     score = _as_number(det["score"], f"{dpath}.score")
@@ -477,8 +477,9 @@ def _detection(det, dpath: str, keep_pose: bool) -> DetectionRecord:
             if not isinstance(p, list) or len(p) != 2:
                 raise AnnotationError(f"{dpath}.pose[{k}]", "expected [x, y]")
             joints.append(_as_numbers(p, f"{dpath}.pose", k))
-        if keep_pose:
-            pose = tuple(joints)
+        pose = tuple(joints)
+    if boxes_only:
+        return DetectionRecord(box, score)
     return DetectionRecord(box, score, scores, pose)
 
 
@@ -489,7 +490,7 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*")  # json's whitespace
 _decode = json.JSONDecoder().raw_decode  # json.loads's decoder, one value at a time
 
 
-def _stream_detections(path: Path, frames: Container[int] | None, keep_pose: bool):
+def _stream_detections(path: Path, frames: Container[int] | None, boxes_only: bool):
     """parse_detections of a file, one $.frames entry at a time; ValueError wherever it is not sure."""
     header: dict[str, Any] = {}
     with open(path) as f:  # the encoding, errors and newlines of Path.read_text
@@ -497,7 +498,7 @@ def _stream_detections(path: Path, frames: Container[int] | None, keep_pose: boo
         for key in reader.keys():  # of repeated keys, the last one's value stays, as with json.loads
             if key == "frames":
                 header[key] = []
-                records = _detection_frames(reader.items(), frames, keep_pose)
+                records = _detection_frames(reader.items(), frames, boxes_only)
             else:
                 header[key] = reader.value()
         reader.end()
@@ -679,20 +680,6 @@ def parse_mot_csv(text: str, frames: Container[int] | None = None) -> list[Track
         if frames is None or frame - 1 in frames:
             tracks.append(TrackedBox(frame - 1, track_id, BoxXYXY(x, y, x + w, y + h), conf))
     return tracks
-
-
-_WRITE_SLICE = 1 << 16
-
-
-def write_text(path: Path, text: str) -> None:
-    """Path.write_text(text), encoded and written 64 KiB at a time.
-
-    Encoding a str in one piece makes a bytes copy of all of it, several MB
-    for a detections file; slices keep that copy small.
-    """
-    with open(path, "w") as f:
-        for start in range(0, len(text), _WRITE_SLICE):
-            f.write(text[start : start + _WRITE_SLICE])
 
 
 def write_json(path: Path, obj: Any) -> None:

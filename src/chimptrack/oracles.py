@@ -478,7 +478,7 @@ def combine_sequences(
             if 0 <= frame < annotation.frame_count:  # keep shifted ranges disjoint
                 detections[frame + frame_base] = list(recs)
         tracks.extend(
-            TrackedBox(t.frame + frame_base, t.track_id + pred_base, t.box, t.score, t.behavior_scores)
+            TrackedBox(t.frame + frame_base, t.track_id + pred_base, t.box, t.score)
             for t in seq_tracks
             if 0 <= t.frame < annotation.frame_count
         )
@@ -702,7 +702,7 @@ def scalar_track(frames, config: tracker.TrackerConfig = tracker.TrackerConfig()
             t.hits += 1
             t.misses = 0
             if t.hits >= config.min_hits or count <= config.min_hits:
-                emitted.append(TrackedBox(frame, t.track_id, _scalar_box(t.mean), det.score, det.behavior_scores))
+                emitted.append(TrackedBox(frame, t.track_id, _scalar_box(t.mean), det.score))
         for i in unmatched_t:
             tracks[i].misses += 1
         tracks = [t for t in tracks if t.misses <= config.max_misses]
@@ -711,7 +711,7 @@ def scalar_track(frames, config: tracker.TrackerConfig = tracker.TrackerConfig()
             mean[:4] = _scalar_measurement(high[i].box)
             tracks.append(_ScalarTrack(next_id, mean, tracker._P0.copy()))
             if count <= config.min_hits:
-                emitted.append(TrackedBox(frame, next_id, _scalar_box(mean), high[i].score, high[i].behavior_scores))
+                emitted.append(TrackedBox(frame, next_id, _scalar_box(mean), high[i].score))
             next_id += 1
         return sorted(emitted, key=lambda t: t.track_id)
 

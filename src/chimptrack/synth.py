@@ -307,7 +307,7 @@ def perturb_tracks(
             box = t.box
             if noise.box_jitter > 0.0:
                 box = _jitter_box(box, rng, noise.box_jitter, size)
-            kept.append(TrackedBox(t.frame, t.track_id, box, t.score, t.behavior_scores))
+            kept.append(TrackedBox(t.frame, t.track_id, box, t.score))
         if noise.id_swap_rate and rng.random() < noise.id_swap_rate and kept:
             ids = sorted({t.track_id for t in kept})
             if len(ids) >= 2:
@@ -320,7 +320,5 @@ def perturb_tracks(
             else:
                 fresh += 1
                 mapping[ids[0]] = fresh
-        out.extend(
-            TrackedBox(t.frame, mapping[t.track_id], t.box, t.score, t.behavior_scores) for t in kept
-        )
+        out.extend(TrackedBox(t.frame, mapping[t.track_id], t.box, t.score) for t in kept)
     return out

@@ -131,13 +131,13 @@ class Tracker:
     """
 
     config: TrackerConfig = field(default_factory=TrackerConfig)
-    frame_count: int = 0
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    means: np.ndarray = field(default_factory=lambda: np.zeros((0, 7)))
-    covs: np.ndarray = field(default_factory=lambda: np.zeros((0, 7, 7)))
-    hits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    misses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    _next_id: int = 1
+    frame_count: int = field(init=False, default=0)
+    ids: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=int))
+    means: np.ndarray = field(init=False, default_factory=lambda: np.zeros((0, 7)))
+    covs: np.ndarray = field(init=False, default_factory=lambda: np.zeros((0, 7, 7)))
+    hits: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=int))
+    misses: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=int))
+    _next_id: int = field(init=False, default=1)
 
     def _associate(self, boxes: np.ndarray, detections: list[DetectionRecord]) -> tuple[list[tuple[int, int]], list[int], list[int]]:
         """Gated matching on IoU between (N, 4) track boxes and detections.
@@ -184,7 +184,7 @@ class Tracker:
             self.misses[rows] = 0
             for row, det, box in zip(rows, matched, measurement_to_box(self.means[rows])):
                 if self.hits[row] >= self.config.min_hits or warm_up:
-                    emitted.append(TrackedBox(frame, int(self.ids[row]), BoxXYXY(*box), det.score, det.behavior_scores))
+                    emitted.append(TrackedBox(frame, int(self.ids[row]), BoxXYXY(*box), det.score))
 
         self.misses[unmatched_t] += 1
         alive = self.misses <= self.config.max_misses
@@ -206,7 +206,7 @@ class Tracker:
             self.misses = np.concatenate([self.misses, np.zeros(len(seeds), dtype=int)])
             if warm_up:
                 for track_id, det, box in zip(ids, seeds, measurement_to_box(born)):
-                    emitted.append(TrackedBox(frame, int(track_id), BoxXYXY(*box), det.score, det.behavior_scores))
+                    emitted.append(TrackedBox(frame, int(track_id), BoxXYXY(*box), det.score))
 
         emitted.sort(key=lambda t: t.track_id)
         return emitted

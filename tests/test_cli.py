@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -1168,7 +1167,7 @@ def test_evaluate_keeps_detections_on_annotated_frames_only(tmp_path, monkeypatc
 
 
 def test_track_keeps_no_pose(tmp_path, monkeypatch):
-    # neither the tracker nor the MOT CSV reads one; the poses are still checked
+    # nor behavior scores: the tracker and the MOT CSV read only boxes and scores; the rest is still checked
     scene = make_scene(tmp_path)
     fed = []
     run_tracker = cli.run_tracker
@@ -1180,8 +1179,9 @@ def test_track_keeps_no_pose(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_tracker", recording)
     assert main(["track", str(scene / "detections_noisy.json"), "--out", str(tmp_path / "pred.csv")]) == 0
     _, _, every = dataio.parse_detections(scene / "detections_noisy.json")
-    assert fed == [dataclasses.replace(d, pose=None) for dets in every.values() for d in dets]
+    assert fed == [DetectionRecord(d.box, d.score) for dets in every.values() for d in dets]
     assert any(d.pose is not None for dets in every.values() for d in dets)
+    assert all(d.behavior_scores is not None for dets in every.values() for d in dets)
 
 
 @pytest.mark.parametrize("task", ["track", "pose", "detection", "behavior"])

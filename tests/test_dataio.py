@@ -281,16 +281,31 @@ def test_parse_detections_keeps_records_on_the_given_frames_only():
     assert parse_detections(doc, annotated)[2] == {0: everything[0]}
 
 
-def test_parse_detections_checks_poses_it_does_not_keep():
+# a value boxes_only does not keep, set on the first detection of frame entry 2, and its error
+UNKEPT_VALUES = [
+    ("pose", [[1.0, 2.0]] * 15 + [[1.0, math.nan]], "pose[15][1]: expected a finite number, got nan"),
+    ("behavior_scores", [0.5] * 22 + [math.nan], "behavior_scores[22]: expected a finite number, got nan"),
+    ("behavior_scores", [0.5] * 22 + [1.5], "behavior_scores: scores must lie in [0, 1]"),
+    ("behavior_scores", [0.5] * 22, "behavior_scores: expected 23 scores"),
+]
+
+
+def test_parse_detections_checks_poses_it_does_not_keep(tmp_path, monkeypatch):
     doc = write_detections("s", ImageSize(320, 240), sample_detections())
     _, _, everything = parse_detections(doc)
-    _, _, bare = parse_detections(doc, keep_pose=False)
-    assert bare == {f: [DetectionRecord(d.box, d.score, d.behavior_scores) for d in v] for f, v in everything.items()}
-    doc["frames"][2]["detections"][0]["pose"] = [[1.0, 2.0]] * 15 + [[1.0, math.nan]]
-    for frames in (None, set()):
-        with pytest.raises(AnnotationError) as info:
-            parse_detections(doc, frames, keep_pose=False)
-        assert str(info.value) == f"$.frames[2].detections[0].pose[15][1]: expected a finite number, got nan"
+    _, _, bare = parse_detections(doc, boxes_only=True)
+    assert bare == {f: [DetectionRecord(d.box, d.score) for d in v] for f, v in everything.items()}
+    path = tmp_path / "dets.json"
+    for key, value, message in UNKEPT_VALUES:
+        bad = json.loads(dataio.dump_json(doc))
+        bad["frames"][2]["detections"][0][key] = value
+        path.write_text(dataio.dump_json(bad))
+        want = (AnnotationError, f"$.frames[2].detections[0].{message}")
+        assert _outcome(parse_detections, bad) == want
+        for frames in (None, set()):
+            assert _outcome(parse_detections, bad, frames, boxes_only=True) == want, (message, frames)
+            # the chunked reader at every read size, and the whole text
+            assert _read_alike(monkeypatch, path, frames=frames, boxes_only=True) == want, (message, frames)
 
 
 # ---------------------------------------------------------- chunked reader
@@ -400,7 +415,7 @@ MALFORMED_TEXTS = {
 def test_the_chunked_reader_reads_valid_files_without_json_loads(tmp_path, monkeypatch, name):
     path = tmp_path / "dets.json"
     path.write_text(VALID_TEXTS[name](), newline="")
-    for kwargs in ({}, {"frames": {0, 5}}, {"keep_pose": False}):
+    for kwargs in ({}, {"frames": {0, 5}}, {"boxes_only": True}):
         want = _read_alike(monkeypatch, path, **kwargs)
         assert want[0] == "s", want
 
@@ -418,7 +433,7 @@ def test_the_chunked_reader_reads_valid_files_without_json_loads(tmp_path, monke
 def test_the_chunked_reader_fails_as_the_whole_text_does(tmp_path, monkeypatch, name):
     path = tmp_path / "dets.json"
     path.write_text(MALFORMED_TEXTS[name](), newline="")
-    for kwargs in ({}, {"frames": set(), "keep_pose": False}):
+    for kwargs in ({}, {"frames": set(), "boxes_only": True}):
         got = _read_alike(monkeypatch, path, **kwargs)
         assert isinstance(got[0], type) and issubclass(got[0], (ValueError, RecursionError)), got
 

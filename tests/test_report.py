@@ -159,7 +159,7 @@ def task_items(task: str, seeds=(11, 12, 13)):
             tracks = perturb_tracks(scene.gt_tracks, size, TRACK_NOISE, seed + 100)
             dets = {}
             for t in tracks:
-                dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score, t.behavior_scores))
+                dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score))
         else:
             tracks = []
             dets = {
@@ -189,7 +189,7 @@ def test_one_frame_table_per_sequence(monkeypatch):
     tracks = tracker.run(noisy, tracker.TrackerConfig())
     track_dets = {}
     for t in tracks:
-        track_dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score, t.behavior_scores))
+        track_dets.setdefault(t.frame, []).append(DetectionRecord(t.box, t.score))
     calls = []
     real = metrics.iou_matrix
 

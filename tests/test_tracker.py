@@ -244,13 +244,6 @@ def test_emitted_boxes_sorted_by_id_within_frame():
         assert ids == sorted(ids)
 
 
-def test_behavior_scores_pass_through():
-    scores = tuple(0.01 * k for k in range(23))
-    frames = {0: [DetectionRecord(BoxXYXY(10.0, 10.0, 50.0, 60.0), 0.9, scores)]}
-    tracks = run(frames, TrackerConfig(min_hits=1))
-    assert tracks[0].behavior_scores == scores
-
-
 def test_stacked_kalman_matches_one_track_at_a_time_exactly():
     rng = np.random.default_rng(12)
     means = np.zeros((6, 7))
@@ -273,7 +266,7 @@ def test_stacked_kalman_matches_one_track_at_a_time_exactly():
 
 
 def _box_bits(tracks):
-    return [(t.frame, t.track_id, tuple(float(v).hex() for v in t.box), t.score, t.behavior_scores) for t in tracks]
+    return [(t.frame, t.track_id, tuple(float(v).hex() for v in t.box), t.score) for t in tracks]
 
 
 def _readme_noise_scene():
