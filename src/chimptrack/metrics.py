@@ -630,19 +630,16 @@ def pck(pred_poses, gt_poses, gt_boxes, delta: float = 0.05) -> PckResult:
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
 
-    correct = np.zeros(KEYPOINT_COUNT, dtype=int)
-    counted = np.zeros(KEYPOINT_COUNT, dtype=int)
-    for i in range(pred_poses.shape[0]):
-        w = gt_boxes[i, 2] - gt_boxes[i, 0]
-        h = gt_boxes[i, 3] - gt_boxes[i, 1]
-        if w <= 0.0 or h <= 0.0:
-            raise ValueError(f"degenerate ground-truth box at instance {i}")
-        thresh = delta * max(h, w)
-        dists = np.sqrt(((pred_poses[i] - gt_poses[i, :, :2]) ** 2).sum(axis=1))
-        visible = gt_poses[i, :, 2] > 0
-        counted += visible
-        correct += visible & (dists <= thresh)
-    return _pck_scores(correct, counted, delta)
+    w = gt_boxes[:, 2] - gt_boxes[:, 0]
+    h = gt_boxes[:, 3] - gt_boxes[:, 1]
+    degenerate = np.flatnonzero((w <= 0.0) | (h <= 0.0))
+    if degenerate.size:
+        raise ValueError(f"degenerate ground-truth box at instance {degenerate[0]}")
+    thresh = delta * np.where(w > h, w, h)  # max(h, w) as Python takes it: np.maximum differs on a NaN side
+    dists = np.sqrt(((pred_poses - gt_poses[:, :, :2]) ** 2).sum(axis=2))
+    visible = gt_poses[:, :, 2] > 0
+    correct = (visible & (dists <= thresh[:, None])).sum(axis=0)
+    return _pck_scores(correct, visible.sum(axis=0), delta)
 
 
 def _pck_scores(correct: np.ndarray, counted: np.ndarray, delta: float) -> PckResult:

@@ -1,6 +1,8 @@
 """Sequence evaluation drivers, JSON export and table rendering.
 
-The aggregate row over several sequences is defined as one evaluation of
+evaluate_sequence reads each annotated frame once, in frame order, and
+builds from that one pass the inputs of all seven metrics and one
+MetricsReport. The aggregate row over several sequences is defined as one evaluation of
 their concatenation, with frames and ids shifted apart
 (oracles.combine_sequences builds it). It is computed by merging the
 per-sequence statistics that every metric result carries, so no sequence is
@@ -18,7 +20,7 @@ byte-stable: fixed one-decimal formatting, two-space column gutters, ASCII
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,45 +68,6 @@ class MetricsReport:
     unreported_pose_ap: DetectionAP | None = field(default=None, compare=False, repr=False)
 
 
-def _gt_records(annotation: SequenceAnnotation):
-    """Flatten annotated frames into per-metric ground-truth lists."""
-    tracks = []
-    det_gt = []
-    beh_gt = []
-    pose_gt = []
-    for frame in sorted(annotation.frames):
-        for inst in annotation.frames[frame]:
-            tracks.append(TrackedBox(frame, inst.track_id, inst.box))
-            det_gt.append((frame, inst.box))
-            multihot = np.zeros(BEHAVIOR_COUNT, dtype=int)
-            multihot[list(inst.behaviors)] = 1
-            beh_gt.append((frame, inst.box, multihot))
-            if inst.pose is not None:
-                pose_gt.append((frame, np.array(inst.pose, dtype=float), inst.box))
-    return tracks, det_gt, beh_gt, pose_gt
-
-
-def _paired_poses(annotation: SequenceAnnotation, detections: dict[int, list[DetectionRecord]]):
-    """Pair predicted and ground-truth poses per frame by box IoU at MATCH_IOU."""
-    pred_poses = []
-    gt_poses = []
-    gt_boxes = []
-    for frame in sorted(annotation.frames):
-        insts = [i for i in annotation.frames[frame] if i.pose is not None]
-        dets = [d for d in detections.get(frame, []) if d.pose is not None]
-        if not insts or not dets:
-            continue
-        ious = iou_matrix(
-            np.array([i.box for i in insts], dtype=float),
-            np.array([d.box for d in dets], dtype=float),
-        )
-        for r, c in assign.gated_match(ious, ious >= MATCH_IOU):
-            pred_poses.append(np.array(dets[c].pose, dtype=float))
-            gt_poses.append(np.array(insts[r].pose, dtype=float))
-            gt_boxes.append(insts[r].box)
-    return pred_poses, gt_poses, gt_boxes
-
-
 def evaluate_sequence(
     annotation: SequenceAnnotation,
     detections: dict[int, list[DetectionRecord]],
@@ -115,43 +78,59 @@ def evaluate_sequence(
     Predictions on frames without annotations are ignored; everything on an
     annotated frame counts. So a caller may pass only the annotated frames'
     tracks and detections: evaluate builds its tracks with
-    parse_mot_csv(text, annotation.frames). CLEAR, IDF1 and HOTA read one
-    frame table.
+    parse_mot_csv(text, annotation.frames). One pass over the annotated
+    frames, in frame order, builds every metric's ground-truth and
+    prediction lists and pairs each frame's posed instances with its posed
+    detections by box IoU at MATCH_IOU for PCK. CLEAR, IDF1 and HOTA read
+    one frame table.
     """
-    annotated = set(annotation.frames)
-    gt_tracks, det_gt, beh_gt, pose_gt = _gt_records(annotation)
-
-    pred_tracks = [t for t in tracks if t.frame in annotated]
-    det_pred = []
-    beh_pred = []
-    pose_pred = []
-    for frame in sorted(annotated):
-        for d in detections.get(frame, []):
+    gt_tracks, det_gt, beh_gt, pose_gt = [], [], [], []
+    det_pred, beh_pred, pose_pred = [], [], []
+    paired_pred, paired_gt, paired_boxes = [], [], []
+    for frame in sorted(annotation.frames):
+        insts, dets = annotation.frames[frame], detections.get(frame, [])
+        for inst in insts:
+            gt_tracks.append(TrackedBox(frame, inst.track_id, inst.box))
+            det_gt.append((frame, inst.box))
+            multihot = np.zeros(BEHAVIOR_COUNT, dtype=int)
+            multihot[list(inst.behaviors)] = 1
+            beh_gt.append((frame, inst.box, multihot))
+            if inst.pose is not None:
+                pose_gt.append((frame, np.array(inst.pose, dtype=float), inst.box))
+        for d in dets:
             det_pred.append((frame, d.box, d.score))
             if d.behavior_scores is not None:
                 beh_pred.append((frame, d.box, np.array(d.behavior_scores, dtype=float)))
             if d.pose is not None:
                 pose_pred.append((frame, np.array(d.pose, dtype=float), d.score))
+        posed_insts = [i for i in insts if i.pose is not None]
+        posed_dets = [d for d in dets if d.pose is not None]
+        if posed_insts and posed_dets:
+            ious = iou_matrix(
+                np.array([i.box for i in posed_insts], dtype=float),
+                np.array([d.box for d in posed_dets], dtype=float),
+            )
+            for r, c in assign.gated_match(ious, ious >= MATCH_IOU):
+                paired_pred.append(np.array(posed_dets[c].pose, dtype=float))
+                paired_gt.append(np.array(posed_insts[r].pose, dtype=float))
+                paired_boxes.append(posed_insts[r].box)
 
-    table = pair_frames(gt_tracks, pred_tracks)
-    report = MetricsReport(
+    table = pair_frames(gt_tracks, [t for t in tracks if t.frame in annotation.frames])
+    pairs = (paired_pred, paired_gt, paired_boxes)
+    # without pose ground truth, keypoint AP is not reported; without pose at all, it is not scored
+    pose_ap = keypoint_ap(pose_pred, pose_gt) if pose_gt or pose_pred else None
+    return MetricsReport(
         sequence_id=annotation.sequence_id,
         clear=clear_metrics(table),
         idf1=idf1(table),
         hota=hota(table),
         detection=detection_ap(det_pred, det_gt),
         behavior=behavior_map(beh_pred, beh_gt),
+        pose_ap=pose_ap if pose_gt else None,
+        pck05=pck(*pairs, delta=0.05) if paired_pred else None,
+        pck10=pck(*pairs, delta=0.10) if paired_pred else None,
+        unreported_pose_ap=None if pose_gt else pose_ap,
     )
-    if pose_gt:
-        paired_pred, paired_gt, paired_boxes = _paired_poses(annotation, detections)
-        pck05 = pck10 = None
-        if paired_pred:
-            pck05 = pck(paired_pred, paired_gt, paired_boxes, delta=0.05)
-            pck10 = pck(paired_pred, paired_gt, paired_boxes, delta=0.10)
-        report = replace(report, pose_ap=keypoint_ap(pose_pred, pose_gt), pck05=pck05, pck10=pck10)
-    elif pose_pred:
-        report = replace(report, unreported_pose_ap=keypoint_ap(pose_pred, pose_gt))
-    return report
 
 
 def evaluate_sequences(reports: list[MetricsReport]) -> MetricsReport:
@@ -196,6 +175,14 @@ def _num(value: float | None) -> float | None:
     return None if math.isnan(value) else value
 
 
+# (table header, sidecar key) of each AP field; the key is also the DetectionAP attribute
+_AP_KEYS = (("AP", "ap"), ("AP50", "ap50"), ("AP75", "ap75"), ("AP_M", "ap_medium"), ("AP_L", "ap_large"), ("AR", "ar"))
+
+
+def _ap_section(ap: DetectionAP) -> dict:
+    return {key: _num(getattr(ap, key)) for _, key in _AP_KEYS}
+
+
 def report_to_json(report: MetricsReport) -> dict:
     """JSON-ready dict; undefined values become null."""
     out = {
@@ -215,14 +202,7 @@ def report_to_json(report: MetricsReport) -> dict:
             "idsw": report.clear.idsw,
             "gt_count": report.clear.gt_count,
         },
-        "detection": {
-            "ap": _num(report.detection.ap),
-            "ap50": _num(report.detection.ap50),
-            "ap75": _num(report.detection.ap75),
-            "ap_medium": _num(report.detection.ap_medium),
-            "ap_large": _num(report.detection.ap_large),
-            "ar": _num(report.detection.ar),
-        },
+        "detection": _ap_section(report.detection),
         "behavior": {
             "map": _num(report.behavior.map),
             "map_locomotion": _num(report.behavior.map_locomotion),
@@ -235,19 +215,12 @@ def report_to_json(report: MetricsReport) -> dict:
     }
     if report.pose_ap is not None:
         out["pose"] = {
-            "ap": _num(report.pose_ap.ap),
-            "ap50": _num(report.pose_ap.ap50),
-            "ap75": _num(report.pose_ap.ap75),
-            "ap_medium": _num(report.pose_ap.ap_medium),
-            "ap_large": _num(report.pose_ap.ap_large),
-            "ar": _num(report.pose_ap.ar),
+            **_ap_section(report.pose_ap),
             "pck05": _num(report.pck05.mean) if report.pck05 else None,
             "pck10": _num(report.pck10.mean) if report.pck10 else None,
         }
     return out
 
-
-_AP_KEYS = (("AP", "ap"), ("AP50", "ap50"), ("AP75", "ap75"), ("AP_M", "ap_medium"), ("AP_L", "ap_large"), ("AR", "ar"))
 
 # Each evaluate task's table, column by column: (header, sidecar section, key).
 COLUMNS = {

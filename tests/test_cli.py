@@ -575,16 +575,6 @@ def evaluate_dirs(gt_dir, pred_dir, out, *extra):
     return ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out), *extra]
 
 
-@pytest.fixture
-def bounded():
-    """Ends the run with every thread's traceback if the test waits on a child for a minute."""
-    import faulthandler
-
-    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-
-
 def test_evaluate_workers_do_not_change_results(tmp_path, capsys, bounded):
     gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
     for task in ("tracking", "detection", "pose", "behavior"):

@@ -452,6 +452,59 @@ def test_the_chunked_reader_reports_undecodable_bytes_as_read_text_does(tmp_path
     assert got[0] is UnicodeDecodeError, got
 
 
+# the characters of JSON's tokens, for structural edits of a document's text
+JSON_TOKEN_CHARS = '{}[]:,"0123456789.-+eE \n\r\\trufalsn'
+
+
+def _structural_edit(text: str, rng: Xoshiro256) -> str:
+    """1-3 seeded edits: delete, insert or replace a token character, duplicate a slice, or truncate.
+
+    One edit in four lands within 8 characters of either end, where the reader
+    takes the top-level object's brace and checks that nothing follows it.
+    """
+    for _ in range(1 + rng.randint(3)):
+        i = rng.randint(len(text) + 1)
+        if rng.randint(4) == 0:
+            i = [0, max(len(text) - 8, 0)][rng.randint(2)] + rng.randint(9)
+        kind = rng.randint(5)
+        char = JSON_TOKEN_CHARS[rng.randint(len(JSON_TOKEN_CHARS))]
+        if kind == 0:
+            text = text[:i] + text[i + 1 :]
+        elif kind == 1:
+            text = text[:i] + char + text[i:]
+        elif kind == 2:
+            text = text[:i] + char + text[i + 1 :]
+        elif kind == 3:
+            j = i + rng.randint(40)
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+SPELLINGS = {
+    "canonical": _detections_text,
+    "compact": lambda: json.dumps(json.loads(_detections_text()), separators=(",", ":")),
+    "crlf-indent-1": lambda: json.dumps(json.loads(_detections_text()), indent=1).replace("\n", "\r\n"),
+}
+
+
+def test_the_chunked_reader_agrees_with_the_whole_text_on_edited_documents(tmp_path, monkeypatch):
+    # universal newlines turn "\r\n" into "\n", so each file's read_text() is the reference, not its string
+    path = tmp_path / "dets.json"
+    seen = {"parsed": 0, "json": 0, "annotation": 0}
+    for case in range(300):
+        rng = Xoshiro256(case)
+        spelling = sorted(SPELLINGS)[case % len(SPELLINGS)]
+        path.write_text(_structural_edit(SPELLINGS[spelling](), rng), newline="")
+        for frames in (None, {0}, set()):
+            got = _read_alike(monkeypatch, path, frames=frames)
+            seen["parsed"] += got[0] == "s"
+            seen["json"] += got[0] is json.JSONDecodeError
+            seen["annotation"] += got[0] is AnnotationError
+    assert all(seen.values()), seen
+
+
 def test_a_cut_detections_file_gives_json_loads_error(tmp_path, monkeypatch):
     text = _detections_text(frames=[{"frame": 3, "detections": []}])
     path = tmp_path / "cut.json"

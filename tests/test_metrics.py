@@ -395,6 +395,69 @@ def test_pck_validation():
         pck(np.zeros((1, 16, 2)), np.zeros((1, 16, 3)), np.array([[0.0, 0.0, 0.0, 1.0]]))
 
 
+
+def loop_pck(pred_poses, gt_poses, gt_boxes, delta):
+    """PCK one instance at a time, as plain Python takes each box's longer side."""
+    correct = np.zeros(16, dtype=int)
+    counted = np.zeros(16, dtype=int)
+    for i in range(len(pred_poses)):
+        w = gt_boxes[i][2] - gt_boxes[i][0]
+        h = gt_boxes[i][3] - gt_boxes[i][1]
+        if w <= 0.0 or h <= 0.0:
+            raise ValueError(f"degenerate ground-truth box at instance {i}")
+        dists = np.sqrt(((pred_poses[i] - gt_poses[i][:, :2]) ** 2).sum(axis=1))
+        visible = gt_poses[i][:, 2] > 0
+        counted += visible
+        correct += visible & (dists <= delta * max(h, w))
+    return metrics._pck_scores(correct, counted, delta)
+
+
+def random_pck_instances(rng: Xoshiro256):
+    """0-5 instances; sides are sometimes equal or NaN, and one box may be degenerate."""
+    n = rng.randint(6)
+    preds, gts, boxes = np.zeros((n, 16, 2)), np.zeros((n, 16, 3)), np.zeros((n, 4))
+    for i in range(n):
+        x0, y0, w = rng.uniform(0.0, 500.0), rng.uniform(0.0, 400.0), rng.uniform(5.0, 150.0)
+        h = [w, rng.uniform(5.0, 150.0)][rng.randint(2)]
+        box = [x0, y0, x0 + w, y0 + h]
+        if rng.random() < 0.1:
+            box[2 + rng.randint(2)] = float("nan")
+        boxes[i] = box
+        for j in range(16):
+            gx, gy = rng.uniform(x0, x0 + w), rng.uniform(y0, y0 + h)
+            gts[i, j] = (gx, gy, rng.randint(3))
+            preds[i, j] = (gx + rng.gauss(0.0, 0.06 * w), gy + rng.gauss(0.0, 0.06 * h))
+    if n and rng.random() < 0.2:
+        i = rng.randint(n)
+        boxes[i, 2 + rng.randint(2)] = boxes[i, rng.randint(2)] - rng.uniform(0.0, 10.0) * rng.randint(2)
+    return preds, gts, boxes
+
+
+def pck_outcome(fn, *args):
+    """(repr, correct, counted) of a PckResult, or ("error: <message>", (), ())."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return f"error: {exc}", (), ()
+    return repr(result), result.correct, result.counted
+
+
+def test_pck_agrees_with_a_loop_over_instances():
+    kinds = {"empty": 0, "tie": 0, "nan": 0, "degenerate": 0, "scored": 0}
+    for seed in range(400):
+        preds, gts, boxes = random_pck_instances(Xoshiro256(seed))
+        w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+        kinds["empty"] += len(boxes) == 0
+        kinds["tie"] += bool((w == h).any())
+        kinds["nan"] += bool(np.isnan(boxes).any())
+        for delta in (0.05, 0.10):
+            want = pck_outcome(loop_pck, preds, gts, boxes, delta)
+            assert pck_outcome(pck, preds, gts, boxes, delta) == want, (seed, delta)
+            kinds["scored"] += 0 < sum(want[1]) < sum(want[2])  # some joints in, some out
+        kinds["degenerate"] += want[0].startswith("error: degenerate ground-truth box at instance")
+    assert all(kinds.values()), kinds
+
+
 # -------------------------------------------------------------- behavior mAP
 
 

@@ -57,20 +57,62 @@ def test_identity_predictions_score_100_everywhere():
     assert report.pck10 is not None and report.pck10.mean == 100.0
 
 
+def merge_statistics(report):
+    """What evaluate_sequences merges, beyond the sidecar: ranked matches, HOTA sums, PCK counts."""
+
+    def ranked(parts):
+        return [(m.score.tolist(), m.tp.tolist(), m.n_gt) for m in parts]
+
+    c, h = report.clear, report.hota
+    return (
+        (c.matched, c.iou_sum),
+        (h.tp, h.assa_numerator, h.gt_total, h.pred_total),
+        report.idf1,
+        ranked(report.detection.splits),
+        ranked(report.behavior.classes),
+        ranked(report.pose_ap.splits) if report.pose_ap else None,
+        [(p.counted, p.correct) if p else None for p in (report.pck05, report.pck10)],
+    )
+
+
+def posed_clutter(annotation, frame_of):
+    """Per gt instance, a 0.99 detection on frame_of(its frame): its box, a pose 40 px off, every behavior."""
+    out = {}
+    for f, insts in annotation.frames.items():
+        for inst in insts:
+            pose = tuple((x + 40.0, y + 40.0) for x, y, _ in inst.pose)
+            out.setdefault(frame_of(f), []).append(DetectionRecord(inst.box, 0.99, (1.0,) * 23, pose))
+    return out
+
+
 def test_only_annotated_frames_are_scored():
     scene, dets, tracks = identity_inputs()
     clean = evaluate_sequence(scene.annotation, dets, tracks)
-    # clutter on unannotated frames changes nothing
+    # clutter on unannotated frames changes nothing: a stray track, a copy of every gt box one frame
+    # later under another id, and posed, behavior-scored detections on the frames before and after
+    annotated = sorted(scene.annotation.frames)
+    assert annotated == [0, 10, 20]
     noisy_tracks = tracks + [TrackedBox(f, 9, BoxXYXY(0.0, 0.0, 30.0, 30.0)) for f in (1, 5, 15)]
+    noisy_tracks += [TrackedBox(t.frame + 1, t.track_id + 50, t.box) for t in tracks if t.frame in annotated]
     noisy_dets = {f: list(v) for f, v in dets.items()}
     noisy_dets[3] = noisy_dets[3] + [DetectionRecord(BoxXYXY(0.0, 0.0, 30.0, 30.0), 0.99)]
+    for shift in (-1, 1):
+        for f, extra in posed_clutter(scene.annotation, lambda f: f + shift).items():
+            if f >= 0:
+                noisy_dets[f] = noisy_dets[f] + extra
     out = evaluate_sequence(scene.annotation, noisy_dets, noisy_tracks)
-    assert out.clear == clean.clear
-    assert same_ap(out.detection, clean.detection)
+    assert report_to_json(out) == report_to_json(clean)
+    assert merge_statistics(out) == merge_statistics(clean)
+    assert clean.pck05.counted == clean.pck10.counted and sum(clean.pck05.correct) > 0
     # the same clutter on an annotated frame does count
     noisy_tracks_on = tracks + [TrackedBox(10, 9, BoxXYXY(600.0, 400.0, 630.0, 430.0))]
     hit = evaluate_sequence(scene.annotation, dets, noisy_tracks_on)
     assert hit.clear.fp == 1
+    posed_on = {f: v + posed_clutter(scene.annotation, lambda f: f).get(f, []) for f, v in dets.items()}
+    hit = evaluate_sequence(scene.annotation, posed_on, tracks)
+    assert hit.pose_ap.pred_count == 2 * clean.pose_ap.pred_count
+    assert hit.detection.pred_count == 2 * clean.detection.pred_count
+    assert hit.behavior.map < clean.behavior.map
 
 
 def test_missing_annotated_frame_counts_misses():
