@@ -11,14 +11,17 @@ computed by merging their per-sequence statistics. It writes the metrics
 sidecar, then prints it (--format json) or the same entries as a table
 (--format table).
 
-evaluate --workers N deals the sequences round-robin to this process and up
-to N - 1 forked ones. For tracking, each takes its annotation files from
-parse to report. For the detection tasks, this process first parses every
-annotation file, then the detections files, keeping records only on frames
-that some file annotates, and the workers only score. The outcomes, errors
-included, are then replayed in the order one process meets them, so no exit
-code, message or sidecar byte depends on N. The process that forks has no
-second thread (see the BLAS note below).
+evaluate scores the sequences one after another in this process. For
+tracking it takes each annotation file from parse to report, so it holds one
+sequence's annotation and tracks at a time. For the detection tasks it first
+parses every annotation file, then the detections files, keeping records
+only on frames that some file annotates, and then scores. Errors come in one
+order: the annotations' errors in file order, then the predictions', then
+the pairing checks, then scoring errors in sequence id order. --workers N is
+still accepted (N >= 1) but changes nothing. On 2 vCPUs, forking a process
+per sequence saved a four-sequence evaluate about a tenth of its wall time
+when run back to back, nothing when alternated with other runs, and cost
+about a fifth more CPU time.
 
 forward runs the toy detector over every stride-1 window of a .npy clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -234,52 +237,6 @@ def _value(outcome: tuple[bool, object]):
     return value
 
 
-def _map_forked(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], dealt round-robin to this process and min(workers, len(items)) - 1 forked children.
-
-    Each child pickles its results back through a pipe and leaves with
-    os._exit, so it flushes none of this process's buffers and runs none of
-    its exit handlers. A child that ends without a result is an OSError
-    naming its items. Without os.fork, everything runs here.
-    """
-    import pickle
-
-    n = min(workers, len(items)) if hasattr(os, "fork") else 1
-    shares = [items[k::n] for k in range(n)]
-    children: dict[int, tuple[int, int]] = {}  # share -> (pid, read end of its pipe)
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in (r, *(fd for _, fd in children.values())):
-                        os.close(fd)
-                    with os.fdopen(w, "wb") as pipe:
-                        pipe.write(pickle.dumps([fn(x) for x in shares[k]]))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children[k] = (pid, r)
-        results = [[fn(x) for x in shares[0]]]
-        for k in range(1, n):
-            pid, r = children.pop(k)
-            with os.fdopen(r, "rb") as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                names = ", ".join(map(str, shares[k]))
-                raise OSError(f"evaluate worker {pid} exited with status {code} before returning results for {names}")
-            results.append(pickle.loads(data))
-    finally:
-        for pid, r in children.values():
-            os.close(r)
-            os.waitpid(pid, 0)
-    return [results[i % n][i // n] for i in range(len(items))]
-
-
 def _paired_ids(sizes: dict[str, ImageSize], pred_ids: set[str]) -> list[str]:
     """The annotated sequence ids, sorted, once each has predictions, each prediction has annotations, and all share one image size."""
     gt_ids = sorted(sizes)
@@ -302,27 +259,24 @@ def _paired_ids(sizes: dict[str, ImageSize], pred_ids: set[str]) -> list[str]:
     return gt_ids
 
 
-def _evaluate_tracks(files: list[Path], pred_path: Path, workers: int) -> list:
+def _evaluate_tracks(files: list[Path], pred_path: Path) -> list:
     """The tracking task's per-sequence reports, in sequence id order."""
-    from . import report  # loads NumPy; before the fork, so each worker inherits it
+    from . import report  # loads NumPy
 
     def unit(f: Path):
-        """One annotation file from parse to report: (id, (image size, CSV parse, score)) as an outcome."""
-        ok, ann = _outcome(dataio.parse_annotations, f)
-        if not ok:
-            return False, ann
+        """One annotation file from parse to report: (id, (image size, CSV parse, score)), the last two as outcomes."""
+        ann = dataio.parse_annotations(f)
         sid, parsed, scored = ann.sequence_id, None, None
         csv = _csv_files(pred_path, sid if len(files) == 1 else None).get(sid)
         if csv is not None:
             ok, tracks = _outcome(lambda: dataio.parse_mot_csv(csv.read_text(), ann.frames))
-            parsed = (True, None) if ok else (False, tracks)  # the tracks stay in this process
+            parsed = (True, None) if ok else (False, tracks)  # the tracks themselves are not kept
             if ok:
                 scored = _outcome(report.evaluate_sequence, ann, _tracks_as_detections(tracks), tracks)
-        return True, (sid, (ann.image_size, parsed, scored))
+        return sid, (ann.image_size, parsed, scored)
 
-    # replay every outcome in the order one process meets them, so no message depends on --workers
-    results = _map_forked(unit, files, workers)
-    units = _by_sequence((f, *_value(result)) for f, result in zip(files, results))
+    # annotation errors raise in file order; the CSV and scoring outcomes wait until every file is parsed
+    units = _by_sequence((f, *unit(f)) for f in files)
     csvs = _csv_files(pred_path, next(iter(units)) if len(units) == 1 else None)
     for sid, f in csvs.items():
         if sid in units:  # parsed by that sequence's unit
@@ -333,7 +287,7 @@ def _evaluate_tracks(files: list[Path], pred_path: Path, workers: int) -> list:
     return [_value(units[sid][2]) for sid in gt_ids]
 
 
-def _evaluate_detections(files: list[Path], pred_path: Path, workers: int) -> list:
+def _evaluate_detections(files: list[Path], pred_path: Path) -> list:
     """A detections task's per-sequence reports, in sequence id order.
 
     The annotations are parsed first, so their errors come before any in the
@@ -342,7 +296,7 @@ def _evaluate_detections(files: list[Path], pred_path: Path, workers: int) -> li
     """
     parsed = ((f, dataio.parse_annotations(f)) for f in files)
     anns = _by_sequence((f, ann.sequence_id, ann) for f, ann in parsed)
-    # detections files are keyed by the id inside them, so they are read before the sequences are dealt out
+    # detections files are keyed by the id inside them, so they are all read before any is paired
     preds = _load_pred_detections(pred_path, set().union(*(ann.frames for ann in anns.values())))
     for sid in sorted(anns.keys() & preds.keys()):
         size, want = preds[sid][0], anns[sid].image_size
@@ -353,12 +307,9 @@ def _evaluate_detections(files: list[Path], pred_path: Path, workers: int) -> li
                 f"annotations are {want.width}x{want.height}",
             )
     gt_ids = _paired_ids({sid: ann.image_size for sid, ann in anns.items()}, set(preds))
-    from . import report  # loads NumPy; before the fork, so each worker inherits it
+    from . import report  # loads NumPy
 
-    def unit(sid: str):
-        return _outcome(report.evaluate_sequence, anns[sid], preds[sid][1], [])
-
-    return [_value(result) for result in _map_forked(unit, gt_ids, workers)]
+    return [report.evaluate_sequence(anns[sid], preds[sid][1], []) for sid in gt_ids]
 
 
 def _cmd_evaluate(args) -> int:
@@ -367,9 +318,9 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"no .json annotation file in {Path(args.gt)}")
     pred_path = Path(args.pred)
     if args.task == "tracking":
-        per_seq = _evaluate_tracks(files, pred_path, args.workers)
+        per_seq = _evaluate_tracks(files, pred_path)
     else:
-        per_seq = _evaluate_detections(files, pred_path, args.workers)
+        per_seq = _evaluate_detections(files, pred_path)
     from . import report
 
     entries = [report.sidecar_entry(r, args.task) for r in per_seq]
@@ -640,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="annotations JSON file or directory")
     p.add_argument("--out", help="metrics JSON sidecar path")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--workers", type=int, default=1, help="processes, at most one per sequence; results do not change")
+    p.add_argument("--workers", type=int, default=1, help="no longer changes anything: every sequence is scored in this process")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("forward", help="run the toy detector over a video tensor")

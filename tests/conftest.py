@@ -6,10 +6,7 @@ nothing here reads global random state.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-import pytest
 
 from chimptrack.oracles import tiny_behavior_sets, tiny_tracks  # noqa: F401  re-exported for the test modules
 from chimptrack.rng import Xoshiro256
@@ -29,16 +26,6 @@ CLIP_LAYOUTS = {
     "uint8": lambda v: (v * 256).astype(np.uint8),
     "fortran": np.asfortranarray,
 }
-
-
-@pytest.fixture
-def bounded():
-    """Ends the run with every thread's traceback if the test waits on a child for a minute."""
-    import faulthandler
-
-    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
-    yield
-    faulthandler.cancel_dump_traceback_later()
 
 
 def nan_equal(a: float, b: float, tol: float = 1e-9) -> bool:

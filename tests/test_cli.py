@@ -575,7 +575,7 @@ def evaluate_dirs(gt_dir, pred_dir, out, *extra):
     return ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out), *extra]
 
 
-def test_evaluate_workers_do_not_change_results(tmp_path, capsys, bounded):
+def test_evaluate_workers_do_not_change_results(tmp_path, capsys):
     gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
     for task in ("tracking", "detection", "pose", "behavior"):
         sidecars = [tmp_path / f"{task}-{n}.json" for n in (1, 2, 4)]
@@ -595,15 +595,44 @@ def bad_row(csv):
     return len(csv.read_text().splitlines())
 
 
-def break_second_annotation(gt_dir, pred_dir):
-    doc = json.loads((gt_dir / "synth-2.json").read_text())
+def duplicate_row(csv, track_id):
+    """Append a copy of csv's row for 0-based frame 0 (annotated) and track_id; returns the scoring error it makes."""
+    row = next(line for line in csv.read_text().splitlines() if line.startswith(f"1,{track_id},"))
+    with csv.open("a") as f:
+        f.write(row + "\n")
+    return f"error: duplicate prediction entry for frame 0, id {track_id}"
+
+
+def break_box(annotations):
+    """Give the first instance of annotations a degenerate box; returns the input error it makes."""
+    doc = json.loads(annotations.read_text())
     doc["frames"][0]["instances"][0]["box"] = [0, 0, -5, 5]
-    (gt_dir / "synth-2.json").write_text(json.dumps(doc))
-    return "tracking", 2, "input error: $.frames[0].instances[0].box"
+    annotations.write_text(json.dumps(doc))
+    return "input error: $.frames[0].instances[0].box"
+
+
+def break_second_annotation(gt_dir, pred_dir):
+    return "tracking", 2, break_box(gt_dir / "synth-2.json")
 
 
 def break_third_csv(gt_dir, pred_dir):
     return "tracking", 2, f"error: line {bad_row(pred_dir / 'synth-3.csv')}: degenerate box"
+
+
+def annotation_error_before_a_scoring_error(gt_dir, pred_dir):
+    # synth-1 is scored before synth-3's annotations are parsed, yet its error waits
+    duplicate_row(pred_dir / "synth-1.csv", 1)
+    return "tracking", 2, break_box(gt_dir / "synth-3.json")
+
+
+def csv_error_before_a_scoring_error(gt_dir, pred_dir):
+    duplicate_row(pred_dir / "synth-1.csv", 1)
+    return break_third_csv(gt_dir, pred_dir)
+
+
+def scoring_errors_in_sequence_order(gt_dir, pred_dir):
+    duplicate_row(pred_dir / "synth-3.csv", 2)
+    return "tracking", 2, duplicate_row(pred_dir / "synth-1.csv", 1)
 
 
 def stray_csv_and_a_missing_sequence(gt_dir, pred_dir):
@@ -644,6 +673,9 @@ def annotation_error_before_a_detections_error(gt_dir, pred_dir):
     [
         break_second_annotation,
         break_third_csv,
+        annotation_error_before_a_scoring_error,
+        csv_error_before_a_scoring_error,
+        scoring_errors_in_sequence_order,
         stray_csv_and_a_missing_sequence,
         duplicate_sequence_id,
         mixed_image_sizes,
@@ -651,7 +683,7 @@ def annotation_error_before_a_detections_error(gt_dir, pred_dir):
         annotation_error_before_a_detections_error,
     ],
 )
-def test_evaluate_errors_do_not_depend_on_workers(tmp_path, capsys, bounded, breakage):
+def test_evaluate_errors_do_not_depend_on_workers(tmp_path, capsys, breakage):
     widths = {2: 320} if breakage is mixed_image_sizes else None
     gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3), widths=widths)
     task, code, message = breakage(gt_dir, pred_dir)
@@ -666,71 +698,24 @@ def test_evaluate_errors_do_not_depend_on_workers(tmp_path, capsys, bounded, bre
     assert errors[0] == errors[1] == errors[2]
 
 
-def counting_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_evaluate_forks_at_most_one_child_per_sequence(tmp_path, monkeypatch, capsys, bounded):
+def test_evaluate_runs_in_one_process_at_any_workers(tmp_path, monkeypatch, capsys):
     gt_dir, pred_dir = scene_dirs(tmp_path)
-    forks = counting_forks(monkeypatch)
-    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "m.json", "--workers", "1000")) == 0
-    assert len(forks) == 1
-    assert_no_child_left()
+
+    def no_fork():
+        raise AssertionError("evaluate forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for task in ("tracking", "detection", "pose", "behavior"):
+        sidecars = [tmp_path / f"{task}-{n}.json" for n in (1, 2, 1000)]
+        for n, out in zip((1, 2, 1000), sidecars):
+            assert main(evaluate_dirs(gt_dir, pred_dir, out, "--task", task, "--workers", str(n))) == 0
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes() == sidecars[2].read_bytes(), task
     capsys.readouterr()
-
-
-def test_evaluate_reaps_every_child(tmp_path, monkeypatch, capsys, bounded):
-    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
-    forks = counting_forks(monkeypatch)
-    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "good.json", "--workers", "4")) == 0
-    assert_no_child_left()
-    bad_row(pred_dir / "synth-2.csv")
-    assert main(evaluate_dirs(gt_dir, pred_dir, tmp_path / "bad.json", "--workers", "4")) == 2
-    assert_no_child_left()
-    assert len(forks) == 4 and not (tmp_path / "bad.json").exists()
-    capsys.readouterr()
-
-
-def test_evaluate_fails_when_a_child_dies_without_a_result(tmp_path, monkeypatch, capsys, bounded):
-    from chimptrack import report
-
-    gt_dir, pred_dir = scene_dirs(tmp_path, seeds=(1, 2, 3))
-    parent, score = os.getpid(), report.evaluate_sequence
-
-    def dies_in_a_child(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return score(*args)
-
-    monkeypatch.setattr(report, "evaluate_sequence", dies_in_a_child)
-    out = tmp_path / "m.json"
-    capsys.readouterr()
-    assert main(evaluate_dirs(gt_dir, pred_dir, out, "--workers", "2")) != 0
-    err = capsys.readouterr().err
-    # the child's share is the second of the three files, dealt round-robin
-    assert str(gt_dir / "synth-2.json") in err and "synth-1.json" not in err and "synth-3.json" not in err, err
-    assert not out.exists()
-    assert_no_child_left()
 
 
 def test_evaluate_prints_the_sidecar_once_whatever_the_workers(tmp_path):
-    # "buffered" sits unflushed in the piped stdout when evaluate forks; a child
-    # that flushed it on exit would print it twice
+    # "buffered" sits unflushed in the piped stdout when evaluate starts; it and
+    # the sidecar are printed once each at any --workers
     gt_dir, pred_dir = scene_dirs(tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     outputs = []
@@ -751,7 +736,7 @@ def test_evaluate_prints_the_sidecar_once_whatever_the_workers(tmp_path):
     ids=["annotation", "pairing"],
 )
 def test_evaluate_errors_survive_pickling(error):
-    # evaluate's children send their errors back pickled
+    # an error must keep its type, message and path when a caller pickles it
     import pickle
 
     back = pickle.loads(pickle.dumps(error))
@@ -1247,7 +1232,7 @@ def test_cli_runs_numpy_with_one_os_thread():
 
 
 def test_more_blas_threads_change_no_output_byte(tmp_path):
-    # forward over three window blocks, track on its output, and a forked two-process evaluate
+    # forward over three window blocks, track on its output, and an evaluate of two sequences
     np.save(tmp_path / "clip.npy", np.random.default_rng(0).random((2 * WINDOW_BLOCK + 8, 64, 64, 3)))
     gt_dir, pred_dir = scene_dirs(tmp_path)
     outputs = {}

@@ -17,7 +17,7 @@ def changed_entries(recorded: dict[str, str], current: dict[str, str]) -> list[s
     return sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
 
 
-def test_every_output_matches_the_manifest(tmp_path, bounded):  # the --workers 2 runs fork
+def test_every_output_matches_the_manifest(tmp_path):
     manifest = json.loads(update_digests.MANIFEST.read_text())
     current = update_digests.run_matrix(tmp_path)
     changed = changed_entries(manifest["digests"], current)
