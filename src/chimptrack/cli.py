@@ -18,10 +18,8 @@ parses every annotation file, then the detections files, keeping records
 only on frames that some file annotates, and then scores. Errors come in one
 order: the annotations' errors in file order, then the predictions', then
 the pairing checks, then scoring errors in sequence id order. --workers N is
-still accepted (N >= 1) but changes nothing. On 2 vCPUs, forking a process
-per sequence saved a four-sequence evaluate about a tenth of its wall time
-when run back to back, nothing when alternated with other runs, and cost
-about a fifth more CPU time.
+accepted (N >= 1) and changes nothing; it stays because the benchmark's
+workloads pass it.
 
 forward runs the toy detector over every stride-1 window of a .npy clip and
 writes one detections frame per window (kernels.emit_detections): the
@@ -38,12 +36,12 @@ runs without NumPy.
 A command's phases run one after another, and each keeps only what the next
 reads, so its memory peaks at its largest phase rather than at the sum of
 phases held together. Detections files are read a chunk and a frame entry at
-a time (dataio.parse_detections), and JSON files are written one frame entry
-at a time (dataio.write_json), so no command holds a file's text or its
-decoded tree whole. track and evaluate parse their detections files before
-they import the modules that load NumPy (about 17 MB), whose import then
-reuses the pages the parse freed; a malformed file is reported before NumPy
-loads. track keeps only each detection's box and score, all that the tracker
+a time (dataio.parse_detections), and JSON files are written as each frame
+entry's text ends (dataio.write_json), so no command holds a file's text or
+its decoded tree whole. track and evaluate parse their detections files
+before they import the modules that load NumPy (about 17 MB), whose import
+then reuses the pages the parse freed; a malformed file is reported before
+NumPy loads. track keeps only each detection's box and score, all that the tracker
 and the MOT CSV read, and evaluate's detection tasks keep records only on
 annotated frames, the only ones scored; every entry is still checked. synth
 writes the annotations and drops the scene, keeping only its clean
@@ -591,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="annotations JSON file or directory")
     p.add_argument("--out", help="metrics JSON sidecar path")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--workers", type=int, default=1, help="no longer changes anything: every sequence is scored in this process")
+    p.add_argument("--workers", type=int, default=1, help="changes nothing: every sequence is scored in this process")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("forward", help="run the toy detector over a video tensor")

@@ -13,10 +13,11 @@ visibility uses 0 = outside the frame, 1 = present but obscured,
 dump_json's text is the standard library's ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline, byte for byte, with floats spelled by
 ``float.__repr__``; it is faster only because it joins strings instead of
-running the stdlib's per-value Python encoder. write_json writes that text to
-a file one entry of a top-level list at a time, so a detections file's text
-is never held whole. These two are the package's JSON writers (files and
-JSON stdout alike).
+running the stdlib's per-value Python encoder. write_json renders the same
+text through the same walk and writes it to a file as each entry of a list
+ends (a detections file's frames), so a detections file's text is never held
+whole. These two are the package's JSON writers (files and JSON stdout
+alike).
 
 parse_detections reads a detections file READ_SIZE bytes and one frame entry
 at a time, and keeps records only on the frames it is given; any text it
@@ -683,63 +684,24 @@ def parse_mot_csv(text: str, frames: Container[int] | None = None) -> list[Track
 
 
 def write_json(path: Path, obj: Any) -> None:
-    """Write dump_json(obj) to path, one entry of a top-level list at a time.
+    """Write dump_json(obj) to path as the text is rendered.
 
-    The top-level lists are the document itself, or each list value of a
-    document that is an object (a detections file's "frames"). Each of their
-    entries is rendered and written on its own, so the whole text is never
-    held. The bytes are dump_json's, and the same inputs raise the same
-    TypeError or ValueError; then no file is left at path.
+    dump_json's walk hands its pending pieces to the file as each entry of a
+    list it renders value by value ends (a detections file's frames, each
+    frame's instances), so the whole text is never held. The bytes are
+    dump_json's, and the same inputs raise the same TypeError or ValueError
+    from the same place; then no file is left at path.
     """
     f = open(path, "w")
     try:
         with f:
-            for piece in _json_pieces(obj):
-                f.write(piece)
+            parts: list[str] = []
+            _json_value(obj, "", set(), parts, f.write)
+            parts.append("\n")
+            f.write("".join(parts))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-
-
-def _json_pieces(obj):
-    """The text of dump_json(obj), in pieces: one for each entry of a top-level list."""
-    active: set = set()
-    if isinstance(obj, (list, tuple)) and obj:
-        yield from _json_entries(obj, "", active)
-        yield "\n"
-    elif isinstance(obj, dict) and obj:
-        sep = "{\n  "
-        for k, v in sorted(obj.items()):
-            head = f"{sep}{_json_key(k)}: "
-            sep = ",\n  "
-            if isinstance(v, (list, tuple)) and v:
-                yield head
-                yield from _json_entries(v, "  ", active)
-            else:
-                parts = [head]
-                _json_value(v, "  ", active, parts)
-                yield "".join(parts)
-        yield "\n}\n"
-    else:
-        yield dump_json(obj)
-
-
-def _json_entries(values, pad: str, active: set):
-    """_json_list's text of a non-empty list, one piece per entry.
-
-    Rendering each entry alone gives the text and the errors of _json_list's
-    per-value path, which its fast paths match. The list and the top-level
-    object are not marked as open: a container met again inside itself is
-    then found one level further in, with the same ValueError.
-    """
-    inner = pad + "  "
-    sep = "[\n" + inner
-    for v in values:
-        parts = [sep]
-        _json_value(v, inner, active, parts)
-        yield "".join(parts)
-        sep = ",\n" + inner
-    yield f"\n{pad}]"
 
 
 def dump_json(obj: Any) -> str:
@@ -760,10 +722,12 @@ def dump_json(obj: Any) -> str:
 
 # Before Python 3.13 the stdlib's C encoder cannot indent, and its Python
 # encoder takes one generator step per value. This writer appends strings to
-# one list that is joined once, so no container's text is copied into its
-# parent's: a list of floats is one join over float.__repr__, redone value by
-# value only when the text holds an "n" (nan, inf), and a list of rows of
-# plain floats and ints (a pose's joints) is one string per row.
+# one list, so no container's text is copied into its parent's: a list of
+# floats is one join over float.__repr__, redone value by value only when the
+# text holds an "n" (nan, inf), and a list of rows of plain floats and ints (a
+# pose's joints) is one string per row. dump_json joins the list once; given
+# `write`, the walk writes the pending pieces and clears the list as each
+# entry of a list rendered value by value ends.
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 
@@ -778,7 +742,7 @@ def _json_float(value: float) -> str:
     return _float_repr(value)
 
 
-def _json_value(value, pad: str, active: set, parts: list[str]) -> None:
+def _json_value(value, pad: str, active: set, parts: list[str], write=None) -> None:
     """Append one value indented at `pad`; `active` holds the ids of the open containers.
 
     No class derives from two of list/tuple, float, str, int and dict, so only
@@ -786,7 +750,7 @@ def _json_value(value, pad: str, active: set, parts: list[str]) -> None:
     speed.
     """
     if isinstance(value, (list, tuple)):
-        _json_list(value, pad, active, parts)
+        _json_list(value, pad, active, parts, write)
     elif isinstance(value, float):
         parts.append(_json_float(value))
     elif isinstance(value, str):
@@ -800,12 +764,12 @@ def _json_value(value, pad: str, active: set, parts: list[str]) -> None:
     elif isinstance(value, int):
         parts.append(_int_repr(value))
     elif isinstance(value, dict):
-        _json_dict(value, pad, active, parts)
+        _json_dict(value, pad, active, parts, write)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _json_list(values, pad: str, active: set, parts: list[str]) -> None:
+def _json_list(values, pad: str, active: set, parts: list[str], write) -> None:
     if not values:
         parts.append("[]")
         return
@@ -820,11 +784,14 @@ def _json_list(values, pad: str, active: set, parts: list[str]) -> None:
             text = sep.join([_number_row(row, inner) for row in values])
         except TypeError:  # nor a list of number rows: value by value
             marker = _enter(values, active)
-            first = len(parts)
+            head = "[\n" + inner
             for v in values:
-                parts.append(sep)
-                _json_value(v, inner, active, parts)
-            parts[first] = "[" + sep[1:]  # the first item's separator opens the list
+                parts.append(head)
+                head = sep
+                _json_value(v, inner, active, parts, write)
+                if write is not None:
+                    write("".join(parts))
+                    parts.clear()
             active.discard(marker)
             parts.append(f"\n{pad}]")
             return
@@ -853,18 +820,18 @@ def _number_row(row, pad: str) -> str:
     return f"[\n{inner}{text}\n{pad}]"
 
 
-def _json_dict(obj: dict, pad: str, active: set, parts: list[str]) -> None:
+def _json_dict(obj: dict, pad: str, active: set, parts: list[str], write) -> None:
     if not obj:
         parts.append("{}")
         return
     marker = _enter(obj, active)
     inner = pad + "  "
     sep = ",\n" + inner
-    first = len(parts)
+    head = "{\n" + inner
     for k, v in sorted(obj.items()):
-        parts.append(f"{sep}{_json_key(k)}: ")
-        _json_value(v, inner, active, parts)
-    parts[first] = "{" + parts[first][1:]  # the first key's separator opens the object
+        parts.append(f"{head}{_json_key(k)}: ")
+        head = sep
+        _json_value(v, inner, active, parts, write)
     active.discard(marker)
     parts.append(f"\n{pad}}}")
 

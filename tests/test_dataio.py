@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -818,6 +819,18 @@ def _cycle_dict():
     return doc
 
 
+def _cycle_through_frames():
+    doc = {"frames": []}
+    doc["frames"].append(doc)
+    return doc
+
+
+def _cycle_list_in_entry():
+    items = [1.0, {}]
+    items[1]["b"] = items
+    return items
+
+
 UNSERIALIZABLE = [
     np.int64(3),
     {"n": np.int64(3)},
@@ -836,6 +849,8 @@ UNSERIALIZABLE = [
     {"x": np.array([1.0])},
     _cycle_list(),
     _cycle_dict(),
+    _cycle_through_frames(),
+    _cycle_list_in_entry(),
 ]
 UNSERIALIZABLE_IDS = [
     "int64",
@@ -855,6 +870,8 @@ UNSERIALIZABLE_IDS = [
     "ndarray",
     "circular-list",
     "circular-dict",
+    "circular-through-frames",
+    "circular-list-in-entry",
 ]
 
 
@@ -904,15 +921,31 @@ def test_write_json_raises_where_stdlib_raises_and_leaves_no_file(tmp_path, doc)
         assert not path.exists()
 
 
-def test_write_json_renders_one_top_level_entry_at_a_time(tmp_path, monkeypatch):
-    # no piece written holds more than one frame entry, so the whole text is never held
+class _RecordingFile(io.StringIO):
+    """A text file that keeps each write's text; opened in place of dataio's `open`."""
+
+    def __init__(self, writes: list[str]):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_write_json_writes_as_each_frame_entry_ends(tmp_path, monkeypatch):
+    # no write holds more than one frame entry's text, so the whole text is never held
     entry = {"frame": 0, "detections": [{"box": [1.0, 2.0, 3.0, 4.0], "score": 0.5}] * 3}
     doc = {"frames": [dict(entry, frame=k) for k in range(50)], "sequence_id": "s"}
-    pieces = list(dataio._json_pieces(doc))
-    assert "".join(pieces) == dataio.dump_json(doc)
-    assert max(map(len, pieces)) < 1.1 * len(dataio.dump_json(doc)) / 50
+    text = dataio.dump_json(doc)
+    writes: list[str] = []
+    monkeypatch.setitem(vars(dataio), "open", lambda path, mode: _RecordingFile(writes))
     monkeypatch.setattr(dataio, "dump_json", None)  # nor is the whole text built
-    assert _written(tmp_path, doc) == oracles.stdlib_dump_json(doc)
+    dataio.write_json(tmp_path / "doc.json", doc)
+    assert "".join(writes) == text == oracles.stdlib_dump_json(doc)
+    # the text of the longest frame entry, indented as it sits in the document
+    frame_text = oracles.stdlib_dump_json(doc["frames"][-1]).rstrip("\n").replace("\n", "\n    ")
+    assert max(map(len, writes)) <= len(frame_text)
 
 
 def test_dump_json_does_not_run_the_stdlib_encoder(monkeypatch):
