@@ -196,6 +196,12 @@ def gated_match(benefit: np.ndarray, valid: np.ndarray) -> list[tuple[int, int]]
     pairs gives each row a dummy column after the real ones at cost
     B = min(rows, cols) + 2, and its invalid pairs cost 3B, which no optimum
     uses. A frame whose pairs are all valid is one solve.
+
+    That shortcut is not a duplicate path to delete: all 392 of the tracker's
+    calls on a 400-frame toy-detector clip are all-valid 10 x 10 frames, and
+    it takes tracker.run there from 0.19 to 0.16 s of CPU (Python 3.11.7 on a
+    2-vCPU VM). None of the 324 calls made while tracking and scoring an
+    8 x 250 synth scene takes it.
     """
     if valid.size and valid.all():
         return list(hungarian(1.0 - benefit).pairs)

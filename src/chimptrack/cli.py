@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -521,7 +520,7 @@ def _check_params_file(path: Path) -> tuple[bool, str]:
     try:
         params = kernels.load_params(path)
         kernels.validate_params(params, kernels.ModelDims())
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return False, str(exc)
     return True, str(path)
 
@@ -624,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     except AnnotationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

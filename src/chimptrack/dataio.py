@@ -8,7 +8,8 @@ style location such as ``$.frames[2].instances[0].box``.
 Conventions: frames are 0-based internally and only multiples of the
 annotation stride carry ground truth; track ids are 1-based; keypoint
 visibility uses 0 = outside the frame, 1 = present but obscured,
-2 = clearly visible.
+2 = clearly visible. Both formats' poses go through one check, _as_pose,
+which keeps rows of finite floats as they are.
 
 dump_json's text is the standard library's ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline, byte for byte, with floats spelled by
@@ -293,34 +294,39 @@ def _frame_entries(entries: Iterable, items: str, stride: int = 1, frame_count: 
         yield fpath, frame, entry[items]
 
 
-def _as_pose(joints: list, path: str) -> tuple[tuple[float, float, int], ...]:
-    """Each [x, y, visibility] joint as a tuple; a pose of [finite float, finite float, 0|1|2] rows is kept as is.
+def _as_pose(joints, path: str, visibility: bool) -> tuple[tuple, ...]:
+    """The KEYPOINT_COUNT joints as tuples: [x, y, visibility] rows with visibility, else [x, y] rows.
 
-    At the first other row, every joint is checked from the first one, so the
-    diagnostic is the first bad value's.
+    Rows of finite floats (and a visibility of 0, 1 or 2) are kept as they
+    are. At the first other row, every joint is checked from the first one,
+    so the diagnostic is the first bad value's.
     """
+    if not isinstance(joints, list) or len(joints) != KEYPOINT_COUNT:
+        raise AnnotationError(path, f"expected {KEYPOINT_COUNT} joints")
+    width = 3 if visibility else 2
     for item in joints:
-        if type(item) is not list or len(item) != 3:
+        if type(item) is not list or len(item) != width:
             break
-        x, y, v = item
+        x, y = item[0], item[1]
         # nan - nan and inf - inf are nan
         if type(x) is not float or type(y) is not float or x - x != 0.0 or y - y != 0.0:
             break
-        if type(v) is not int or not 0 <= v <= 2:
+        if visibility and (type(item[2]) is not int or not 0 <= item[2] <= 2):
             break
     else:
         return tuple(map(tuple, joints))
     checked = []
     for j, item in enumerate(joints):
         jpath = f"{path}[{j}]"
-        if not isinstance(item, list) or len(item) != 3:
-            raise AnnotationError(jpath, "expected [x, y, visibility]")
-        x = _as_number(item[0], jpath, 0)
-        y = _as_number(item[1], jpath, 1)
-        v = _as_int(item[2], f"{jpath}[2]")
-        if v not in (0, 1, 2):
-            raise AnnotationError(f"{jpath}[2]", f"visibility must be 0, 1, or 2, got {v}")
-        checked.append((x, y, v))
+        if not isinstance(item, list) or len(item) != width:
+            raise AnnotationError(jpath, "expected [x, y, visibility]" if visibility else "expected [x, y]")
+        row = (_as_number(item[0], jpath, 0), _as_number(item[1], jpath, 1))
+        if visibility:
+            v = _as_int(item[2], f"{jpath}[2]")
+            if v not in (0, 1, 2):
+                raise AnnotationError(f"{jpath}[2]", f"visibility must be 0, 1, or 2, got {v}")
+            row += (v,)
+        checked.append(row)
     return tuple(checked)
 
 
@@ -349,12 +355,7 @@ def _parse_instance(obj, path: str) -> InstanceAnnotation:
         if b in behaviors:
             raise AnnotationError(f"{path}.behaviors[{i}]", f"duplicate class index: {b}")
         behaviors.append(b)
-    pose = None
-    if "pose" in obj:
-        raw_pose = obj["pose"]
-        if not isinstance(raw_pose, list) or len(raw_pose) != KEYPOINT_COUNT:
-            raise AnnotationError(f"{path}.pose", f"expected {KEYPOINT_COUNT} joints")
-        pose = _as_pose(raw_pose, f"{path}.pose")
+    pose = _as_pose(obj["pose"], f"{path}.pose", visibility=True) if "pose" in obj else None
     identity = obj.get("identity")
     if identity is not None and not isinstance(identity, str):
         raise AnnotationError(f"{path}.identity", f"expected a string, got {identity!r}")
@@ -409,12 +410,16 @@ def write_annotations(seq: SequenceAnnotation) -> dict:
                 obj["identity"] = inst.identity
             instances.append(obj)
         frames.append({"frame": frame, "instances": instances})
+    return _document(seq.sequence_id, seq.image_size, frames, frame_count=seq.frame_count, annotation_stride=seq.stride)
+
+
+def _document(sequence_id: str, size: ImageSize, frames: list, **extra) -> dict:
+    """The header both formats share, then the format's extra fields, then frames."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "sequence_id": seq.sequence_id,
-        "image_size": {"width": seq.image_size.width, "height": seq.image_size.height},
-        "frame_count": seq.frame_count,
-        "annotation_stride": seq.stride,
+        "sequence_id": sequence_id,
+        "image_size": {"width": size.width, "height": size.height},
+        **extra,
         "frames": frames,
     }
 
@@ -468,17 +473,7 @@ def _detection(det, dpath: str, boxes_only: bool) -> DetectionRecord:
     scores = _as_numbers(raw_scores, f"{dpath}.behavior_scores")
     if any(not 0.0 <= s <= 1.0 for s in scores):
         raise AnnotationError(f"{dpath}.behavior_scores", "scores must lie in [0, 1]")
-    pose = None
-    if "pose" in det:
-        raw_pose = det["pose"]
-        if not isinstance(raw_pose, list) or len(raw_pose) != KEYPOINT_COUNT:
-            raise AnnotationError(f"{dpath}.pose", f"expected {KEYPOINT_COUNT} joints")
-        joints = []
-        for k, p in enumerate(raw_pose):
-            if not isinstance(p, list) or len(p) != 2:
-                raise AnnotationError(f"{dpath}.pose[{k}]", "expected [x, y]")
-            joints.append(_as_numbers(p, f"{dpath}.pose", k))
-        pose = tuple(joints)
+    pose = _as_pose(det["pose"], f"{dpath}.pose", visibility=False) if "pose" in det else None
     if boxes_only:
         return DetectionRecord(box, score)
     return DetectionRecord(box, score, scores, pose)
@@ -621,12 +616,7 @@ def write_detections(sequence_id: str, size: ImageSize, frames: dict[int, list[D
                 obj["pose"] = [[x, y] for x, y in det.pose]
             dets.append(obj)
         out.append({"frame": frame, "detections": dets})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "sequence_id": sequence_id,
-        "image_size": {"width": size.width, "height": size.height},
-        "frames": out,
-    }
+    return _document(sequence_id, size, out)
 
 
 def write_mot_csv(tracks: list[TrackedBox]) -> str:

@@ -174,6 +174,16 @@ MALFORMED_DETECTIONS = [
         f"{FINITE} nan",
     ),
     (("frames", 0, "detections", 0, "box", 1), True, "$.frames[0].detections[0].box[1]", "expected a number, got True"),
+    (("frames", 0, "detections", 0, "pose", 3), [3.0, 3.0, 2], "$.frames[0].detections[0].pose[3]", "expected [x, y]"),
+    (("frames", 0, "detections", 0, "pose", 3, 0), True, "$.frames[0].detections[0].pose[3][0]", "expected a number, got True"),
+    (("frames", 0, "detections", 0, "pose", 3, 1), "3.0", "$.frames[0].detections[0].pose[3][1]", "expected a number, got '3.0'"),
+    (
+        ("frames", 0, "detections", 0, "pose"),
+        [[float(k), float(k)] for k in range(15)],
+        "$.frames[0].detections[0].pose",
+        "expected 16 joints",
+    ),
+    (("frames", 0, "detections", 0, "pose"), {"x": 1.0, "y": 2.0}, "$.frames[0].detections[0].pose", "expected 16 joints"),
 ]
 MALFORMED_DETECTIONS_IDS = [
     "nan-box",
@@ -185,6 +195,11 @@ MALFORMED_DETECTIONS_IDS = [
     "inf-score",
     "nan-behavior-score",
     "bool-box",
+    "three-value-pose-joint",
+    "bool-pose-joint",
+    "string-pose-joint",
+    "fifteen-joint-pose",
+    "object-pose",
 ]
 
 

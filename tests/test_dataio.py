@@ -371,6 +371,8 @@ VALID_TEXTS = {
     "crlf-and-tabs": lambda: _detections_text().replace("\n", "\r\n").replace("  ", "\t"),
     "no-frames": lambda: _detections_text(frames=[]),
     "integer-numbers": _edited(_set("frames", 0, "detections", 0, "box", [1, 2, 30, 40])),
+    # one integer row after joint 0 sends the whole pose through the per-value check
+    "integer-pose-row": _edited(_set("frames", 0, "detections", 0, "pose", 3, [3, 6])),
     "escaped-key": lambda: _detections_text().replace('"frames"', '"fr\\u0061mes"'),
     # json.loads keeps the last of repeated keys
     "repeated-sequence-id": lambda: _detections_text().replace('{\n  "frames"', '{\n  "sequence_id": 7,\n  "frames"', 1),
