@@ -471,7 +471,7 @@ def _detection(det, dpath: str, boxes_only: bool) -> DetectionRecord:
     if not isinstance(raw_scores, list) or len(raw_scores) != BEHAVIOR_COUNT:
         raise AnnotationError(f"{dpath}.behavior_scores", f"expected {BEHAVIOR_COUNT} scores")
     scores = _as_numbers(raw_scores, f"{dpath}.behavior_scores")
-    if any(not 0.0 <= s <= 1.0 for s in scores):
+    if min(scores) < 0.0 or max(scores) > 1.0:  # finite, as _as_numbers checked
         raise AnnotationError(f"{dpath}.behavior_scores", "scores must lie in [0, 1]")
     pose = _as_pose(det["pose"], f"{dpath}.pose", visibility=False) if "pose" in det else None
     if boxes_only:

@@ -39,6 +39,14 @@ RESTING = 2
 EATING = 5
 PLAYING = 19
 
+# box sides are drawn from [MIN_SIZE, MAX_SIZE]; an agent faster than
+# SPEED_THRESH is moving, and one within BORDER_MARGIN of the left or top edge
+# is eating
+MIN_SIZE = 40.0
+MAX_SIZE = 120.0
+SPEED_THRESH = 2.0
+BORDER_MARGIN = 60.0
+
 # joint anchors as (fx, fy) fractions of the box, hip first, matching the
 # registry order in dataio.KEYPOINT_NAMES
 POSE_FRACTIONS = (
@@ -68,12 +76,8 @@ class SceneConfig:
     width: int = 640
     height: int = 480
     stride: int = 10
-    min_size: float = 40.0
-    max_size: float = 120.0
     max_speed: float = 6.0
-    speed_thresh: float = 2.0
     proximity: float = 80.0
-    border_margin: float = 60.0
 
     def __post_init__(self):
         if self.agents < 1:
@@ -82,11 +86,9 @@ class SceneConfig:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0.0 < self.min_size <= self.max_size:
-            raise ValueError("need 0 < min_size <= max_size")
-        if self.max_size >= min(self.width, self.height):
+        if MAX_SIZE >= min(self.width, self.height):
             raise ValueError("max_size must leave room inside the image")
-        if self.max_speed < 0.0 or self.speed_thresh < 0.0 or self.proximity < 0.0:
+        if self.max_speed < 0.0 or self.proximity < 0.0:
             raise ValueError("speeds and distances must be non-negative")
 
 
@@ -143,8 +145,7 @@ def generate(config: SceneConfig, seed: int) -> SceneData:
     """Build a scene: annotations on stride frames, detections on all frames."""
     rng = Xoshiro256(seed)
     half = [
-        (rng.uniform(config.min_size, config.max_size) / 2.0,
-         rng.uniform(config.min_size, config.max_size) / 2.0)
+        (rng.uniform(MIN_SIZE, MAX_SIZE) / 2.0, rng.uniform(MIN_SIZE, MAX_SIZE) / 2.0)
         for _ in range(config.agents)
     ]
     # draw order per agent: h, w, cx, cy, speed, angle
@@ -172,8 +173,8 @@ def generate(config: SceneConfig, seed: int) -> SceneData:
         for a, (hh, hw) in enumerate(half):
             cx, cy, vx, vy = state[a]
             boxes.append(BoxXYXY(cx - hw, cy - hh, cx + hw, cy + hh))
-            acts = {MOVING if math.hypot(vx, vy) > config.speed_thresh else RESTING}
-            if cx - hw < config.border_margin or cy - hh < config.border_margin:
+            acts = {MOVING if math.hypot(vx, vy) > SPEED_THRESH else RESTING}
+            if cx - hw < BORDER_MARGIN or cy - hh < BORDER_MARGIN:
                 acts.add(EATING)
             behaviors.append(acts)
         for a in range(config.agents):

@@ -13,7 +13,7 @@ from chimptrack.cli import main
 from chimptrack.dataio import DetectionRecord
 from chimptrack.geometry import BoxRel, BoxXYXY, ImageSize, rel_to_abs
 from chimptrack.kernels import WINDOW_BLOCK, ModelDims, init_params, save_params
-from chimptrack.oracles import window_forward
+from chimptrack.oracles import stdlib_dump_json, window_forward
 from chimptrack.rng import Xoshiro256
 from chimptrack.tracker import TrackerConfig, run
 
@@ -24,6 +24,11 @@ def make_scene(tmp_path, extra=()):
     out = tmp_path / "scene"
     assert main(SYNTH_ARGS + ["--out", str(out), *extra]) == 0
     return out
+
+
+def assert_canonical(text: str):
+    """Every JSON text a command writes is the standard library's sorted, 2-space form."""
+    assert text == stdlib_dump_json(json.loads(text))
 
 
 def test_synth_writes_three_files_and_summary(tmp_path, capsys):
@@ -45,6 +50,7 @@ def test_synth_output_is_byte_deterministic(tmp_path):
     b = make_scene(tmp_path / "b")
     for name in ("annotations.json", "detections_clean.json", "detections_noisy.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert_canonical((a / name).read_text())
     c = tmp_path / "c" / "scene"
     assert main(["synth", "--seed", "4", "--agents", "3", "--frames", "30", "--out", str(c)]) == 0
     assert (a / "annotations.json").read_bytes() != (c / "annotations.json").read_bytes()
@@ -184,6 +190,10 @@ MALFORMED_DETECTIONS = [
         "expected 16 joints",
     ),
     (("frames", 0, "detections", 0, "pose"), {"x": 1.0, "y": 2.0}, "$.frames[0].detections[0].pose", "expected 16 joints"),
+    *(
+        (("frames", 0, "detections", 0, "behavior_scores", k), value, "$.frames[0].detections[0].behavior_scores", "scores must lie in [0, 1]")
+        for k, value in ((0, -0.25), (22, 1.5))
+    ),
 ]
 MALFORMED_DETECTIONS_IDS = [
     "nan-box",
@@ -200,6 +210,8 @@ MALFORMED_DETECTIONS_IDS = [
     "string-pose-joint",
     "fifteen-joint-pose",
     "object-pose",
+    "negative-first-behavior-score",
+    "above-one-last-behavior-score",
 ]
 
 
@@ -563,6 +575,30 @@ def test_tracking_sidecar_does_not_depend_on_track_ids(readme_scene, tmp_path, c
     capsys.readouterr()
 
 
+def test_evaluate_sidecars_do_not_depend_on_a_frame_shift(readme_scene, tmp_path, capsys):
+    # the annotations, the noisy detections and the tracked CSV moved 30 frames later, a multiple
+    # of the annotation stride, score byte for byte as before: no metric reads a frame's number
+    shift = 30
+    gt, noisy, csv = readme_scene / "annotations.json", readme_scene / "detections_noisy.json", readme_scene / "pred.csv"
+    ann, dets = json.loads(gt.read_text()), json.loads(noisy.read_text())
+    assert shift % ann["annotation_stride"] == 0
+    ann["frame_count"] += shift
+    for entry in ann["frames"] + dets["frames"]:
+        entry["frame"] += shift
+    rows = [line.split(",", 1) for line in csv.read_text().splitlines(keepends=True)]
+    moved_gt, moved_dets, moved_csv = tmp_path / "moved.json", tmp_path / "moved-dets.json", tmp_path / "moved.csv"
+    moved_gt.write_text(dataio.dump_json(ann))
+    moved_dets.write_text(dataio.dump_json(dets))
+    moved_csv.write_text("".join(f"{int(frame) + shift},{rest}" for frame, rest in rows))
+    for task in ("tracking", "detection", "pose", "behavior"):
+        sidecars = [tmp_path / f"{task}-{i}.metrics.json" for i in range(2)]
+        pairs = ((gt, csv), (moved_gt, moved_csv)) if task == "tracking" else ((gt, noisy), (moved_gt, moved_dets))
+        for (g, pred), out in zip(pairs, sidecars):
+            assert main(["evaluate", "--task", task, "--gt", str(g), "--pred", str(pred), "--out", str(out)]) == 0
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes(), task
+    capsys.readouterr()
+
+
 def scene_dirs(tmp_path, seeds=(1, 2), strip_pose=(), widths=None):
     """gt/ and pred/ for the seeds, pred/ holding each track CSV and noisy detections.
 
@@ -809,6 +845,7 @@ def test_evaluate_tables_print_the_sidecar_values(tmp_path, capsys):
             assert main(argv) == 0
             lines = capsys.readouterr().out.split("\n")
             assert lines[-2] == f"metrics written to {sidecar}" and lines[-1] == ""
+            assert_canonical(sidecar.read_text())
             doc = json.loads(sidecar.read_text())
             entries = list(doc["sequences"].values())
             entries += [doc["aggregate"]] if len(entries) > 1 else []
@@ -834,6 +871,7 @@ def test_forward_window_layout_and_determinism(tmp_path, capsys):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+    assert_canonical(out_a.read_text())
     sid, size, frames = dataio.parse_detections(out_a)
     assert sid == "forward"
     assert size == ImageSize(64, 64)
@@ -1013,23 +1051,30 @@ def test_forward_takes_the_image_size_from_the_clip(tmp_path, capsys):
 
 
 def test_forward_detections_match_the_window_oracle_byte_for_byte(tmp_path, capsys):
-    # the CLI's blocked, pair-sharing forward pass against one window at a time
-    dims = ModelDims()
-    video = np.random.default_rng(8).random((WINDOW_BLOCK + dims.frames, 64, 64, 3))  # WINDOW_BLOCK + 1 windows
-    clip, out = tmp_path / "clip.npy", tmp_path / "clip.json"
-    np.save(clip, video)
-    assert main(["forward", str(clip), "--seed", "4", "--cls-thresh", "0.55", "--out", str(out)]) == 0
-    capsys.readouterr()
-    size = ImageSize(dims.width, dims.height)
-    want = window_forward(video, init_params(dims, 4), dims).outputs
-    detections = {}
-    for start, (boxes, conf, behavior) in enumerate(zip(want.boxes, want.class_conf, want.behavior_probs)):
-        detections[start + dims.frames - 1] = [
-            DetectionRecord(rel_to_abs(BoxRel(*map(float, boxes[q])), size), float(conf[q]), behavior[q])
-            for q in range(dims.queries) if conf[q] >= 0.55
-        ]
-    assert 0 < sum(map(len, detections.values())) < dims.queries * len(detections)
-    assert out.read_text() == dataio.dump_json(dataio.write_detections("forward", size, detections))
+    # the CLI's blocked, pair-sharing forward pass against one window at a time: WINDOW_BLOCK + 1
+    # default windows, and 37 four-frame windows of a 40-frame clip, which cross two block boundaries
+    cases = (
+        (ModelDims(), WINDOW_BLOCK + ModelDims().frames, "0.55", []),
+        (ModelDims(frames=4), 40, "0.66", ["--dims", "frames=4"]),
+    )
+    for dims, length, thresh, extra in cases:
+        video = np.random.default_rng(8).random((length, 64, 64, 3))
+        clip, out = tmp_path / "clip.npy", tmp_path / f"clip-{dims.frames}.json"
+        np.save(clip, video)
+        assert main(["forward", str(clip), "--seed", "4", "--cls-thresh", thresh, *extra, "--out", str(out)]) == 0
+        capsys.readouterr()
+        size = ImageSize(dims.width, dims.height)
+        want = window_forward(video, init_params(dims, 4), dims).outputs
+        detections = {}
+        for start, (boxes, conf, behavior) in enumerate(zip(want.boxes, want.class_conf, want.behavior_probs)):
+            detections[start + dims.frames - 1] = [
+                DetectionRecord(rel_to_abs(BoxRel(*map(float, boxes[q])), size), float(conf[q]), behavior[q])
+                for q in range(dims.queries) if conf[q] >= float(thresh)
+            ]
+        assert 0 < sum(map(len, detections.values())) < dims.queries * len(detections)
+        assert out.read_text() == dataio.dump_json(dataio.write_detections("forward", size, detections))
+        frames = [entry["frame"] for entry in json.loads(out.read_text())["frames"]]
+        assert frames == list(range(dims.frames - 1, length)), dims  # 37 four-frame windows from frame 3
 
 
 def test_selfcheck_passes_clean(capsys):
@@ -1049,7 +1094,9 @@ def test_selfcheck_passes_clean(capsys):
 
 def test_selfcheck_json_format(capsys):
     assert main(["selfcheck", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    assert_canonical(printed)
+    doc = json.loads(printed)
     assert doc["ok"] is True
     assert len(doc["checks"]) == 5
     assert all(c["ok"] for c in doc["checks"])
@@ -1296,21 +1343,33 @@ def test_forward_does_not_fault_its_block_buffers_in_again_on_every_block(tmp_pa
     assert per_block < 250, faults
 
 
+def run_without_numpy(argv) -> subprocess.CompletedProcess:
+    """main(argv) in a child process in which `import numpy` raises ImportError."""
+    script = f"import sys\nsys.modules['numpy'] = None\nfrom chimptrack.cli import main\nsys.exit(main({argv!r}))\n"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+
+
 def test_synth_runs_without_numpy(tmp_path):
-    # the README's noise plus keypoint jitter; `import numpy` raises ImportError in the child
-    noise = ["--fn-rate", "0.1", "--fp-rate", "0.5", "--box-jitter", "2.0", "--kp-jitter", "1.0"]
-    plain = make_scene(tmp_path / "plain", extra=noise)
+    # the README's noise plus keypoint jitter
+    plain = make_scene(tmp_path / "plain", extra=README_NOISE)
     bare = tmp_path / "bare"
-    script = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from chimptrack.cli import main\n"
-        f"sys.exit(main({SYNTH_ARGS + noise + ['--out', str(bare)]!r}))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = run_without_numpy(SYNTH_ARGS + README_NOISE + ["--out", str(bare)])
     assert proc.returncode == 0, proc.stderr
     for name in ("annotations.json", "detections_clean.json", "detections_noisy.json"):
         assert (bare / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_track_reports_a_malformed_file_without_numpy(tmp_path):
+    # track parses its detections before it imports NumPy, so the input error comes first
+    scene = make_scene(tmp_path)
+    doc = json.loads((scene / "detections_noisy.json").read_text())
+    doc["frames"][1]["detections"][0]["score"] = 2.0
+    bad, out = tmp_path / "badscore.json", tmp_path / "badscore.csv"
+    bad.write_text(json.dumps(doc))
+    proc = run_without_numpy(["track", str(bad), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "input error: $.frames[1].detections[0].score: score must lie in [0, 1], got 2.0\n"
+    assert not out.exists()
 
 
 def test_bench_wrap_points_are_looked_up_per_call(tmp_path, monkeypatch):

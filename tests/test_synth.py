@@ -5,6 +5,7 @@ import pytest
 from chimptrack.dataio import BEHAVIOR_COUNT, KEYPOINT_COUNT
 from chimptrack.geometry import ImageSize
 from chimptrack.synth import (
+    BORDER_MARGIN,
     EATING,
     MOVING,
     PLAYING,
@@ -86,11 +87,10 @@ def test_motion_label_is_constant_per_agent():
 
 def test_eating_fires_exactly_near_left_or_top_border():
     scene = generate(SceneConfig(agents=6, frames=100, max_speed=10.0), 17)
-    margin = CFG.border_margin
     seen_eating = False
     for insts in scene.annotation.frames.values():
         for inst in insts:
-            near = inst.box.x1 < margin or inst.box.y1 < margin
+            near = inst.box.x1 < BORDER_MARGIN or inst.box.y1 < BORDER_MARGIN
             assert (EATING in inst.behaviors) == near
             seen_eating = seen_eating or near
     assert seen_eating  # the scene actually exercises the rule
@@ -133,10 +133,8 @@ def test_pose_anchor_table():
 def test_scene_config_validation():
     with pytest.raises(ValueError):
         SceneConfig(agents=0)
-    with pytest.raises(ValueError):
-        SceneConfig(min_size=0.0)
-    with pytest.raises(ValueError):
-        SceneConfig(max_size=480.0)  # no room inside 640x480
+    with pytest.raises(ValueError, match="max_size must leave room inside the image"):
+        SceneConfig(height=120)  # MAX_SIZE leaves no room inside 640x120
     with pytest.raises(ValueError):
         SceneConfig(stride=0)
 
